@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arens import arens_first
+from .arens import arens_tables, stacked_side_system
 from .characters import CharacterEnumeration, enumerate_characters
 from .core import FiniteAlgebra, LinearMap, center, find_left_identity, find_right_identity
 from .errors import NotADerivation
@@ -107,8 +107,10 @@ def derivation_space(alg: FiniteAlgebra, tol: float) -> DerivationSpace:
     matching individual basis derivations.
     """
     n = alg.dim
-    der_flat = nullspace(_leibniz_system(alg), tol, scale=max(1.0, max_abs(alg.structure)))
-    inner_flat = column_space(_inner_map(alg), tol)
+    # both systems are differences of structure-scale quantities
+    scale = max(1.0, max_abs(alg.structure))
+    der_flat = nullspace(_leibniz_system(alg), tol, scale=scale)
+    inner_flat = column_space(_inner_map(alg), tol, scale=scale)
     der = tuple(der_flat[:, k].reshape(n, n) for k in range(der_flat.shape[1]))
     inner = tuple(inner_flat[:, k].reshape(n, n) for k in range(inner_flat.shape[1]))
     return DerivationSpace(algebra=alg, der_basis=der, inner_basis=inner)
@@ -177,29 +179,23 @@ class TliSolution:
         return int(self.basis.shape[1])
 
 
+def _tli_system(alg: FiniteAlgebra, phi: np.ndarray, side: str) -> np.ndarray:
+    """Phi [] e_j - phi(e_j) Phi (left) or e_j [] Phi - phi(e_j) Phi (right), stacked over j."""
+    first = arens_tables(alg).first
+    return stacked_side_system(first, side) - np.kron(phi[:, None], np.eye(alg.dim))
+
+
 def solve_tli(alg: FiniteAlgebra, phi, side: str, tol: float) -> TliSolution:
     """Solve Phi [] a = phi(a) Phi (left) or a [] Phi = phi(a) Phi (right).
 
     ``phi`` may be a verified character or the zero functional.  The linear
-    system is assembled through the first-Arens-product chain over the
-    element basis.  ``exists_nonvanishing`` reports whether phi fails to
-    annihilate the solution space (a rank test on the pairing row).
+    system is a slice of the first Arens table over the element basis.
+    ``exists_nonvanishing`` reports whether phi fails to annihilate the
+    solution space (a rank test on the pairing row).
     """
     phi = alg.coerce(phi)
-    n = alg.dim
-    blocks = []
-    for j in range(n):
-        ej = alg.basis_vector(j)
-        k = np.empty((n, n), dtype=complex)
-        for i in range(n):
-            probe = alg.basis_vector(i)
-            if side == "left":
-                k[:, i] = arens_first(alg, probe, ej) - phi[j] * probe
-            else:
-                k[:, i] = arens_first(alg, ej, probe) - phi[j] * probe
-        blocks.append(k)
     scale = max(1.0, max_abs(alg.structure), max_abs(phi))
-    basis = nullspace(np.vstack(blocks), tol, scale=scale)
+    basis = nullspace(_tli_system(alg, phi, side), tol, scale=scale)
     pairings = phi @ basis
     nonvanishing = bool(basis.shape[1] and max_abs(pairings) > tol * max(1.0, max_abs(phi)))
     return TliSolution(algebra=alg, phi=phi, side=side, basis=basis, exists_nonvanishing=nonvanishing)
@@ -310,12 +306,9 @@ def is_character_amenable(alg: FiniteAlgebra, side: str, tol: float, seed: int =
 
 def commutation_residual(alg: FiniteAlgebra, m) -> float:
     """Worst deviation of m [] a from a [] m over the element basis."""
-    m = alg.coerce(m)
-    worst = 0.0
-    for j in range(alg.dim):
-        ej = alg.basis_vector(j)
-        worst = max(worst, max_abs(arens_first(alg, m, ej) - arens_first(alg, ej, m)))
-    return worst
+    first = arens_tables(alg).first
+    commutator = stacked_side_system(first, "left") - stacked_side_system(first, "right")
+    return max_abs(commutator @ alg.coerce(m))
 
 
 def solve_inner_mean(alg: FiniteAlgebra, phi, tol: float) -> np.ndarray | None:

@@ -2,21 +2,31 @@
 
 Functionals pair bilinearly with elements, ``<f, x> = sum_i f_i x_i``, and in
 finite dimension the bidual is identified with the algebra through the same
-pairing.  Both Arens products are nevertheless computed through their literal
-pairing chains,
+pairing.  Both Arens products are computed through their pairing chains
+(Arens, Proc. AMS 2 (1951)),
 
     <P [] Q, f> = <P, Q . f>        (first)
     <P <> Q, f> = <Q, f . P>        (second)
 
-never through the multiplication shortcut, so that agreement with the
-original product is an actual check of the chain and not a definition.
-Every finite-dimensional algebra is Arens regular, so topological-center
-computations here are degenerate consistency checks by design.
+evaluated as they are defined, in two steps: one ``einsum`` builds the
+matrix of the dual action f -> Q . f (or f -> f . P), and that matrix is
+then paired with P (or Q).  ``arens_tables`` runs the same two steps on the
+whole basis at once, giving ``first[p, q] = e_p [] e_q`` and
+``second[p, q] = e_p <> e_q``.  Every system or residual over basis pairs
+(topological centers, the multiplicativity of T'', the Theta block formula,
+and the invariant-element system in ``amenability``) is a slice or a
+contraction of these tables.  The tables come from the chain and are never
+read off ``structure``, so that agreement of the Arens products with the
+original multiplication stays an actual check of the chain and not a
+definition.  Every finite-dimensional algebra is Arens regular, so
+topological-center computations here are degenerate consistency checks by
+design.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,11 +39,6 @@ FINITE_DIM_CAVEAT = (
     "every topological center is the whole bidual, so center verdicts are "
     "consistency checks, not deep confirmations"
 )
-
-
-def dual_pair(f, x) -> complex:
-    """Bilinear pairing of a functional with an element (no conjugation)."""
-    return complex(np.dot(np.asarray(f, dtype=complex), np.asarray(x, dtype=complex)))
 
 
 def functional_times_element(alg: FiniteAlgebra, f, a) -> np.ndarray:
@@ -51,40 +56,55 @@ def dual_actions(alg: FiniteAlgebra, f, a) -> tuple[np.ndarray, np.ndarray]:
     return functional_times_element(alg, f, a), element_times_functional(alg, a, f)
 
 
-def bidual_times_functional(alg: FiniteAlgebra, big_phi, f) -> np.ndarray:
-    """Phi . f, the functional a -> <Phi, f . a>."""
-    big_phi = alg.coerce(big_phi)
-    f = alg.coerce(f)
-    return np.array(
-        [np.dot(big_phi, functional_times_element(alg, f, alg.basis_vector(i))) for i in range(alg.dim)]
-    )
+def _bidual_left_action(alg: FiniteAlgebra, big_psi: np.ndarray) -> np.ndarray:
+    """Matrix of f -> Psi . f, the functional a -> <Psi, f . a>; Psi may be a stack of rows."""
+    return np.einsum("ijk,...j->...ik", alg.structure, big_psi)
 
 
-def functional_times_bidual(alg: FiniteAlgebra, f, big_phi) -> np.ndarray:
-    """f . Phi, the functional a -> <Phi, a . f>."""
-    big_phi = alg.coerce(big_phi)
-    f = alg.coerce(f)
-    return np.array(
-        [np.dot(big_phi, element_times_functional(alg, alg.basis_vector(i), f)) for i in range(alg.dim)]
-    )
+def _bidual_right_action(alg: FiniteAlgebra, big_phi: np.ndarray) -> np.ndarray:
+    """Matrix of f -> f . Phi, the functional a -> <Phi, a . f>; Phi may be a stack of rows."""
+    return np.einsum("jik,...j->...ik", alg.structure, big_phi)
 
 
 def arens_first(alg: FiniteAlgebra, big_phi, big_psi) -> np.ndarray:
-    """First Arens product, evaluated through <Phi, Psi . f> on the dual basis."""
-    big_phi = alg.coerce(big_phi)
-    out = np.empty(alg.dim, dtype=complex)
-    for k in range(alg.dim):
-        out[k] = np.dot(big_phi, bidual_times_functional(alg, big_psi, alg.basis_vector(k)))
-    return out
+    """First Arens product, evaluated as <Phi, Psi . f> on the dual basis."""
+    return alg.coerce(big_phi) @ _bidual_left_action(alg, alg.coerce(big_psi))
 
 
 def arens_second(alg: FiniteAlgebra, big_phi, big_psi) -> np.ndarray:
-    """Second Arens product, evaluated through <Psi, f . Phi> on the dual basis."""
-    big_psi = alg.coerce(big_psi)
-    out = np.empty(alg.dim, dtype=complex)
-    for k in range(alg.dim):
-        out[k] = np.dot(big_psi, functional_times_bidual(alg, alg.basis_vector(k), big_phi))
-    return out
+    """Second Arens product, evaluated as <Psi, f . Phi> on the dual basis."""
+    return alg.coerce(big_psi) @ _bidual_right_action(alg, alg.coerce(big_phi))
+
+
+class ArensTables(NamedTuple):
+    """Both Arens products on basis pairs: ``first[p, q] = e_p [] e_q``, ``second[p, q] = e_p <> e_q``."""
+
+    first: np.ndarray
+    second: np.ndarray
+
+
+def arens_tables(alg: FiniteAlgebra) -> ArensTables:
+    """Both Arens tables, from the two-step chain run on every basis pair at once."""
+    basis = np.eye(alg.dim, dtype=complex)
+    first = np.einsum("pi,qik->pqk", basis, _bidual_left_action(alg, basis))
+    second = np.einsum("qi,pik->pqk", basis, _bidual_right_action(alg, basis))
+    return ArensTables(first, second)
+
+
+def stacked_side_system(table: np.ndarray, side: str) -> np.ndarray:
+    """Matrix of Phi -> (Phi # e_j)_j (left) or Phi -> (e_j # Phi)_j (right).
+
+    ``table[p, q]`` is e_p # e_q for a bilinear product #.  Block j of the
+    n^2 x n result is the matrix of Phi -> Phi # e_j, or of Phi -> e_j # Phi.
+    """
+    n = table.shape[0]
+    blocks = table.transpose(1, 2, 0) if side == "left" else table.transpose(0, 2, 1)
+    return blocks.reshape(n * n, n)
+
+
+def _pair_batches(table: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """out[p, q] = x_p # y_q for the columns x_p of xs and y_q of ys."""
+    return np.einsum("ip,jq,ijk->pqk", xs, ys, table)
 
 
 @dataclass
@@ -171,19 +191,11 @@ def hom_adjoints(hom: AlgebraHom, tol: float) -> HomAdjoints:
 
     embedding_residual = max_abs(t_second.matrix - m)
 
-    res1 = 0.0
-    res2 = 0.0
-    for i in range(b_alg.dim):
-        for j in range(b_alg.dim):
-            u, v = b_alg.basis_vector(i), b_alg.basis_vector(j)
-            res1 = max(
-                res1,
-                max_abs(t_second(arens_first(b_alg, u, v)) - arens_first(a_alg, t_second(u), t_second(v))),
-            )
-            res2 = max(
-                res2,
-                max_abs(t_second(arens_second(b_alg, u, v)) - arens_second(a_alg, t_second(u), t_second(v))),
-            )
+    # T''(e_p # e_q) against T''(e_p) # T''(e_q), over all basis pairs at once
+    m2 = t_second.matrix
+    tables_b, tables_a = arens_tables(b_alg), arens_tables(a_alg)
+    res1 = max_abs(tables_b.first @ m2.T - _pair_batches(tables_a.first, m2, m2))
+    res2 = max_abs(tables_b.second @ m2.T - _pair_batches(tables_a.second, m2, m2))
 
     source_epi = rank(m, tol) == a_alg.dim
     second_epi = rank(t_second.matrix, tol) == a_alg.dim
@@ -206,8 +218,20 @@ def theta_iso(product: MorphismProduct, big_phi, big_psi) -> np.ndarray:
     return product.join(big_phi, big_psi)
 
 
-def theta_split(product: MorphismProduct, vec) -> tuple[np.ndarray, np.ndarray]:
-    return product.split(vec)
+def _block_products(product: MorphismProduct, which: str, phi1, psi1, phi2, psi2) -> np.ndarray:
+    """Theta of the block formula, for pairs (P1, Q1) and (P2, Q2) given as columns.
+
+    Entry [p, q] combines pair p of the first batch with pair q of the second.
+    """
+    table_a = getattr(arens_tables(product.a), which)
+    table_b = getattr(arens_tables(product.b), which)
+    m = product.hom.matrix
+    a_part = (
+        _pair_batches(table_a, phi1, phi2)
+        + _pair_batches(table_a, phi1, m @ psi2)
+        + _pair_batches(table_a, m @ psi1, phi2)
+    )
+    return np.concatenate([a_part, _pair_batches(table_b, psi1, psi2)], axis=2)
 
 
 def bidual_block_product(product: MorphismProduct, pair1, pair2, which: str) -> np.ndarray:
@@ -217,21 +241,10 @@ def bidual_block_product(product: MorphismProduct, pair1, pair2, which: str) -> 
     chosen Arens product taken inside the factor biduals, then maps through
     Theta.
     """
-    op = arens_first if which == "first" else arens_second
-    m = product.hom.matrix
-    phi1, psi1 = pair1
-    phi2, psi2 = pair2
-    phi1 = product.a.coerce(phi1)
-    phi2 = product.a.coerce(phi2)
-    psi1 = product.b.coerce(psi1)
-    psi2 = product.b.coerce(psi2)
-    a_part = (
-        op(product.a, phi1, phi2)
-        + op(product.a, phi1, m @ psi2)
-        + op(product.a, m @ psi1, phi2)
-    )
-    b_part = op(product.b, psi1, psi2)
-    return theta_iso(product, a_part, b_part)
+    (phi1, psi1), (phi2, psi2) = pair1, pair2
+    columns = [alg.coerce(v)[:, None] for alg, v in
+               ((product.a, phi1), (product.b, psi1), (product.a, phi2), (product.b, psi2))]
+    return _block_products(product, which, *columns)[0, 0]
 
 
 def theta_homomorphism_residual(product: MorphismProduct, which: str) -> float:
@@ -240,36 +253,23 @@ def theta_homomorphism_residual(product: MorphismProduct, which: str) -> float:
     Compares the factor-level block formula against the Arens product formed
     inside the product algebra itself, over all pairs of block basis vectors.
     """
-    op = arens_first if which == "first" else arens_second
-    palg = product.algebra
-    na, nb = product.dim_a, product.dim_b
-    pairs = []
-    for i in range(na):
-        pairs.append((product.a.basis_vector(i), np.zeros(nb, dtype=complex)))
-    for j in range(nb):
-        pairs.append((np.zeros(na, dtype=complex), product.b.basis_vector(j)))
-    worst = 0.0
-    for p1 in pairs:
-        v1 = theta_iso(product, *p1)
-        for p2 in pairs:
-            v2 = theta_iso(product, *p2)
-            block = bidual_block_product(product, p1, p2, which)
-            direct = op(palg, v1, v2)
-            worst = max(worst, max_abs(block - direct))
-    return worst
+    na = product.dim_a
+    # the block basis vectors e_p = Theta(x_p, y_p), as columns of x and y
+    basis = np.eye(product.algebra.dim, dtype=complex)
+    x, y = basis[:na], basis[na:]
+    block = _block_products(product, which, x, y, x, y)
+    return max_abs(block - getattr(arens_tables(product.algebra), which))
+
+
+def _center_system(alg: FiniteAlgebra, side: str) -> np.ndarray:
+    """Phi [] e_j - Phi <> e_j (left) or its mirror (right), stacked over the bidual basis."""
+    tables = arens_tables(alg)
+    return stacked_side_system(tables.first - tables.second, side)
 
 
 def topological_center_membership(alg: FiniteAlgebra, big_phi, side: str, tol: float) -> tuple[bool, float]:
     """Whether both Arens products agree against Phi over a bidual basis."""
-    big_phi = alg.coerce(big_phi)
-    worst = 0.0
-    for j in range(alg.dim):
-        other = alg.basis_vector(j)
-        if side == "left":
-            diff = arens_first(alg, big_phi, other) - arens_second(alg, big_phi, other)
-        else:
-            diff = arens_first(alg, other, big_phi) - arens_second(alg, other, big_phi)
-        worst = max(worst, max_abs(diff))
+    worst = max_abs(_center_system(alg, side) @ alg.coerce(big_phi))
     return worst <= tol, worst
 
 
@@ -281,18 +281,6 @@ def topological_center(alg: FiniteAlgebra, side: str, tol: float) -> np.ndarray:
     finite dimension the answer is always the whole space; see
     FINITE_DIM_CAVEAT.
     """
-    n = alg.dim
-    blocks = []
-    for j in range(n):
-        other = alg.basis_vector(j)
-        k = np.empty((n, n), dtype=complex)
-        for i in range(n):
-            probe = alg.basis_vector(i)
-            if side == "left":
-                k[:, i] = arens_first(alg, probe, other) - arens_second(alg, probe, other)
-            else:
-                k[:, i] = arens_first(alg, other, probe) - arens_second(alg, other, probe)
-        blocks.append(k)
     # the difference system is a cancellation of product-scale quantities
     scale = max(1.0, max_abs(alg.structure))
-    return nullspace(np.vstack(blocks), tol, scale=scale)
+    return nullspace(_center_system(alg, side), tol, scale=scale)

@@ -69,14 +69,16 @@ def commutator_ideal(alg: FiniteAlgebra, tol: float) -> np.ndarray:
     """Orthonormal basis of the two-sided ideal generated by all commutators."""
     c = alg.structure
     commutators = (c - c.transpose(1, 0, 2)).reshape(-1, alg.dim).T
-    basis = orthonormalize(commutators, tol)
+    # commutators cancel structure-scale quantities: rounding must not count as rank
+    scale = max(1.0, max_abs(c))
+    basis = orthonormalize(commutators, tol, scale)
     while basis.shape[1] > 0:
         grown = [basis]
         for k in range(alg.dim):
             e = alg.basis_vector(k)
             grown.append(alg.left_mult_operator(e) @ basis)
             grown.append(alg.right_mult_operator(e) @ basis)
-        new_basis = orthonormalize(np.hstack(grown), tol)
+        new_basis = orthonormalize(np.hstack(grown), tol, scale)
         if new_basis.shape[1] == basis.shape[1]:
             break
         basis = new_basis

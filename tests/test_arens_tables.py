@@ -1,0 +1,190 @@
+"""The Arens tables against a per-basis reference chain, and counted guards.
+
+Every Arens consumer is a slice or contraction of ``arens_tables``.  The
+reference below evaluates the pairing chain one basis vector at a time from
+the multiplication operators, the way the chain is written down, and every
+consumer is compared against it.
+"""
+
+import sys
+from collections import Counter
+
+import numpy as np
+
+from tpw.amenability import _tli_system, solve_tli
+from tpw.arens import (
+    _center_system,
+    arens_first,
+    arens_second,
+    arens_tables,
+    hom_adjoints,
+    theta_homomorphism_residual,
+    topological_center,
+)
+from tpw.characters import enumerate_characters
+from tpw.core import FiniteAlgebra
+from tpw.linalg import max_abs
+from tpw.product import AlgebraHom, build_product
+from tpw.suite import RunConfig, verify_theorems
+
+from conftest import TOL, matrix_unit_algebra, random_element, random_unitary, rebased
+
+
+class ReferenceChain:
+    """<P [] Q, f> = <P, Q . f> and <P <> Q, f> = <Q, f . P>, one basis vector at a time."""
+
+    def __init__(self, alg):
+        basis = np.eye(alg.dim, dtype=complex)
+        self.left = [alg.left_mult_operator(e) for e in basis]
+        self.right = [alg.right_mult_operator(e) for e in basis]
+
+    def first(self, phi, psi):
+        # row i of f -> Psi . f is the functional f -> <Psi, f . e_i> = <Psi, L_i^T f>
+        return phi @ np.array([l_i @ psi for l_i in self.left])
+
+    def second(self, phi, psi):
+        # row i of f -> f . Phi is the functional f -> <Phi, e_i . f> = <Phi, R_i^T f>
+        return psi @ np.array([r_i @ phi for r_i in self.right])
+
+
+def stacked(n, column):
+    """Block j, column i of the stacked system is column(i, j)."""
+    return np.vstack([np.column_stack([column(i, j) for i in range(n)]) for j in range(n)])
+
+
+def family_homs():
+    """Rebased C_k, T_k and M_k (k <= 4), each with the identity hom between two rebasings."""
+    rng = np.random.default_rng(5)
+    for family in "CTM":
+        for k in range(1, 5):
+            alg = matrix_unit_algebra(family, k)
+            u1, u2 = random_unitary(rng, alg.dim), random_unitary(rng, alg.dim)
+            source, target = rebased(alg, u1, f"{alg.name}s"), rebased(alg, u2, f"{alg.name}t")
+            yield target, source, AlgebraHom(source=source, target=target, matrix=u2.conj().T @ u1)
+
+
+def triples(corpus):
+    yield from ((e.algebra_a, e.algebra_b, e.hom) for e in corpus)
+    yield from family_homs()
+
+
+def bound(*algs):
+    return 1e-12 * max(1.0, *(max_abs(alg.structure) for alg in algs))
+
+
+def test_tables_are_the_chain_on_basis_pairs(corpus):
+    for a, b, hom in triples(corpus):
+        for alg in (a, b, build_product(a, b, hom, TOL).algebra):
+            ref, tables = ReferenceChain(alg), arens_tables(alg)
+            e = np.eye(alg.dim, dtype=complex)
+            for p in range(alg.dim):
+                for q in range(alg.dim):
+                    assert max_abs(tables.first[p, q] - ref.first(e[p], e[q])) <= bound(alg)
+                    assert max_abs(tables.second[p, q] - ref.second(e[p], e[q])) <= bound(alg)
+
+
+def test_tli_and_center_systems_match_reference(corpus):
+    rng = np.random.default_rng(1)
+    for a, b, hom in triples(corpus):
+        for alg in (a, b, build_product(a, b, hom, TOL).algebra):
+            ref, n, e = ReferenceChain(alg), alg.dim, np.eye(alg.dim, dtype=complex)
+            phis = [ch.functional for ch in enumerate_characters(alg, TOL).characters]
+            phis += [np.zeros(n, dtype=complex), random_element(rng, n)]
+            for phi in phis:
+                left = stacked(n, lambda i, j: ref.first(e[i], e[j]) - phi[j] * e[i])
+                right = stacked(n, lambda i, j: ref.first(e[j], e[i]) - phi[j] * e[i])
+                scale = max(1.0, max_abs(phi))
+                assert max_abs(_tli_system(alg, phi, "left") - left) <= bound(alg) * scale
+                assert max_abs(_tli_system(alg, phi, "right") - right) <= bound(alg) * scale
+            left = stacked(n, lambda i, j: ref.first(e[i], e[j]) - ref.second(e[i], e[j]))
+            right = stacked(n, lambda i, j: ref.first(e[j], e[i]) - ref.second(e[j], e[i]))
+            assert max_abs(_center_system(alg, "left") - left) <= bound(alg)
+            assert max_abs(_center_system(alg, "right") - right) <= bound(alg)
+
+
+def test_hom_adjoint_residuals_match_reference(corpus):
+    for a, b, hom in triples(corpus):
+        ref_a, ref_b, m = ReferenceChain(a), ReferenceChain(b), hom.matrix
+        e = np.eye(b.dim, dtype=complex)
+        res = {"first": 0.0, "second": 0.0}
+        for i in range(b.dim):
+            for j in range(b.dim):
+                for which in res:
+                    lhs = m @ getattr(ref_b, which)(e[i], e[j])
+                    rhs = getattr(ref_a, which)(m @ e[i], m @ e[j])
+                    res[which] = max(res[which], max_abs(lhs - rhs))
+        adj = hom_adjoints(hom, TOL)
+        assert abs(adj.mult_residual_first - res["first"]) <= bound(a, b)
+        assert abs(adj.mult_residual_second - res["second"]) <= bound(a, b)
+
+
+def test_theta_residual_matches_reference(corpus):
+    for a, b, hom in triples(corpus):
+        product = build_product(a, b, hom, TOL)
+        refs = {alg.name: ReferenceChain(alg) for alg in (a, b, product.algebra)}
+        m, na, e = hom.matrix, product.dim_a, np.eye(product.algebra.dim, dtype=complex)
+        for which in ("first", "second"):
+            op_a, op_b = getattr(refs[a.name], which), getattr(refs[b.name], which)
+            op_p = getattr(refs[product.algebra.name], which)
+            worst = 0.0
+            for p in range(product.algebra.dim):
+                for q in range(product.algebra.dim):
+                    (phi1, psi1), (phi2, psi2) = product.split(e[p]), product.split(e[q])
+                    a_part = op_a(phi1, phi2) + op_a(phi1, m @ psi2) + op_a(m @ psi1, phi2)
+                    block = np.concatenate([a_part, op_b(psi1, psi2)])
+                    worst = max(worst, max_abs(block - op_p(e[p], e[q])))
+            residual = theta_homomorphism_residual(product, which)
+            assert abs(residual - worst) <= bound(product.algebra), (a.name, which)
+
+
+def _rebind(monkeypatch, original, wrapper):
+    """Replace a function under every name a tpw module holds it by."""
+    for name, module in list(sys.modules.items()):
+        if name == "tpw" or name.startswith("tpw."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapper)
+
+
+def test_suite_run_counts_chain_and_operator_calls(monkeypatch):
+    """One suite run on C5 x C5 evaluates the chain only in group 02's cross-check."""
+    c5 = rebased(matrix_unit_algebra("C", 5), random_unitary(np.random.default_rng(3), 5), "C5")
+    hom = AlgebraHom(source=c5, target=c5, matrix=np.eye(5))
+    calls, scopes = Counter(), []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def scoped(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            scopes.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                scopes.pop()
+        return wrapper
+
+    for fn in (arens_first, arens_second):
+        _rebind(monkeypatch, fn, counted("chain", fn))
+    for name, fn in (("solve_tli", solve_tli), ("topological_center", topological_center),
+                     ("hom_adjoints", hom_adjoints)):
+        _rebind(monkeypatch, fn, scoped(name, fn))
+    left_mult = FiniteAlgebra.left_mult_operator
+
+    def counted_left_mult(self, a):
+        calls["left_mult_in_consumers" if scopes else "left_mult_elsewhere"] += 1
+        return left_mult(self, a)
+
+    monkeypatch.setattr(FiniteAlgebra, "left_mult_operator", counted_left_mult)
+    report = verify_theorems(c5, c5, hom, RunConfig())
+
+    assert not [v.claim for v in report.verdicts if v.status in ("fail", "unknown")]
+    # group 02: 100 random pairs x (A, B, product) x both Arens products
+    assert calls["chain"] == 600
+    assert calls["left_mult_in_consumers"] == 0
+    assert min(calls["solve_tli"], calls["topological_center"], calls["hom_adjoints"]) > 0
+    assert calls["left_mult_elsewhere"] > 0

@@ -13,11 +13,11 @@ from tpw.amenability import derivation_space, is_weakly_amenable
 from tpw.arens import topological_center
 from tpw.characters import enumerate_characters
 from tpw.core import FiniteAlgebra, validate_algebra
-from tpw.corpus import algebra_c2, algebra_m2, algebra_ut2, hom_c2_diag_into_ut2
+from tpw.corpus import algebra_c2, algebra_group_z2, algebra_m2, algebra_ut2, hom_c2_diag_into_ut2
 from tpw.product import AlgebraHom
 from tpw.suite import RunConfig, verify_theorems
 
-from conftest import TOL
+from conftest import TOL, random_unitary, rebased
 
 
 def change_basis(alg, s, name):
@@ -71,3 +71,14 @@ def test_conjugation_preserves_invariants(seed):
     c2r = change_basis(algebra_c2(), random_gl(rng, 2), f"C2r{seed}")
     enum = enumerate_characters(c2r, TOL, 0)
     assert enum.complete and len(enum.characters) == 2
+
+
+def test_plainly_rebased_group_algebra_keeps_its_characters():
+    """A commutative tensor that is asymmetric only by rounding has no commutators."""
+    z2 = algebra_group_z2()
+    for seed in range(40):
+        alg = rebased(z2, random_unitary(np.random.default_rng(seed), 2))
+        assert len(enumerate_characters(alg, TOL, 0).characters) == 2, seed
+        space = derivation_space(alg, TOL)
+        assert space.dim_inner == space.dim_der == 0, seed
+        assert is_weakly_amenable(alg, TOL), seed
