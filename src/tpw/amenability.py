@@ -68,14 +68,17 @@ def _leibniz_system(alg: FiniteAlgebra) -> np.ndarray:
     """
     n = alg.dim
     c = alg.structure
-    eye = np.eye(n)
-    # D(e_i e_j)_m = sum_k c[i,j,k] D[m,k]
-    t1 = np.einsum("ijk,mq->ijmqk", c, eye)
-    # (D(e_i).e_j)_m = (L_j^T D(:,i))_m = sum_q c[j,m,q] D[q,i]
-    t2 = np.einsum("jmq,ik->ijmqk", c, eye)
-    # (e_i.D(e_j))_m = (R_i^T D(:,j))_m = sum_q c[m,i,q] D[q,j]
-    t3 = np.einsum("miq,jk->ijmqk", c, eye)
-    return (t1 - t2 - t3).reshape(n * n * n, n * n)
+    # axes (i, j, m, q, k); each term is a diagonal slice of one buffer, so no
+    # other n^5 array is formed
+    system = np.zeros((n, n, n, n, n), dtype=complex)
+    d = np.arange(n)
+    # D(e_i e_j)_m = sum_k c[i,j,k] D[m,k]: entries q == m
+    system[:, :, d, d, :] = c[:, :, None, :]
+    # (D(e_i).e_j)_m = (L_j^T D(:,i))_m = sum_q c[j,m,q] D[q,i]: entries k == i
+    system[d, :, :, :, d] -= c
+    # (e_i.D(e_j))_m = (R_i^T D(:,j))_m = sum_q c[m,i,q] D[q,j]: entries k == j
+    system[:, d, :, :, d] -= c.transpose(1, 0, 2)
+    return system.reshape(n * n * n, n * n)
 
 
 def _inner_map(alg: FiniteAlgebra) -> np.ndarray:
@@ -311,17 +314,21 @@ def commutation_residual(alg: FiniteAlgebra, m) -> float:
     return max_abs(commutator @ alg.coerce(m))
 
 
-def solve_inner_mean(alg: FiniteAlgebra, phi, tol: float) -> np.ndarray | None:
-    """Minimal-norm central m with <m, phi> = 1, or None when infeasible."""
+def _inner_mean(alg: FiniteAlgebra, center_basis: np.ndarray, phi, tol: float) -> np.ndarray | None:
+    """Minimal-norm m in span(center_basis) with <m, phi> = 1, or None when infeasible."""
     phi = alg.coerce(phi)
-    basis = center(alg, tol)
-    if basis.shape[1] == 0:
+    if center_basis.shape[1] == 0:
         return None
-    pair_row = phi @ basis
+    pair_row = phi @ center_basis
     if max_abs(pair_row) <= tol * max(1.0, max_abs(phi)):
         return None
     coeffs = pair_row.conj() / np.real(pair_row @ pair_row.conj())
-    return basis @ coeffs
+    return center_basis @ coeffs
+
+
+def solve_inner_mean(alg: FiniteAlgebra, phi, tol: float) -> np.ndarray | None:
+    """Minimal-norm central m with <m, phi> = 1, or None when infeasible."""
+    return _inner_mean(alg, center(alg, tol), phi, tol)
 
 
 @dataclass
@@ -334,16 +341,12 @@ class CharacterInnerAmenability:
     caveats: tuple[str, ...]
 
 
-def is_character_inner_amenable(alg: FiniteAlgebra, tol: float, seed: int = 0) -> CharacterInnerAmenability:
-    """An inner mean for every character; unknown when enumeration is incomplete."""
-    enum = enumerate_characters(alg, tol, seed)
-    means = []
-    failing = None
-    for ch in enum.characters:
-        m = solve_inner_mean(alg, ch.functional, tol)
-        means.append(m)
-        if m is None and failing is None:
-            failing = ch.functional
+def _character_inner_amenability(
+    alg: FiniteAlgebra, enum: CharacterEnumeration, center_basis: np.ndarray, tol: float
+) -> CharacterInnerAmenability:
+    """The inner-amenability decision from an enumeration and a centre basis computed once."""
+    means = tuple(_inner_mean(alg, center_basis, ch.functional, tol) for ch in enum.characters)
+    failing = next((ch.functional for ch, m in zip(enum.characters, means) if m is None), None)
     if failing is not None:
         verdict: bool | None = False
     elif not enum.complete:
@@ -354,10 +357,15 @@ def is_character_inner_amenable(alg: FiniteAlgebra, tol: float, seed: int = 0) -
         algebra=alg,
         verdict=verdict,
         enumeration=enum,
-        means=tuple(means),
+        means=means,
         failing_character=failing,
         caveats=(CENTER_REDUCTION_CAVEAT,),
     )
+
+
+def is_character_inner_amenable(alg: FiniteAlgebra, tol: float, seed: int = 0) -> CharacterInnerAmenability:
+    """An inner mean for every character; unknown when enumeration is incomplete."""
+    return _character_inner_amenability(alg, enumerate_characters(alg, tol, seed), center(alg, tol), tol)
 
 
 def _mean_witness_checks(report: CheckReport, claim: str, alg: FiniteAlgebra, mean, char, tol: float):
@@ -397,6 +405,7 @@ def inner_amenability_suite(product: MorphismProduct, tol: float, seed: int = 0)
 
     sigma_a = enumerate_characters(a_alg, tol, seed)
     sigma_b = enumerate_characters(b_alg, tol, seed)
+    z_a, z_b, z_p = center(a_alg, tol), center(b_alg, tol), center(palg, tol)
     epi = rank(m_hom, tol) == a_alg.dim
 
     for idx, ch in enumerate(sigma_a.characters):
@@ -404,8 +413,8 @@ def inner_amenability_suite(product: MorphismProduct, tol: float, seed: int = 0)
         phi_t = m_hom.T @ phi
         lifted = np.concatenate([phi, phi_t])
         label = f"inner/first-factor-character-{idx}"
-        a_mean = solve_inner_mean(a_alg, phi, tol)
-        p_mean = solve_inner_mean(palg, lifted, tol)
+        a_mean = _inner_mean(a_alg, z_a, phi, tol)
+        p_mean = _inner_mean(palg, z_p, lifted, tol)
 
         report.add(
             f"{label}/equivalence",
@@ -442,7 +451,7 @@ def inner_amenability_suite(product: MorphismProduct, tol: float, seed: int = 0)
             report.skip(f"{label}/witness-combined-blocks", detail="product has no mean to split")
             report.skip(f"{label}/witness-normalized-second-block", detail="product has no mean to split")
         if epi:
-            b_mean = solve_inner_mean(b_alg, phi_t, tol)
+            b_mean = _inner_mean(b_alg, z_b, phi_t, tol)
             if b_mean is not None:
                 _mean_witness_checks(
                     report, f"{label}/witness-embedded-second-mean", palg,
@@ -460,8 +469,8 @@ def inner_amenability_suite(product: MorphismProduct, tol: float, seed: int = 0)
         psi = ch.functional
         pure = np.concatenate([np.zeros(product.dim_a), psi])
         label = f"inner/second-factor-character-{idx}"
-        b_mean = solve_inner_mean(b_alg, psi, tol)
-        p_mean = solve_inner_mean(palg, pure, tol)
+        b_mean = _inner_mean(b_alg, z_b, psi, tol)
+        p_mean = _inner_mean(palg, z_p, pure, tol)
 
         report.add(
             f"{label}/equivalence",
@@ -485,9 +494,9 @@ def inner_amenability_suite(product: MorphismProduct, tol: float, seed: int = 0)
         else:
             report.skip(f"{label}/witness-second-block", detail="product has no mean to split")
 
-    cia_a = is_character_inner_amenable(a_alg, tol, seed)
-    cia_b = is_character_inner_amenable(b_alg, tol, seed)
-    cia_p = is_character_inner_amenable(palg, tol, seed)
+    cia_a = _character_inner_amenability(a_alg, sigma_a, z_a, tol)
+    cia_b = _character_inner_amenability(b_alg, sigma_b, z_b, tol)
+    cia_p = _character_inner_amenability(palg, enumerate_characters(palg, tol, seed), z_p, tol)
     if None in (cia_a.verdict, cia_b.verdict, cia_p.verdict):
         report.add("inner/character-inner-amenability-equivalence", None,
                    detail="some character enumeration is incomplete")

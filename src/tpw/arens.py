@@ -124,43 +124,55 @@ class ProductDualActions:
         )
 
 
+def _dual_action_batches(c: np.ndarray, fs: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(f_p . x_q, x_q . f_p) at [p, q] for the columns f_p of fs and x_q of xs.
+
+    (f.a)(x) = f(a x) = sum_k f_k c[a, x, k] and (a.f)(x) = f(x a) = sum_k f_k c[x, a, k].
+    """
+    return np.einsum("kp,jq,jxk->pqx", fs, xs, c), np.einsum("kp,jq,xjk->pqx", fs, xs, c)
+
+
+def _product_dual_action_batches(product: MorphismProduct, f, g, a, b) -> ProductDualActions:
+    """``product_dual_actions`` for column batches: entry [p, q] is (a_q, b_q) acting on (f_p, g_p)."""
+    m = product.hom.matrix
+    right_direct, left_direct = _dual_action_batches(
+        product.algebra.structure, np.vstack([f, g]), np.vstack([a, b])
+    )
+    fa, af = _dual_action_batches(product.a.structure, f, a)
+    ftb, tbf = _dual_action_batches(product.a.structure, f, m @ b)
+    gb, bg = _dual_action_batches(product.b.structure, g, b)
+    # f o (L_a T) = T'(f . a) and f o (R_a T) = T'(a . f); T' has matrix m^T
+    return ProductDualActions(
+        right_direct=right_direct,
+        right_block=np.concatenate([fa + ftb, fa @ m + gb], axis=2),
+        left_direct=left_direct,
+        left_block=np.concatenate([af + tbf, af @ m + bg], axis=2),
+    )
+
+
 def product_dual_actions(product: MorphismProduct, f, g, a, b) -> ProductDualActions:
     """Both actions of (a, b) on (f, g), computed two ways.
 
-    The direct computation uses the product algebra's own multiplication
-    operators; the block computation uses the factor-level formulas
+    The direct computation contracts the product algebra's own structure
+    tensor; the block computation uses the factor structures and the hom in
+    the factor-level formulas
 
         (f, g) . (a, b) = (f.a + f.T(b),  f o (L_a T) + g.b)
         (a, b) . (f, g) = (a.f + T(b).f,  f o (R_a T) + b.g)
 
     which must agree with it.
     """
-    alg_a, alg_b, palg = product.a, product.b, product.algebra
-    m = product.hom.matrix
-    f = alg_a.coerce(f)
-    g = alg_b.coerce(g)
-    a = alg_a.coerce(a)
-    b = alg_b.coerce(b)
+    columns = [alg.coerce(v)[:, None] for alg, v in
+               ((product.a, f), (product.b, g), (product.a, a), (product.b, b))]
+    acts = _product_dual_action_batches(product, *columns)
+    return ProductDualActions(**{name: value[0, 0] for name, value in vars(acts).items()})
 
-    fg = np.concatenate([f, g])
-    ab = np.concatenate([a, b])
-    right_direct = functional_times_element(palg, fg, ab)
-    left_direct = element_times_functional(palg, ab, fg)
 
-    tb = m @ b
-    right_a = functional_times_element(alg_a, f, a) + functional_times_element(alg_a, f, tb)
-    # f o (L_a T) = T'(f . a)
-    right_b = m.T @ functional_times_element(alg_a, f, a) + functional_times_element(alg_b, g, b)
-    left_a = element_times_functional(alg_a, a, f) + element_times_functional(alg_a, tb, f)
-    # f o (R_a T) = T'(a . f)
-    left_b = m.T @ element_times_functional(alg_a, a, f) + element_times_functional(alg_b, b, g)
-
-    return ProductDualActions(
-        right_direct=right_direct,
-        right_block=np.concatenate([right_a, right_b]),
-        left_direct=left_direct,
-        left_block=np.concatenate([left_a, left_b]),
-    )
+def product_dual_action_tables(product: MorphismProduct) -> ProductDualActions:
+    """``product_dual_actions`` on every basis pair at once: entry [i, j] is e_j acting on e_i."""
+    na = product.dim_a
+    basis = np.eye(product.algebra.dim, dtype=complex)
+    return _product_dual_action_batches(product, basis[:na], basis[na:], basis[:na], basis[na:])
 
 
 @dataclass

@@ -9,6 +9,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .amenability import (
     derivation_space,
     is_character_amenable,
@@ -16,9 +18,9 @@ from .amenability import (
 )
 from .arens import FINITE_DIM_CAVEAT, topological_center, topological_center_membership
 from .characters import enumerate_characters
-from .core import validate_algebra
+from .core import FiniteAlgebra, validate_algebra
 from .corpus import full_corpus
-from .errors import WorkbenchError
+from .errors import ValidationError, WorkbenchError
 from .io import load_algebra, load_hom, save_algebra
 from .product import build_product, check_hom
 from .report import (
@@ -76,11 +78,30 @@ def _cmd_validate(args) -> int:
     return EXIT_OK if report.valid else EXIT_FAILED
 
 
+def _same_content(x: FiniteAlgebra, y: FiniteAlgebra) -> bool:
+    return (
+        x.basis_labels == y.basis_labels
+        and np.array_equal(x.structure, y.structure)
+        and np.array_equal(x.norm_weights, y.norm_weights)
+        and len(x.declared_characters) == len(y.declared_characters)
+        and all(np.array_equal(f, g) for f, g in zip(x.declared_characters, y.declared_characters))
+    )
+
+
+def _registry(alg_a: FiniteAlgebra, alg_b: FiniteAlgebra) -> dict[str, FiniteAlgebra]:
+    """Algebras by name, for resolving a hom file's source and target."""
+    if alg_a.name == alg_b.name and not _same_content(alg_a, alg_b):
+        raise ValidationError(
+            f"algebras A and B are both named {alg_a.name!r} but differ; "
+            "the hom's source and target cannot be told apart, so rename one of them"
+        )
+    return {alg_a.name: alg_a, alg_b.name: alg_b}
+
+
 def _cmd_product(args) -> int:
     alg_a = load_algebra(args.algebra_a, args.tol)
     alg_b = load_algebra(args.algebra_b, args.tol)
-    registry = {alg_a.name: alg_a, alg_b.name: alg_b}
-    hom = load_hom(args.hom, registry, args.tol)
+    hom = load_hom(args.hom, _registry(alg_a, alg_b), args.tol)
     product = build_product(alg_a, alg_b, hom, args.tol)
     save_algebra(product.algebra, args.out)
     hom_report = check_hom(hom, args.tol)
@@ -205,8 +226,7 @@ def _cmd_check(args) -> int:
 def _cmd_verify_theorems(args) -> int:
     alg_a = load_algebra(args.algebra_a, args.tol)
     alg_b = load_algebra(args.algebra_b, args.tol)
-    registry = {alg_a.name: alg_a, alg_b.name: alg_b}
-    hom = load_hom(args.hom, registry, args.tol)
+    hom = load_hom(args.hom, _registry(alg_a, alg_b), args.tol)
     config = _config(args)
     report = verify_theorems(alg_a, alg_b, hom, config)
     _emit(args, report.to_dict(), report.to_text())

@@ -245,11 +245,12 @@ def center(alg: FiniteAlgebra, tol: float) -> np.ndarray:
     """Orthonormal basis of {z : z a = a z for all a}, as columns.
 
     Solves the stacked commutator system (L_{e_j} - R_{e_j}) z = 0 over all
-    basis elements with the global singular-value cutoff.
+    basis elements with the global singular-value cutoff.  Row (j, k), column
+    x of that system is c[j, x, k] - c[x, j, k].
     """
-    rows = [alg.left_mult_operator(alg.basis_vector(j)) - alg.right_mult_operator(alg.basis_vector(j))
-            for j in range(alg.dim)]
-    return nullspace(np.vstack(rows), tol)
+    n = alg.dim
+    commutator = alg.structure - alg.structure.transpose(1, 0, 2)
+    return nullspace(commutator.transpose(0, 2, 1).reshape(n * n, n), tol)
 
 
 def find_left_identity(alg: FiniteAlgebra, tol: float) -> np.ndarray | None:

@@ -1,7 +1,10 @@
 """Complex linear algebra helpers: thresholded ranks, nullspaces, subspaces.
 
 Every rank decision in the workbench goes through the same singular-value
-cutoff: tol * (largest singular value) * max(matrix dimension, 1).
+cutoff: tol * (largest singular value) * max(matrix dimension, 1), the rule of
+``numpy.linalg.matrix_rank``.  ``nullspace`` reduces a tall system to its
+triangular QR factor R before the SVD, so no rows x rows factor is ever
+formed; the cutoff still uses the original matrix's shape.
 """
 
 from __future__ import annotations
@@ -41,11 +44,20 @@ def rank(a, tol: float, scale: float = 0.0) -> int:
 
 
 def nullspace(a, tol: float, scale: float = 0.0) -> np.ndarray:
-    """Orthonormal basis (columns) of {x : a @ x = 0}."""
+    """Orthonormal basis (columns) of {x : a @ x = 0}.
+
+    A tall ``a`` (rows > cols) is first reduced to the cols x cols factor R
+    of ``a = QR``: R has the singular values and right singular vectors of
+    ``a``, so the SVD never forms a ``U`` larger than cols x cols.  The
+    cutoff is taken with ``a.shape``, as if ``a`` itself had been factored.
+    """
     a = as_complex(a)
-    if a.shape[0] == 0:
-        return np.eye(a.shape[1], dtype=complex)
-    u, s, vh = np.linalg.svd(a, full_matrices=True)
+    rows, cols = a.shape
+    if rows == 0:
+        return np.eye(cols, dtype=complex)
+    # LAPACK's gesdd takes the same QR step internally for tall input
+    square_or_wide = np.linalg.qr(a, mode="r") if rows > cols else a
+    _, s, vh = np.linalg.svd(square_or_wide, full_matrices=True)
     r = int(np.sum(s > svd_cutoff(s, a.shape, tol, scale)))
     return vh[r:].conj().T
 

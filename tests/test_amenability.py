@@ -288,3 +288,22 @@ def test_inner_suite_corpus_wide(corpus):
         product = build_product(entry.algebra_a, entry.algebra_b, entry.hom, TOL)
         report = inner_amenability_suite(product, TOL)
         assert report.all_pass, entry.entry_id
+
+
+def test_inner_suite_takes_one_center_per_algebra(monkeypatch, corpus):
+    import tpw.amenability
+
+    for entry in corpus:
+        product = build_product(entry.algebra_a, entry.algebra_b, entry.hom, TOL)
+        seen = []
+        center = tpw.amenability.center
+
+        def counted_center(alg, tol):
+            seen.append(alg)
+            return center(alg, tol)
+
+        monkeypatch.setattr(tpw.amenability, "center", counted_center)
+        inner_amenability_suite(product, TOL)
+        monkeypatch.undo()
+        assert len(seen) == 3, entry.entry_id
+        assert {id(alg) for alg in seen} == {id(product.a), id(product.b), id(product.algebra)}, entry.entry_id

@@ -17,7 +17,9 @@ from tpw.arens import (
     arens_first,
     arens_second,
     arens_tables,
+    dual_actions,
     hom_adjoints,
+    product_dual_action_tables,
     theta_homomorphism_residual,
     topological_center,
 )
@@ -135,6 +137,37 @@ def test_theta_residual_matches_reference(corpus):
                     worst = max(worst, max_abs(block - op_p(e[p], e[q])))
             residual = theta_homomorphism_residual(product, which)
             assert abs(residual - worst) <= bound(product.algebra), (a.name, which)
+
+
+def reference_product_dual_actions(product, fg, ab):
+    """Direct and block dual actions of one basis pair, from the multiplication operators."""
+    m = product.hom.matrix
+    (f, g), (a, b) = product.split(fg), product.split(ab)
+    fa, af = dual_actions(product.a, f, a)
+    ftb, tbf = dual_actions(product.a, f, m @ b)
+    gb, bg = dual_actions(product.b, g, b)
+    right_direct, left_direct = dual_actions(product.algebra, fg, ab)
+    return {
+        "right_direct": right_direct,
+        "right_block": np.concatenate([fa + ftb, m.T @ fa + gb]),
+        "left_direct": left_direct,
+        "left_block": np.concatenate([af + tbf, m.T @ af + bg]),
+    }
+
+
+def test_dual_action_tables_match_per_pair_loop(corpus):
+    for a, b, hom in triples(corpus):
+        product = build_product(a, b, hom, TOL)
+        tables, e = product_dual_action_tables(product), np.eye(product.algebra.dim, dtype=complex)
+        worst = 0.0
+        for i in range(product.algebra.dim):
+            for j in range(product.algebra.dim):
+                ref = reference_product_dual_actions(product, e[i], e[j])
+                for key, value in ref.items():
+                    assert max_abs(getattr(tables, key)[i, j] - value) <= bound(a, b, product.algebra), key
+                worst = max(worst, max_abs(ref["right_direct"] - ref["right_block"]),
+                            max_abs(ref["left_direct"] - ref["left_block"]))
+        assert abs(tables.agreement_residual - worst) <= 1e-12 * max(1.0, max_abs(product.algebra.structure))
 
 
 def _rebind(monkeypatch, original, wrapper):

@@ -214,3 +214,21 @@ def test_cli_corpus_list(capsys):
     out = capsys.readouterr().out
     for entry_id in ("c-c-id", "null1-c-zero", "c2-c2-swap"):
         assert entry_id in out
+
+
+def test_cli_rejects_distinct_algebras_sharing_a_name(tmp_path, capsys):
+    from dataclasses import replace
+
+    from tpw.product import AlgebraHom
+
+    c, c2 = replace(algebra_c(), name="X"), replace(algebra_c2(), name="X")
+    paths = {"a": tmp_path / "a.json", "b": tmp_path / "b.json", "hom": tmp_path / "hom.json"}
+    save_algebra(c2, str(paths["a"]))
+    save_algebra(c, str(paths["b"]))
+    save_hom(AlgebraHom(source=c, target=c2, matrix=np.ones((2, 1))), str(paths["hom"]))
+    common = ["--algebra-a", str(paths["a"]), "--algebra-b", str(paths["b"]), "--hom", str(paths["hom"])]
+    for argv in (["product", *common, "--out", str(tmp_path / "p.json")], ["verify-theorems", *common]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "both named 'X'" in err
+        assert "matrix" not in err
