@@ -10,11 +10,18 @@ a Banach-algebra notion:
   invariant bidual element not annihilated by it;
 * character inner amenability: for every character phi, a central element m
   with <m, phi> = 1 ("phi non-vanishing on the center").
+
+Every transfer claim asks A, B and the product the same questions, so a run
+holds one ``Analysis(algebra, tol, seed)`` per algebra: the characters, the
+centre, the derivations, the one-sided identities, the invariant elements
+(TLI) and the three decisions, each solved on first use.  The ``is_*``
+functions and ``solve_inner_mean`` are views over a fresh Analysis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -121,8 +128,7 @@ def derivation_space(alg: FiniteAlgebra, tol: float) -> DerivationSpace:
 
 def is_weakly_amenable(alg: FiniteAlgebra, tol: float) -> bool:
     """Every derivation into the dual is inner, as a rank equality."""
-    space = derivation_space(alg, tol)
-    return space.dim_der == space.dim_inner
+    return Analysis(alg, tol).weakly_amenable
 
 
 def inner_derivation(alg: FiniteAlgebra, f) -> np.ndarray:
@@ -210,6 +216,7 @@ def tli_product_characterization(
     kind: str,
     tol: float,
     side: str = "left",
+    factor_solution: TliSolution | None = None,
 ) -> CheckReport:
     """Verify the invariant-element characterization for one product character.
 
@@ -220,7 +227,8 @@ def tli_product_characterization(
     inclusions are checked at once as subspace equality, which is equivalent
     whenever the pairing does not vanish identically on either side; when it
     vanishes on both, the characterization is vacuous and the claim is
-    skipped.
+    skipped.  ``factor_solution`` is the factor's own solution for this
+    character and side, when the caller holds it; otherwise it is solved here.
     """
     palg = product.algebra
     m = product.hom.matrix
@@ -228,16 +236,15 @@ def tli_product_characterization(
     tag = "embedded-first-factor" if kind == "lifted" else "second-factor-graph"
     report = CheckReport(subject=f"invariant elements of {palg.name} ({kind}, {side})")
 
+    factor = product.a if kind == "lifted" else product.b
+    chi = factor.coerce(factor_character)
+    factor_sol = factor_solution if factor_solution is not None else solve_tli(factor, chi, side, tol)
     if kind == "lifted":
-        phi = product.a.coerce(factor_character)
-        prod_char = np.concatenate([phi, m.T @ phi])
-        factor_sol = solve_tli(product.a, phi, side, tol)
+        prod_char = np.concatenate([chi, m.T @ chi])
         claimed = np.zeros((palg.dim, factor_sol.dim), dtype=complex)
         claimed[:na, :] = factor_sol.basis
     else:
-        psi = product.b.coerce(factor_character)
-        prod_char = np.concatenate([np.zeros(na, dtype=complex), psi])
-        factor_sol = solve_tli(product.b, psi, side, tol)
+        prod_char = np.concatenate([np.zeros(na, dtype=complex), chi])
         claimed = np.vstack([-(m @ factor_sol.basis), factor_sol.basis])
     claimed = orthonormalize(claimed, tol) if claimed.size else claimed
 
@@ -284,27 +291,124 @@ class CharacterAmenability:
     caveats: tuple[str, ...]
 
 
-def is_character_amenable(alg: FiniteAlgebra, side: str, tol: float, seed: int = 0) -> CharacterAmenability:
-    """One-sided identity plus a nonvanishing invariant element per character.
+@dataclass
+class CharacterInnerAmenability:
+    """Decision (True / False / None=unknown), with the centre the means were sought in."""
 
-    When enumeration is incomplete the verdict degrades to None unless some
-    verified character already fails, which refutes soundly.
-    """
-    enum = enumerate_characters(alg, tol, seed)
-    ident = find_left_identity(alg, tol) if side == "left" else find_right_identity(alg, tol)
-    caveats = (BAI_CAVEAT, ZERO_CHARACTER_CAVEAT)
-    if ident is None:
-        return CharacterAmenability(alg, side, False, False, enum, None, caveats)
-    failing = None
-    for ch in enum.characters:
-        if not solve_tli(alg, ch.functional, side, tol).exists_nonvanishing:
-            failing = ch.functional
-            break
+    algebra: FiniteAlgebra
+    verdict: bool | None
+    enumeration: CharacterEnumeration
+    center: np.ndarray
+    means: tuple[np.ndarray | None, ...]
+    failing_character: np.ndarray | None
+    caveats: tuple[str, ...]
+
+
+def _for_every_character(enum: CharacterEnumeration, holds) -> tuple[bool | None, np.ndarray | None]:
+    """Verdict of a condition required of every character, given whether it ``holds`` for
+    each enumerated one, and the first failing character.  A failing verified character
+    refutes soundly; otherwise an incomplete enumeration leaves the verdict unknown."""
+    failing = next((ch.functional for ch, ok in zip(enum.characters, holds) if not ok), None)
     if failing is not None:
-        return CharacterAmenability(alg, side, False, True, enum, failing, caveats)
-    if not enum.complete:
-        return CharacterAmenability(alg, side, None, True, enum, None, caveats)
-    return CharacterAmenability(alg, side, True, True, enum, None, caveats)
+        return False, failing
+    return (True if enum.complete else None), None
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """The per-algebra facts of one run, each solved on first use and then kept.
+
+    Each fact goes through its named solver once.  Only results are kept,
+    never a solver's system, and nothing outlives the object.
+    """
+
+    algebra: FiniteAlgebra
+    tol: float
+    seed: int = 0
+
+    @cached_property
+    def characters(self) -> CharacterEnumeration:
+        return enumerate_characters(self.algebra, self.tol, self.seed)
+
+    @cached_property
+    def center(self) -> np.ndarray:
+        return center(self.algebra, self.tol)
+
+    @cached_property
+    def derivations(self) -> DerivationSpace:
+        return derivation_space(self.algebra, self.tol)
+
+    @cached_property
+    def left_identity(self) -> np.ndarray | None:
+        return find_left_identity(self.algebra, self.tol)
+
+    @cached_property
+    def right_identity(self) -> np.ndarray | None:
+        return find_right_identity(self.algebra, self.tol)
+
+    @cached_property
+    def left_tli(self) -> tuple[TliSolution, ...]:
+        return tuple(solve_tli(self.algebra, ch.functional, "left", self.tol) for ch in self.characters.characters)
+
+    @cached_property
+    def right_tli(self) -> tuple[TliSolution, ...]:
+        return tuple(solve_tli(self.algebra, ch.functional, "right", self.tol) for ch in self.characters.characters)
+
+    def tli(self, side: str) -> tuple[TliSolution, ...]:
+        """Invariant-element solutions on ``side``, one per enumerated character."""
+        return self.left_tli if side == "left" else self.right_tli
+
+    @cached_property
+    def weakly_amenable(self) -> bool:
+        return self.derivations.dim_der == self.derivations.dim_inner
+
+    def character_amenability(self, side: str) -> CharacterAmenability:
+        """One-sided identity plus a nonvanishing invariant element per character."""
+        enum, caveats = self.characters, (BAI_CAVEAT, ZERO_CHARACTER_CAVEAT)
+        if (self.left_identity if side == "left" else self.right_identity) is None:
+            return CharacterAmenability(self.algebra, side, False, False, enum, None, caveats)
+        verdict, failing = _for_every_character(enum, (sol.exists_nonvanishing for sol in self.tli(side)))
+        return CharacterAmenability(self.algebra, side, verdict, True, enum, failing, caveats)
+
+    def inner_mean(self, phi) -> np.ndarray | None:
+        """Minimal-norm central m with <m, phi> = 1, or None when infeasible."""
+        phi = self.algebra.coerce(phi)
+        if self.center.shape[1] == 0:
+            return None
+        pair_row = phi @ self.center
+        if max_abs(pair_row) <= self.tol * max(1.0, max_abs(phi)):
+            return None
+        coeffs = pair_row.conj() / np.real(pair_row @ pair_row.conj())
+        return self.center @ coeffs
+
+    @cached_property
+    def character_inner_amenability(self) -> CharacterInnerAmenability:
+        """An inner mean for every character; unknown when enumeration is incomplete."""
+        enum = self.characters
+        means = tuple(self.inner_mean(ch.functional) for ch in enum.characters)
+        verdict, failing = _for_every_character(enum, (m is not None for m in means))
+        return CharacterInnerAmenability(self.algebra, verdict, enum, self.center, means, failing,
+                                         (CENTER_REDUCTION_CAVEAT,))
+
+
+def product_analyses(product: MorphismProduct, tol: float, seed: int = 0) -> tuple[Analysis, Analysis, Analysis]:
+    """Fresh analyses of the first factor, the second factor and the product algebra."""
+    return tuple(Analysis(alg, tol, seed) for alg in (product.a, product.b, product.algebra))
+
+
+def is_character_amenable(alg: FiniteAlgebra, side: str, tol: float, seed: int = 0) -> CharacterAmenability:
+    """One-sided identity plus a nonvanishing invariant element per character."""
+    return Analysis(alg, tol, seed).character_amenability(side)
+
+
+def is_character_inner_amenable(alg: FiniteAlgebra, tol: float, seed: int = 0) -> CharacterInnerAmenability:
+    """An inner mean for every character; unknown when enumeration is incomplete."""
+    return Analysis(alg, tol, seed).character_inner_amenability
+
+
+def solve_inner_mean(alg: FiniteAlgebra, phi, tol: float) -> np.ndarray | None:
+    """Minimal-norm central m with <m, phi> = 1, or None when infeasible."""
+    return Analysis(alg, tol).inner_mean(phi)
 
 
 def commutation_residual(alg: FiniteAlgebra, m) -> float:
@@ -312,60 +416,6 @@ def commutation_residual(alg: FiniteAlgebra, m) -> float:
     first = arens_tables(alg).first
     commutator = stacked_side_system(first, "left") - stacked_side_system(first, "right")
     return max_abs(commutator @ alg.coerce(m))
-
-
-def _inner_mean(alg: FiniteAlgebra, center_basis: np.ndarray, phi, tol: float) -> np.ndarray | None:
-    """Minimal-norm m in span(center_basis) with <m, phi> = 1, or None when infeasible."""
-    phi = alg.coerce(phi)
-    if center_basis.shape[1] == 0:
-        return None
-    pair_row = phi @ center_basis
-    if max_abs(pair_row) <= tol * max(1.0, max_abs(phi)):
-        return None
-    coeffs = pair_row.conj() / np.real(pair_row @ pair_row.conj())
-    return center_basis @ coeffs
-
-
-def solve_inner_mean(alg: FiniteAlgebra, phi, tol: float) -> np.ndarray | None:
-    """Minimal-norm central m with <m, phi> = 1, or None when infeasible."""
-    return _inner_mean(alg, center(alg, tol), phi, tol)
-
-
-@dataclass
-class CharacterInnerAmenability:
-    algebra: FiniteAlgebra
-    verdict: bool | None
-    enumeration: CharacterEnumeration
-    means: tuple[np.ndarray | None, ...]
-    failing_character: np.ndarray | None
-    caveats: tuple[str, ...]
-
-
-def _character_inner_amenability(
-    alg: FiniteAlgebra, enum: CharacterEnumeration, center_basis: np.ndarray, tol: float
-) -> CharacterInnerAmenability:
-    """The inner-amenability decision from an enumeration and a centre basis computed once."""
-    means = tuple(_inner_mean(alg, center_basis, ch.functional, tol) for ch in enum.characters)
-    failing = next((ch.functional for ch, m in zip(enum.characters, means) if m is None), None)
-    if failing is not None:
-        verdict: bool | None = False
-    elif not enum.complete:
-        verdict = None
-    else:
-        verdict = True
-    return CharacterInnerAmenability(
-        algebra=alg,
-        verdict=verdict,
-        enumeration=enum,
-        means=means,
-        failing_character=failing,
-        caveats=(CENTER_REDUCTION_CAVEAT,),
-    )
-
-
-def is_character_inner_amenable(alg: FiniteAlgebra, tol: float, seed: int = 0) -> CharacterInnerAmenability:
-    """An inner mean for every character; unknown when enumeration is incomplete."""
-    return _character_inner_amenability(alg, enumerate_characters(alg, tol, seed), center(alg, tol), tol)
 
 
 def _mean_witness_checks(report: CheckReport, claim: str, alg: FiniteAlgebra, mean, char, tol: float):
@@ -382,7 +432,26 @@ def _mean_witness_checks(report: CheckReport, claim: str, alg: FiniteAlgebra, me
     )
 
 
-def inner_amenability_suite(product: MorphismProduct, tol: float, seed: int = 0) -> CheckReport:
+def _means_agree(report: CheckReport, claim: str, factor_mean, product_mean, detail: str):
+    """Record that the factor and the product both have a mean or both lack one."""
+    have = {"factor_amenable": factor_mean is not None, "product_amenable": product_mean is not None}
+    ok = have["factor_amenable"] == have["product_amenable"]
+    report.add(claim, ok, witness=None if ok else have, detail=detail)
+
+
+def add_transfer_claim(report: CheckReport, claim: str, verdicts: tuple, detail: str, unknown_detail: str):
+    """Record "the product has the property iff both factors do" from the (A, B, product) verdicts."""
+    first, second, prod = verdicts
+    if None in verdicts:
+        report.add(claim, None, detail=unknown_detail)
+        return
+    ok = prod == (first and second)
+    report.add(claim, ok, detail=detail,
+               witness=None if ok else {"product": prod, "first_factor": first, "second_factor": second})
+
+
+def inner_amenability_suite(product: MorphismProduct, tol: float, seed: int = 0,
+                            analyses: tuple[Analysis, Analysis, Analysis] | None = None) -> CheckReport:
     """Verify the inner-mean transfer claims between the product and its factors.
 
     Per first-factor character phi (with its lift (phi, phi o T)):
@@ -395,6 +464,7 @@ def inner_amenability_suite(product: MorphismProduct, tol: float, seed: int = 0)
       [e] the product and the second factor are inner amenable together, with
           witnesses (-T''(n), n) and the mean's second block.
     Finally [f]: the product is character inner amenable iff both factors are.
+    ``analyses`` are the run's analyses of (A, B, product), or None for fresh ones.
     """
     palg = product.algebra
     m_hom = product.hom.matrix
@@ -403,9 +473,8 @@ def inner_amenability_suite(product: MorphismProduct, tol: float, seed: int = 0)
     report.caveat(CENTER_REDUCTION_CAVEAT)
     report.caveat(BAI_CAVEAT)
 
-    sigma_a = enumerate_characters(a_alg, tol, seed)
-    sigma_b = enumerate_characters(b_alg, tol, seed)
-    z_a, z_b, z_p = center(a_alg, tol), center(b_alg, tol), center(palg, tol)
+    an_a, an_b, an_p = analyses or product_analyses(product, tol, seed)
+    sigma_a, sigma_b = an_a.characters, an_b.characters
     epi = rank(m_hom, tol) == a_alg.dim
 
     for idx, ch in enumerate(sigma_a.characters):
@@ -413,18 +482,11 @@ def inner_amenability_suite(product: MorphismProduct, tol: float, seed: int = 0)
         phi_t = m_hom.T @ phi
         lifted = np.concatenate([phi, phi_t])
         label = f"inner/first-factor-character-{idx}"
-        a_mean = _inner_mean(a_alg, z_a, phi, tol)
-        p_mean = _inner_mean(palg, z_p, lifted, tol)
+        a_mean = an_a.inner_mean(phi)
+        p_mean = an_p.inner_mean(lifted)
 
-        report.add(
-            f"{label}/equivalence",
-            (a_mean is not None) == (p_mean is not None),
-            witness=None if (a_mean is not None) == (p_mean is not None) else {
-                "factor_amenable": a_mean is not None,
-                "product_amenable": p_mean is not None,
-            },
-            detail="the factor has a mean for phi iff the product has one for the lifted character",
-        )
+        _means_agree(report, f"{label}/equivalence", a_mean, p_mean,
+                     "the factor has a mean for phi iff the product has one for the lifted character")
         if a_mean is not None:
             _mean_witness_checks(
                 report, f"{label}/witness-embedded-factor-mean", palg,
@@ -451,7 +513,7 @@ def inner_amenability_suite(product: MorphismProduct, tol: float, seed: int = 0)
             report.skip(f"{label}/witness-combined-blocks", detail="product has no mean to split")
             report.skip(f"{label}/witness-normalized-second-block", detail="product has no mean to split")
         if epi:
-            b_mean = _inner_mean(b_alg, z_b, phi_t, tol)
+            b_mean = an_b.inner_mean(phi_t)
             if b_mean is not None:
                 _mean_witness_checks(
                     report, f"{label}/witness-embedded-second-mean", palg,
@@ -469,18 +531,11 @@ def inner_amenability_suite(product: MorphismProduct, tol: float, seed: int = 0)
         psi = ch.functional
         pure = np.concatenate([np.zeros(product.dim_a), psi])
         label = f"inner/second-factor-character-{idx}"
-        b_mean = _inner_mean(b_alg, z_b, psi, tol)
-        p_mean = _inner_mean(palg, z_p, pure, tol)
+        b_mean = an_b.inner_mean(psi)
+        p_mean = an_p.inner_mean(pure)
 
-        report.add(
-            f"{label}/equivalence",
-            (b_mean is not None) == (p_mean is not None),
-            witness=None if (b_mean is not None) == (p_mean is not None) else {
-                "factor_amenable": b_mean is not None,
-                "product_amenable": p_mean is not None,
-            },
-            detail="the product has a mean for (0, psi) iff the second factor has one for psi",
-        )
+        _means_agree(report, f"{label}/equivalence", b_mean, p_mean,
+                     "the product has a mean for (0, psi) iff the second factor has one for psi")
         if b_mean is not None:
             _mean_witness_checks(
                 report, f"{label}/witness-graph-embedding", palg,
@@ -494,22 +549,12 @@ def inner_amenability_suite(product: MorphismProduct, tol: float, seed: int = 0)
         else:
             report.skip(f"{label}/witness-second-block", detail="product has no mean to split")
 
-    cia_a = _character_inner_amenability(a_alg, sigma_a, z_a, tol)
-    cia_b = _character_inner_amenability(b_alg, sigma_b, z_b, tol)
-    cia_p = _character_inner_amenability(palg, enumerate_characters(palg, tol, seed), z_p, tol)
-    if None in (cia_a.verdict, cia_b.verdict, cia_p.verdict):
-        report.add("inner/character-inner-amenability-equivalence", None,
-                   detail="some character enumeration is incomplete")
-    else:
-        ok = cia_p.verdict == (cia_a.verdict and cia_b.verdict)
-        report.add(
-            "inner/character-inner-amenability-equivalence",
-            ok,
-            witness=None if ok else {
-                "product": cia_p.verdict, "first_factor": cia_a.verdict, "second_factor": cia_b.verdict,
-            },
-            detail="the product is character inner amenable iff both factors are",
-        )
+    add_transfer_claim(
+        report, "inner/character-inner-amenability-equivalence",
+        tuple(an.character_inner_amenability.verdict for an in (an_a, an_b, an_p)),
+        "the product is character inner amenable iff both factors are",
+        "some character enumeration is incomplete",
+    )
     if not (sigma_a.complete and sigma_b.complete):
         report.caveat("a factor character enumeration is incomplete; per-character claims cover only verified characters")
     return report

@@ -244,17 +244,23 @@ class ProductCharacterReport:
 
 
 def product_characters(product: MorphismProduct, tol: float, seed: int = 0) -> ProductCharacterReport:
+    """The character decomposition of a product from fresh enumerations of A, B and the product."""
+    return character_decomposition(
+        product, *(enumerate_characters(alg, tol, seed) for alg in (product.a, product.b, product.algebra)), tol
+    )
+
+
+def character_decomposition(product: MorphismProduct, sigma_a: CharacterEnumeration, sigma_b: CharacterEnumeration,
+                            enumerated: CharacterEnumeration, tol: float) -> ProductCharacterReport:
     """Build {(phi, phi o T)} and {(0, psi)}, verify both families, and compare
     against an independent enumeration of the product's characters.
 
+    ``sigma_a``, ``sigma_b`` and ``enumerated`` enumerate A, B and the product.
     ``decomposition_ok`` is None (unknown) when any enumeration is flagged
     incomplete; membership of the constructed families is still checked.
     """
     palg = product.algebra
     m = product.hom.matrix
-    sigma_a = enumerate_characters(product.a, tol, seed)
-    sigma_b = enumerate_characters(product.b, tol, seed)
-    enumerated = enumerate_characters(palg, tol, seed)
 
     lifted = []
     for ch in sigma_a.characters:

@@ -9,19 +9,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
-from .amenability import (
-    derivation_space,
-    is_character_amenable,
-    is_character_inner_amenable,
-)
+from .amenability import Analysis, derivation_space, is_character_inner_amenable, product_analyses
 from .arens import FINITE_DIM_CAVEAT, topological_center, topological_center_membership
 from .characters import enumerate_characters
-from .core import FiniteAlgebra, validate_algebra
+from .core import validate_algebra
 from .corpus import full_corpus
 from .errors import ValidationError, WorkbenchError
-from .io import load_algebra, load_hom, save_algebra
+from .io import _registry, load_algebra, load_hom, save_algebra
 from .product import build_product, check_hom
 from .report import (
     EXIT_FAILED,
@@ -31,7 +25,7 @@ from .report import (
     CheckReport,
     dump_json,
 )
-from .suite import RunConfig, verify_theorems
+from .suite import RunConfig, verify_product, verify_theorems
 
 
 def _add_common(parser: argparse.ArgumentParser):
@@ -78,30 +72,10 @@ def _cmd_validate(args) -> int:
     return EXIT_OK if report.valid else EXIT_FAILED
 
 
-def _same_content(x: FiniteAlgebra, y: FiniteAlgebra) -> bool:
-    return (
-        x.basis_labels == y.basis_labels
-        and np.array_equal(x.structure, y.structure)
-        and np.array_equal(x.norm_weights, y.norm_weights)
-        and len(x.declared_characters) == len(y.declared_characters)
-        and all(np.array_equal(f, g) for f, g in zip(x.declared_characters, y.declared_characters))
-    )
-
-
-def _registry(alg_a: FiniteAlgebra, alg_b: FiniteAlgebra) -> dict[str, FiniteAlgebra]:
-    """Algebras by name, for resolving a hom file's source and target."""
-    if alg_a.name == alg_b.name and not _same_content(alg_a, alg_b):
-        raise ValidationError(
-            f"algebras A and B are both named {alg_a.name!r} but differ; "
-            "the hom's source and target cannot be told apart, so rename one of them"
-        )
-    return {alg_a.name: alg_a, alg_b.name: alg_b}
-
-
 def _cmd_product(args) -> int:
     alg_a = load_algebra(args.algebra_a, args.tol)
     alg_b = load_algebra(args.algebra_b, args.tol)
-    hom = load_hom(args.hom, _registry(alg_a, alg_b), args.tol)
+    hom = load_hom(args.hom, _registry(alg_a, alg_b, args.hom), args.tol)
     product = build_product(alg_a, alg_b, hom, args.tol)
     save_algebra(product.algebra, args.out)
     hom_report = check_hom(hom, args.tol)
@@ -186,25 +160,24 @@ def _cmd_check(args) -> int:
         _emit(args, payload, text)
         return EXIT_OK
     if args.what == "char-amen":
-        results = {side: is_character_amenable(alg, side, args.tol, args.seed) for side in config.sides}
+        analysis = Analysis(alg, args.tol, args.seed)
+        results = {side: analysis.character_amenability(side) for side in config.sides}
+        caveats = sorted(set(c for r in results.values() for c in r.caveats))
         payload = {
             "algebra": alg.name,
             "verdicts": {side: r.verdict for side, r in results.items()},
             "identity": {side: r.identity_exists for side, r in results.items()},
-            "characters": len(next(iter(results.values())).enumeration.characters),
-            "complete": all(r.enumeration.complete for r in results.values()),
-            "caveats": sorted(set(c for r in results.values() for c in r.caveats)),
+            "characters": len(analysis.characters.characters),
+            "complete": analysis.characters.complete,
+            "caveats": caveats,
         }
         lines = []
         for side, r in results.items():
             verdict = {True: "True", False: "False", None: "unknown"}[r.verdict]
             lines.append(f"algebra {alg.name!r}: {side} character amenable = {verdict}")
-        for c in sorted(set(c for r in results.values() for c in r.caveats)):
-            lines.append(f"caveat: {c}")
+        lines += [f"caveat: {c}" for c in caveats]
         _emit(args, payload, "\n".join(lines))
-        if any(r.verdict is None for r in results.values()):
-            return EXIT_INCOMPLETE
-        return EXIT_OK
+        return EXIT_INCOMPLETE if any(r.verdict is None for r in results.values()) else EXIT_OK
     if args.what == "inner-amen":
         result = is_character_inner_amenable(alg, args.tol, args.seed)
         verdict = {True: "True", False: "False", None: "unknown"}[result.verdict]
@@ -226,7 +199,7 @@ def _cmd_check(args) -> int:
 def _cmd_verify_theorems(args) -> int:
     alg_a = load_algebra(args.algebra_a, args.tol)
     alg_b = load_algebra(args.algebra_b, args.tol)
-    hom = load_hom(args.hom, _registry(alg_a, alg_b), args.tol)
+    hom = load_hom(args.hom, _registry(alg_a, alg_b, args.hom), args.tol)
     config = _config(args)
     report = verify_theorems(alg_a, alg_b, hom, config)
     _emit(args, report.to_dict(), report.to_text())
@@ -260,8 +233,10 @@ def _cmd_corpus(args) -> int:
     payloads = []
     texts = []
     for entry in entries:
-        report = verify_theorems(entry.algebra_a, entry.algebra_b, entry.hom, config)
-        _append_tag_checks(report, entry, config)
+        product = build_product(entry.algebra_a, entry.algebra_b, entry.hom, config.tol)
+        analyses = product_analyses(product, config.tol, config.seed)
+        report = verify_product(product, analyses, config)
+        _append_tag_checks(report, entry, analyses[2])
         code = report.exit_code()
         if code == EXIT_FAILED or worst == EXIT_FAILED:
             worst = EXIT_FAILED
@@ -273,20 +248,14 @@ def _cmd_corpus(args) -> int:
     return worst
 
 
-def _append_tag_checks(report: CheckReport, entry, config: RunConfig):
-    """Compare the entry's expected-verdict tags against computed outcomes."""
-    from .amenability import is_weakly_amenable
-
-    expected = entry.expected_verdicts()
-    if not expected:
-        return
-    product = build_product(entry.algebra_a, entry.algebra_b, entry.hom, config.tol)
+def _append_tag_checks(report: CheckReport, entry, analysis: Analysis):
+    """Compare the entry's expected-verdict tags against the product's analysis."""
     actual = {
-        "weakly_amenable": lambda: is_weakly_amenable(product.algebra, config.tol),
-        "char_amenable": lambda: is_character_amenable(product.algebra, "left", config.tol, config.seed).verdict,
-        "char_inner_amenable": lambda: is_character_inner_amenable(product.algebra, config.tol, config.seed).verdict,
+        "weakly_amenable": lambda: analysis.weakly_amenable,
+        "char_amenable": lambda: analysis.character_amenability("left").verdict,
+        "char_inner_amenable": lambda: analysis.character_inner_amenability.verdict,
     }
-    for key, want in sorted(expected.items()):
+    for key, want in sorted(entry.expected_verdicts().items()):
         got = actual[key]()
         if got is None:
             report.add(f"10-corpus-tags/{key}", None, detail="verdict undecidable (incomplete enumeration)")

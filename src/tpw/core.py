@@ -171,11 +171,6 @@ class LinearMap:
     def __call__(self, x) -> np.ndarray:
         return self.matrix @ as_complex(x)
 
-    def compose(self, inner: "LinearMap") -> "LinearMap":
-        if self.matrix.shape[1] != inner.matrix.shape[0]:
-            raise ShapeError("composition shape mismatch")
-        return LinearMap(inner.source, self.target, self.matrix @ inner.matrix)
-
 
 @dataclass
 class AlgebraValidationReport:

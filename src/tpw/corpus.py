@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import FiniteAlgebra
 from .errors import ParseError, ValidationError
-from .io import _load_json, algebra_from_dict, hom_from_dict
+from .io import _load_json, _registry, algebra_from_dict, hom_from_dict
 from .linalg import max_abs
 from .product import AlgebraHom
 
@@ -225,8 +225,7 @@ def load_corpus_dir(path: str, tol: float = 1e-9) -> list[CorpusEntry]:
                 raise ParseError(f"{name}: missing required field {key!r}")
         alg_a = algebra_from_dict(data["algebra_a"], f"{name}: algebra_a", tol)
         alg_b = algebra_from_dict(data["algebra_b"], f"{name}: algebra_b", tol)
-        registry = {alg_a.name: alg_a, alg_b.name: alg_b}
-        hom = hom_from_dict(data["hom"], registry, f"{name}: hom", tol)
+        hom = hom_from_dict(data["hom"], _registry(alg_a, alg_b, f"{name}: hom"), f"{name}: hom", tol)
         entries.append(
             CorpusEntry(
                 entry_id=str(data["id"]),

@@ -56,9 +56,6 @@ class AlgebraHom:
         column_norms = wa @ np.abs(self.matrix)
         return float(np.max(column_norms / wb))
 
-    def apply(self, b) -> np.ndarray:
-        return self.matrix @ self.source.coerce(b)
-
     def __repr__(self):
         return f"AlgebraHom({self.source.name!r} -> {self.target.name!r})"
 
@@ -124,11 +121,6 @@ class MorphismProduct:
     def embed_a(self, x) -> np.ndarray:
         v = np.zeros(self.algebra.dim, dtype=complex)
         v[: self.dim_a] = self.a.coerce(x)
-        return v
-
-    def embed_b(self, y) -> np.ndarray:
-        v = np.zeros(self.algebra.dim, dtype=complex)
-        v[self.dim_a :] = self.b.coerce(y)
         return v
 
     def join(self, x, y) -> np.ndarray:

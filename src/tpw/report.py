@@ -57,11 +57,6 @@ class CheckReport:
         if text not in self.caveats:
             self.caveats.append(text)
 
-    def merge(self, other: "CheckReport"):
-        self.verdicts.extend(other.verdicts)
-        for c in other.caveats:
-            self.caveat(c)
-
     def counts(self) -> dict[str, int]:
         out = {PASS: 0, FAIL: 0, UNKNOWN: 0, SKIP: 0}
         for v in self.verdicts:

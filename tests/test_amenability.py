@@ -1,5 +1,7 @@
 """Derivation spaces, invariant elements, inner means, and the decision procedures."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -290,20 +292,66 @@ def test_inner_suite_corpus_wide(corpus):
         assert report.all_pass, entry.entry_id
 
 
-def test_inner_suite_takes_one_center_per_algebra(monkeypatch, corpus):
+def test_run_solves_each_fact_once_per_algebra(monkeypatch, capsys, corpus):
+    """Counted guard: a run asks each algebra for each fact once, through one Analysis per algebra.
+
+    The inner suite takes one centre per algebra on every corpus entry; one
+    ``verify_theorems`` on rebased C5 x C5 and one built-in ``corpus run`` take
+    one enumeration, centre and derivation space per algebra of each triple,
+    and ``corpus run`` builds each product once.
+    """
+    import sys
+
     import tpw.amenability
+    import tpw.characters
+    import tpw.core
+    import tpw.product
+    from tpw.cli import main
+    from tpw.product import AlgebraHom
+    from tpw.suite import RunConfig, verify_theorems
+
+    from conftest import matrix_unit_algebra, random_unitary, rebased
+
+    solvers = {
+        "enumerate_characters": tpw.characters.enumerate_characters,
+        "center": tpw.core.center,
+        "derivation_space": tpw.amenability.derivation_space,
+        "solve_tli": tpw.amenability.solve_tli,
+        "build_product": tpw.product.build_product,
+    }
+    calls, center_args = Counter(), []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if name == "center":
+                center_args.append(args[0])
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, fn in solvers.items():
+        for module_name, module in list(sys.modules.items()):
+            if module_name == "tpw" or module_name.startswith("tpw."):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, counted(name, fn))
 
     for entry in corpus:
         product = build_product(entry.algebra_a, entry.algebra_b, entry.hom, TOL)
-        seen = []
-        center = tpw.amenability.center
-
-        def counted_center(alg, tol):
-            seen.append(alg)
-            return center(alg, tol)
-
-        monkeypatch.setattr(tpw.amenability, "center", counted_center)
+        center_args.clear()
         inner_amenability_suite(product, TOL)
-        monkeypatch.undo()
-        assert len(seen) == 3, entry.entry_id
-        assert {id(alg) for alg in seen} == {id(product.a), id(product.b), id(product.algebra)}, entry.entry_id
+        assert len(center_args) == 3, entry.entry_id
+        assert {id(alg) for alg in center_args} == {id(product.a), id(product.b), id(product.algebra)}, entry.entry_id
+
+    c5 = rebased(matrix_unit_algebra("C", 5), random_unitary(np.random.default_rng(3), 5), "C5")
+    calls.clear()
+    verify_theorems(c5, c5, AlgebraHom(source=c5, target=c5, matrix=np.eye(5)), RunConfig())
+    assert (calls["enumerate_characters"], calls["center"], calls["derivation_space"]) == (3, 3, 3)
+    assert calls["solve_tli"] <= 60
+
+    monkeypatch.delenv("TPW_CORPUS_DIR", raising=False)
+    calls.clear()
+    assert main(["corpus", "run", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert calls["build_product"] == len(corpus) == 8
+    assert (calls["enumerate_characters"], calls["derivation_space"], calls["center"]) == (24, 24, 24)

@@ -10,6 +10,7 @@ from tpw.corpus import (
     algebra_c,
     algebra_c2,
     algebra_m2,
+    algebra_null1,
     hom_identity,
     load_corpus_dir,
 )
@@ -193,6 +194,22 @@ def test_corpus_dir_loading(tmp_path):
     assert len(loaded) == 1
     assert loaded[0].entry_id == "user-entry"
     assert loaded[0].tags == ("epi",)
+
+
+def test_corpus_dir_rejects_distinct_algebras_sharing_a_name(tmp_path):
+    from dataclasses import replace
+
+    # a hom that is valid only against B, so resolving "X" to B would load it silently
+    entry = {
+        "id": "name-clash",
+        "algebra_a": json.loads(dump_json(algebra_to_dict(replace(algebra_c2(), name="X")))),
+        "algebra_b": json.loads(dump_json(algebra_to_dict(replace(algebra_null1(), name="X")))),
+        "hom": {"source": "X", "target": "X", "matrix": [[[1.0, 0.0]]]},
+        "tags": [],
+    }
+    (tmp_path / "entry.json").write_text(json.dumps(entry))
+    with pytest.raises(ValidationError, match="both named 'X'"):
+        load_corpus_dir(str(tmp_path), TOL)
 
 
 def test_corpus_env_extension(tmp_path, monkeypatch, capsys):

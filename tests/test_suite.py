@@ -98,3 +98,25 @@ def test_report_claim_order_is_deterministic(corpus):
     from tpw.report import dump_json
 
     assert dump_json(r1.to_dict()) == dump_json(r2.to_dict())
+
+
+def test_benchmark_tracer_spans_resolve():
+    """Every (module, function) the benchmark tracer wraps exists in tpw.
+
+    The tracer skips a name it cannot find, so a renamed entry point would
+    silently read 0 in its per-layer metric.
+    """
+    import importlib
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [
+        f"{module}.{function}"
+        for module, function in tracer.SPANS
+        if not callable(getattr(importlib.import_module(module), function, None))
+    ]
+    assert tracer.SPANS and not missing
