@@ -96,17 +96,17 @@ def _inner_map(alg: FiniteAlgebra) -> np.ndarray:
 
 
 def leibniz_residual(alg: FiniteAlgebra, d: np.ndarray) -> float:
-    """Worst basis-pair violation of the Leibniz identity for D: A -> A'."""
+    """Worst basis-pair violation of the Leibniz identity for D: A -> A'.
+
+    Entry (i, j, m) is the m-th coordinate of D(e_i e_j) - D(e_i).e_j - e_i.D(e_j),
+    with (D(e_i).e_j)_m = sum_k c[j,m,k] D[k,i] and (e_i.D(e_j))_m = sum_k c[m,i,k] D[k,j].
+    """
     n = alg.dim
+    c = alg.structure
     d = np.asarray(d, dtype=complex).reshape(n, n)
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            lhs = d @ alg.structure[i, j, :]
-            rhs = alg.left_mult_operator(alg.basis_vector(j)).T @ d[:, i]
-            rhs = rhs + alg.right_mult_operator(alg.basis_vector(i)).T @ d[:, j]
-            worst = max(worst, max_abs(lhs - rhs))
-    return worst
+    lhs = np.einsum("mk,ijk->ijm", d, c)
+    rhs = np.einsum("jmk,ki->ijm", c, d) + np.einsum("mik,kj->ijm", c, d)
+    return max_abs(lhs - rhs)
 
 
 def derivation_space(alg: FiniteAlgebra, tol: float) -> DerivationSpace:

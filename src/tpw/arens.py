@@ -10,8 +10,10 @@ pairing.  Both Arens products are computed through their pairing chains
 
 evaluated as they are defined, in two steps: one ``einsum`` builds the
 matrix of the dual action f -> Q . f (or f -> f . P), and that matrix is
-then paired with P (or Q).  ``arens_tables`` runs the same two steps on the
-whole basis at once, giving ``first[p, q] = e_p [] e_q`` and
+then paired with P (or Q).  ``arens_first`` and ``arens_second`` take single
+vectors or stacks of shape (..., n), pairing the stacks row by row, so a
+batch of pairs is one chain evaluation.  ``arens_tables`` runs the same two
+steps on the whole basis at once, giving ``first[p, q] = e_p [] e_q`` and
 ``second[p, q] = e_p <> e_q``.  Every system or residual over basis pairs
 (topological centers, the multiplicativity of T'', the Theta block formula,
 and the invariant-element system in ``amenability``) is a slice or a
@@ -31,7 +33,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import FiniteAlgebra, LinearMap
-from .linalg import max_abs, nullspace, rank
+from .errors import ShapeError
+from .linalg import as_complex, max_abs, nullspace, rank
 from .product import AlgebraHom, MorphismProduct
 
 FINITE_DIM_CAVEAT = (
@@ -66,14 +69,31 @@ def _bidual_right_action(alg: FiniteAlgebra, big_phi: np.ndarray) -> np.ndarray:
     return np.einsum("jik,...j->...ik", alg.structure, big_phi)
 
 
+def _bidual_stack(alg: FiniteAlgebra, v) -> np.ndarray:
+    """A bidual vector or a stack of them, shape (..., n)."""
+    v = as_complex(v)
+    if v.shape[-1:] != (alg.dim,):
+        raise ShapeError(f"bidual stack of shape {v.shape} for algebra {alg.name!r} of dim {alg.dim}")
+    return v
+
+
 def arens_first(alg: FiniteAlgebra, big_phi, big_psi) -> np.ndarray:
-    """First Arens product, evaluated as <Phi, Psi . f> on the dual basis."""
-    return alg.coerce(big_phi) @ _bidual_left_action(alg, alg.coerce(big_psi))
+    """First Arens product, evaluated as <Phi, Psi . f> on the dual basis.
+
+    Phi and Psi may be stacks of shape (..., n); the result pairs them row by
+    row, with the leading axes broadcast.
+    """
+    action = _bidual_left_action(alg, _bidual_stack(alg, big_psi))
+    return np.einsum("...i,...ik->...k", _bidual_stack(alg, big_phi), action)
 
 
 def arens_second(alg: FiniteAlgebra, big_phi, big_psi) -> np.ndarray:
-    """Second Arens product, evaluated as <Psi, f . Phi> on the dual basis."""
-    return alg.coerce(big_psi) @ _bidual_right_action(alg, alg.coerce(big_phi))
+    """Second Arens product, evaluated as <Psi, f . Phi> on the dual basis.
+
+    Phi and Psi may be stacks of shape (..., n), as in ``arens_first``.
+    """
+    action = _bidual_right_action(alg, _bidual_stack(alg, big_phi))
+    return np.einsum("...i,...ik->...k", _bidual_stack(alg, big_psi), action)
 
 
 class ArensTables(NamedTuple):

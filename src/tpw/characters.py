@@ -106,11 +106,8 @@ def commutative_quotient(alg: FiniteAlgebra, tol: float) -> CommutativeQuotient:
     m = section.shape[1]
     if m == 0:
         return CommutativeQuotient(quotient=None, section=section, ideal=ideal)
-    cq = np.empty((m, m, m), dtype=complex)
-    for p in range(m):
-        for q in range(m):
-            prod = alg.multiply(section[:, p], section[:, q])
-            cq[p, q, :] = section.conj().T @ prod
+    # cq[p, q] = section^H (s_p s_q), for the columns s_p of the section
+    cq = np.einsum("ip,jq,ijk,kr->pqr", section, section, alg.structure, section.conj(), optimize=True)
     quotient = FiniteAlgebra(
         name=f"{alg.name}.commutative-quotient",
         basis_labels=tuple(f"q{i}" for i in range(m)),

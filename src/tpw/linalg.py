@@ -90,7 +90,7 @@ def subspace_contains(basis: np.ndarray, vectors, tol: float) -> tuple[bool, flo
     """Whether every column of `vectors` lies in span(basis).
 
     Returns (verdict, max residual), residuals measured in max-norm after
-    projecting out the subspace and normalizing by the vector's max-norm.
+    projecting out the subspace, each column divided by max(1, its max-norm).
     """
     v = as_complex(vectors)
     if v.ndim == 1:
@@ -99,10 +99,8 @@ def subspace_contains(basis: np.ndarray, vectors, tol: float) -> tuple[bool, flo
         return True, 0.0
     p = projector(basis)
     resid = v - p @ v
-    worst = 0.0
-    for k in range(v.shape[1]):
-        scale = max(1.0, max_abs(v[:, k]))
-        worst = max(worst, max_abs(resid[:, k]) / scale)
+    scale = np.maximum(1.0, np.max(np.abs(v), axis=0, initial=0.0))
+    worst = float(np.max(np.max(np.abs(resid), axis=0, initial=0.0) / scale))
     return worst <= tol, worst
 
 

@@ -101,6 +101,40 @@ def test_derivation_basis_satisfies_leibniz(corpus):
             assert space.dim_inner <= space.dim_der
 
 
+def reference_leibniz_residual(alg, d):
+    """The Leibniz residual one basis pair at a time, from the multiplication operators."""
+    n = alg.dim
+    d = np.asarray(d, dtype=complex).reshape(n, n)
+    worst = 0.0
+    for i in range(n):
+        for j in range(n):
+            lhs = d @ alg.structure[i, j, :]
+            rhs = alg.left_mult_operator(alg.basis_vector(j)).T @ d[:, i]
+            rhs = rhs + alg.right_mult_operator(alg.basis_vector(i)).T @ d[:, j]
+            worst = max(worst, max_abs(lhs - rhs))
+    return worst
+
+
+def test_leibniz_residual_matches_per_pair_reference(corpus, rng):
+    for entry in corpus:
+        product = build_product(entry.algebra_a, entry.algebra_b, entry.hom, TOL)
+        for alg in (entry.algebra_a, entry.algebra_b, product.algebra):
+            n = alg.dim
+            maps = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
+                    inner_derivation(alg, random_element(rng, n))]
+            maps += list(derivation_space(alg, TOL).der_basis)
+            for d in maps:
+                want = reference_leibniz_residual(alg, d)
+                assert abs(leibniz_residual(alg, d) - want) <= 1e-12 * max(1.0, want), entry.entry_id
+
+
+def test_leibniz_residual_flags_identity_on_m2(alg_m2):
+    identity = np.eye(alg_m2.dim)
+    residual = leibniz_residual(alg_m2, identity)
+    assert residual == reference_leibniz_residual(alg_m2, identity)
+    assert residual >= 1.0
+
+
 def test_every_ad_is_a_derivation(corpus, rng):
     for entry in corpus:
         alg = entry.algebra_a

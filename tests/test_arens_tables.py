@@ -10,6 +10,7 @@ import sys
 from collections import Counter
 
 import numpy as np
+import pytest
 
 from tpw.amenability import _tli_system, solve_tli
 from tpw.arens import (
@@ -25,6 +26,7 @@ from tpw.arens import (
 )
 from tpw.characters import enumerate_characters
 from tpw.core import FiniteAlgebra
+from tpw.errors import ShapeError
 from tpw.linalg import max_abs
 from tpw.product import AlgebraHom, build_product
 from tpw.suite import RunConfig, verify_theorems
@@ -83,6 +85,31 @@ def test_tables_are_the_chain_on_basis_pairs(corpus):
                 for q in range(alg.dim):
                     assert max_abs(tables.first[p, q] - ref.first(e[p], e[q])) <= bound(alg)
                     assert max_abs(tables.second[p, q] - ref.second(e[p], e[q])) <= bound(alg)
+
+
+def test_batched_chain_matches_per_pair_reference(corpus):
+    """A stack of pairs through the chain equals the chain run one pair at a time."""
+    rng = np.random.default_rng(2)
+    for a, b, hom in triples(corpus):
+        for alg in (a, b, build_product(a, b, hom, TOL).algebra):
+            ref, n = ReferenceChain(alg), alg.dim
+            x = rng.standard_normal((3, 4, n)) + 1j * rng.standard_normal((3, 4, n))
+            y = rng.standard_normal((3, 4, n)) + 1j * rng.standard_normal((3, 4, n))
+            first, second = arens_first(alg, x, y), arens_second(alg, x, y)
+            assert first.shape == second.shape == (3, 4, n)
+            for p in np.ndindex(3, 4):
+                assert max_abs(first[p] - ref.first(x[p], y[p])) <= bound(alg), alg.name
+                assert max_abs(second[p] - ref.second(x[p], y[p])) <= bound(alg), alg.name
+
+
+@pytest.mark.parametrize("chain", [arens_first, arens_second])
+def test_chain_rejects_wrong_length_stack(alg_ut2, chain):
+    good = np.ones((5, alg_ut2.dim))
+    for bad in (np.ones((5, alg_ut2.dim + 1)), np.ones(alg_ut2.dim - 1), np.ones((alg_ut2.dim, 5))):
+        with pytest.raises(ShapeError):
+            chain(alg_ut2, bad, good)
+        with pytest.raises(ShapeError):
+            chain(alg_ut2, good, bad)
 
 
 def test_tli_and_center_systems_match_reference(corpus):
@@ -216,8 +243,23 @@ def test_suite_run_counts_chain_and_operator_calls(monkeypatch):
     report = verify_theorems(c5, c5, hom, RunConfig())
 
     assert not [v.claim for v in report.verdicts if v.status in ("fail", "unknown")]
-    # group 02: 100 random pairs x (A, B, product) x both Arens products
-    assert calls["chain"] == 600
+    # group 02: one stack of 100 random pairs per algebra (A, B, product) x both Arens products
+    assert calls["chain"] == 6
     assert calls["left_mult_in_consumers"] == 0
     assert min(calls["solve_tli"], calls["topological_center"], calls["hom_adjoints"]) > 0
     assert calls["left_mult_elsewhere"] > 0
+
+
+@pytest.mark.parametrize("chain", [arens_first, arens_second])
+def test_swapped_chain_fails_arens_cross_check(monkeypatch, corpus, chain):
+    """The batched cross-check still catches a chain that multiplies in the wrong order."""
+    entry = next(e for e in corpus if e.entry_id == "ut2-c2-diag")
+    claim = "02-bidual-identification/arens-equals-multiplication"
+
+    def status():
+        report = verify_theorems(entry.algebra_a, entry.algebra_b, entry.hom, RunConfig())
+        return next(v.status for v in report.verdicts if v.claim == claim)
+
+    assert status() == "pass"
+    _rebind(monkeypatch, chain, lambda alg, big_phi, big_psi: chain(alg, big_psi, big_phi))
+    assert status() == "fail"

@@ -100,6 +100,32 @@ def test_report_claim_order_is_deterministic(corpus):
     assert dump_json(r1.to_dict()) == dump_json(r2.to_dict())
 
 
+def test_corpus_run_counts_multiply_and_operator_calls(monkeypatch, capsys):
+    """Counted guard: one built-in ``corpus run`` multiplies no pair of vectors and builds few operators.
+
+    Group 02's cross-check, the embedding check, the Leibniz residual and the
+    commutative quotient are contractions over the structure tensor; what is
+    left of ``left_mult_operator`` is the character enumeration's splitting
+    operators and the commutator-ideal growth.
+    """
+    from collections import Counter
+
+    from tpw.cli import main
+    from tpw.core import FiniteAlgebra
+
+    calls = Counter()
+    for name in ("multiply", "left_mult_operator"):
+        def counted(self, *args, _name=name, _fn=getattr(FiniteAlgebra, name)):
+            calls[_name] += 1
+            return _fn(self, *args)
+        monkeypatch.setattr(FiniteAlgebra, name, counted)
+    monkeypatch.delenv("TPW_CORPUS_DIR", raising=False)
+    assert main(["corpus", "run", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert calls["multiply"] == 0
+    assert calls["left_mult_operator"] <= 98
+
+
 def test_benchmark_tracer_spans_resolve():
     """Every (module, function) the benchmark tracer wraps exists in tpw.
 
