@@ -66,26 +66,45 @@ class DerivationSpace:
         return len(self.inner_basis)
 
 
-def _leibniz_system(alg: FiniteAlgebra) -> np.ndarray:
-    """Matrix of the Leibniz constraints on a map D: A -> A' (n^2 unknowns).
+# values of i per row block of the Leibniz system: one per block costs 1.3-1.4x
+# the QR time of the whole system, four cost none, and more cost memory
+LEIBNIZ_BLOCK_I = 4
+
+
+def _leibniz_blocks(alg: FiniteAlgebra):
+    """Row blocks of the Leibniz constraints on a map D: A -> A' (n^2 unknowns).
 
     Unknowns are D[m, k] (row-major), the m-th dual coordinate of D(e_k).
     Row (i, j, m) encodes the m-th coordinate of
-    D(e_i e_j) - D(e_i).e_j - e_i.D(e_j) = 0.
+    D(e_i e_j) - D(e_i).e_j - e_i.D(e_j) = 0.  Each block holds the rows of
+    LEIBNIZ_BLOCK_I consecutive values of i (the last block may be short).
+    The generator keeps no reference to a block it has yielded, so a consumer
+    that drops the block frees it.
     """
     n = alg.dim
-    c = alg.structure
-    # axes (i, j, m, q, k); each term is a diagonal slice of one buffer, so no
-    # other n^5 array is formed
-    system = np.zeros((n, n, n, n, n), dtype=complex)
+    return (
+        _leibniz_rows(alg.structure, np.arange(start, min(start + LEIBNIZ_BLOCK_I, n)))
+        for start in range(0, n, LEIBNIZ_BLOCK_I)
+    )
+
+
+def _leibniz_rows(c: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """The Leibniz rows (i, j, m) for the given consecutive values of i."""
+    n = c.shape[0]
     d = np.arange(n)
+    # the buffer is the transpose of the (rows, n^2) block, which is thus
+    # column-major, the layout LAPACK's QR reads; it is viewed with axes
+    # (i, j, m, q, k), and each term is a diagonal slice of that view, so no
+    # other block-sized array is formed
+    buffer = np.zeros((n * n, i.size * n * n), dtype=complex)
+    block = buffer.reshape(n, n, i.size, n, n).transpose(2, 3, 4, 0, 1)
     # D(e_i e_j)_m = sum_k c[i,j,k] D[m,k]: entries q == m
-    system[:, :, d, d, :] = c[:, :, None, :]
+    block[:, :, d, d, :] = c[i, :, None, :]
     # (D(e_i).e_j)_m = (L_j^T D(:,i))_m = sum_q c[j,m,q] D[q,i]: entries k == i
-    system[d, :, :, :, d] -= c
+    block[i - i[0], :, :, :, i] -= c
     # (e_i.D(e_j))_m = (R_i^T D(:,j))_m = sum_q c[m,i,q] D[q,j]: entries k == j
-    system[:, d, :, :, d] -= c.transpose(1, 0, 2)
-    return system.reshape(n * n * n, n * n)
+    block[:, d, :, :, d] -= c.transpose(1, 0, 2)[i]
+    return buffer.T
 
 
 def _inner_map(alg: FiniteAlgebra) -> np.ndarray:
@@ -114,12 +133,16 @@ def derivation_space(alg: FiniteAlgebra, tol: float) -> DerivationSpace:
 
     One linear system of n^3 equations in n^2 unknowns, ranks decided by the
     global singular-value cutoff; this avoids the conditioning problems of
-    matching individual basis derivations.
+    matching individual basis derivations.  The system is never formed
+    whole: its row blocks of 4 n^2 rows are folded into one n^2 x n^2
+    triangular factor by ``linalg.nullspace``, which holds about
+    3 * 5 n^4 * 16 B (240 MiB at n = 32) where the whole system and the
+    copies ``numpy.linalg.qr`` makes of it took 3 n^5 * 16 B (1.5 GiB).
     """
     n = alg.dim
     # both systems are differences of structure-scale quantities
     scale = max(1.0, max_abs(alg.structure))
-    der_flat = nullspace(_leibniz_system(alg), tol, scale=scale)
+    der_flat = nullspace(_leibniz_blocks(alg), tol, scale=scale)
     inner_flat = column_space(_inner_map(alg), tol, scale=scale)
     der = tuple(der_flat[:, k].reshape(n, n) for k in range(der_flat.shape[1]))
     inner = tuple(inner_flat[:, k].reshape(n, n) for k in range(inner_flat.shape[1]))

@@ -44,19 +44,13 @@ FINITE_DIM_CAVEAT = (
 )
 
 
-def functional_times_element(alg: FiniteAlgebra, f, a) -> np.ndarray:
-    """f . a, the functional x -> f(a x)."""
-    return alg.left_mult_operator(a).T @ alg.coerce(f)
-
-
-def element_times_functional(alg: FiniteAlgebra, a, f) -> np.ndarray:
-    """a . f, the functional x -> f(x a)."""
-    return alg.right_mult_operator(a).T @ alg.coerce(f)
-
-
 def dual_actions(alg: FiniteAlgebra, f, a) -> tuple[np.ndarray, np.ndarray]:
-    """Both module actions of a on the functional f: (f.a, a.f)."""
-    return functional_times_element(alg, f, a), element_times_functional(alg, a, f)
+    """Both module actions of a on the functional f: (f.a, a.f).
+
+    f.a is the functional x -> f(a x) and a.f is the functional x -> f(x a).
+    """
+    f = alg.coerce(f)
+    return alg.left_mult_operator(a).T @ f, alg.right_mult_operator(a).T @ f
 
 
 def _bidual_left_action(alg: FiniteAlgebra, big_psi: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AlgebraMismatch, ShapeError, ValidationError
+from .errors import ShapeError, ValidationError
 from .linalg import as_complex, max_abs, nullspace, solve_consistent
 
 
@@ -99,9 +99,6 @@ class FiniteAlgebra:
     def l1_norm(self, x) -> float:
         return float(np.sum(self.norm_weights * np.abs(self.coerce(x))))
 
-    def element(self, coords) -> "AlgebraElement":
-        return AlgebraElement(self, self.coerce(coords))
-
     def associativity_residual(self) -> float:
         """max-norm of (e_i e_j) e_k - e_i (e_j e_k) over all basis triples."""
         c = self.structure
@@ -113,44 +110,15 @@ class FiniteAlgebra:
         return f"FiniteAlgebra({self.name!r}, dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
-    """An element of a FiniteAlgebra, held as a coordinate vector."""
-
-    algebra: FiniteAlgebra
-    coords: np.ndarray
-
-    def __post_init__(self):
-        c = self.algebra.coerce(self.coords)
-        c.setflags(write=False)
-        object.__setattr__(self, "coords", c)
-
-    def _check(self, other: "AlgebraElement"):
-        if other.algebra is not self.algebra and other.algebra.name != self.algebra.name:
-            raise AlgebraMismatch(f"{self.algebra.name!r} vs {other.algebra.name!r}")
-
-    def __add__(self, other):
-        self._check(other)
-        return AlgebraElement(self.algebra, self.coords + other.coords)
-
-    def __sub__(self, other):
-        self._check(other)
-        return AlgebraElement(self.algebra, self.coords - other.coords)
-
-    def __neg__(self):
-        return AlgebraElement(self.algebra, -self.coords)
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            self._check(other)
-            return AlgebraElement(self.algebra, self.algebra.multiply(self.coords, other.coords))
-        return AlgebraElement(self.algebra, self.coords * complex(other))
-
-    def __rmul__(self, scalar):
-        return AlgebraElement(self.algebra, complex(scalar) * self.coords)
-
-    def norm(self) -> float:
-        return self.algebra.l1_norm(self.coords)
+def same_content(x: FiniteAlgebra, y: FiniteAlgebra) -> bool:
+    """Whether two algebras agree in everything but their names."""
+    return (
+        x.basis_labels == y.basis_labels
+        and np.array_equal(x.structure, y.structure)
+        and np.array_equal(x.norm_weights, y.norm_weights)
+        and len(x.declared_characters) == len(y.declared_characters)
+        and all(np.array_equal(f, g) for f, g in zip(x.declared_characters, y.declared_characters))
+    )
 
 
 @dataclass(frozen=True)
@@ -245,7 +213,10 @@ def center(alg: FiniteAlgebra, tol: float) -> np.ndarray:
     """
     n = alg.dim
     commutator = alg.structure - alg.structure.transpose(1, 0, 2)
-    return nullspace(commutator.transpose(0, 2, 1).reshape(n * n, n), tol)
+    # a difference of structure-scale quantities: rounding noise in a
+    # commutative tensor must not register as a commutator
+    scale = max(1.0, max_abs(alg.structure))
+    return nullspace(commutator.transpose(0, 2, 1).reshape(n * n, n), tol, scale=scale)
 
 
 def find_left_identity(alg: FiniteAlgebra, tol: float) -> np.ndarray | None:

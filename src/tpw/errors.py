@@ -11,10 +11,6 @@ class ShapeError(WorkbenchError):
     """Array dimensions disagree with the declared dimensions."""
 
 
-class AlgebraMismatch(WorkbenchError):
-    """Operands belong to different algebras or spaces."""
-
-
 class HomInvalid(WorkbenchError):
     """A linear map failed its homomorphism check."""
 

@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from .characters import verify_character
-from .core import FiniteAlgebra, validate_algebra
+from .core import FiniteAlgebra, same_content, validate_algebra
 from .errors import CharacterRejected, ParseError, ShapeError, ValidationError
 from .product import AlgebraHom, check_hom
 from .report import dump_json
@@ -134,19 +134,9 @@ def save_algebra(alg: FiniteAlgebra, path: str):
         fh.write("\n")
 
 
-def _same_content(x: FiniteAlgebra, y: FiniteAlgebra) -> bool:
-    return (
-        x.basis_labels == y.basis_labels
-        and np.array_equal(x.structure, y.structure)
-        and np.array_equal(x.norm_weights, y.norm_weights)
-        and len(x.declared_characters) == len(y.declared_characters)
-        and all(np.array_equal(f, g) for f, g in zip(x.declared_characters, y.declared_characters))
-    )
-
-
 def _registry(alg_a: FiniteAlgebra, alg_b: FiniteAlgebra, where: str) -> dict[str, FiniteAlgebra]:
     """Algebras by name, for resolving the source and target of the hom at ``where``."""
-    if alg_a.name == alg_b.name and not _same_content(alg_a, alg_b):
+    if alg_a.name == alg_b.name and not same_content(alg_a, alg_b):
         raise ValidationError(
             f"{where}: algebras A and B are both named {alg_a.name!r} but differ; "
             "the hom's source and target cannot be told apart, so rename one of them"

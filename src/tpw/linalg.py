@@ -4,12 +4,20 @@ Every rank decision in the workbench goes through the same singular-value
 cutoff: tol * (largest singular value) * max(matrix dimension, 1), the rule of
 ``numpy.linalg.matrix_rank``.  ``nullspace`` reduces a tall system to its
 triangular QR factor R before the SVD, so no rows x rows factor is ever
-formed; the cutoff still uses the original matrix's shape.
+formed; the cutoff still uses the original matrix's shape.  A system too
+large to hold can be given to ``nullspace`` as a stream of row blocks, which
+are folded into R one at a time (tall-skinny QR by stacked R factors;
+Demmel, Grigori, Hoemmen and Langou, SIAM J. Sci. Comput. 34, 2012).  The
+Leibniz system of ``amenability.derivation_space``, n^3 x n^2 for an algebra
+of dim n, is solved this way in about 3 * 5 n^4 * 16 B instead of
+3 n^5 * 16 B.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import ShapeError
 
 
 def as_complex(a) -> np.ndarray:
@@ -46,19 +54,47 @@ def rank(a, tol: float, scale: float = 0.0) -> int:
 def nullspace(a, tol: float, scale: float = 0.0) -> np.ndarray:
     """Orthonormal basis (columns) of {x : a @ x = 0}.
 
-    A tall ``a`` (rows > cols) is first reduced to the cols x cols factor R
-    of ``a = QR``: R has the singular values and right singular vectors of
-    ``a``, so the SVD never forms a ``U`` larger than cols x cols.  The
-    cutoff is taken with ``a.shape``, as if ``a`` itself had been factored.
+    ``a`` is a matrix, or an iterable of row blocks with equal column counts
+    whose vertical stack is the matrix; a matrix is the one-block case.  The
+    blocks are folded into the triangular factor R of the stack one at a
+    time, R = qr([R; block]), with R kept in the top rows of one reused
+    column-major buffer.  R has the singular values and right singular
+    vectors of the stack, so the SVD never forms a ``U`` larger than
+    cols x cols, and the stack is never held whole.  For blocks of b rows the
+    fold holds the (cols + b) x cols buffer and the two copies of it that
+    ``numpy.linalg.qr`` makes; a block that nothing else holds is released
+    before the QR.  The cutoff is taken with the stack's shape
+    (total rows, cols), as if the stack had been factored whole.
     """
-    a = as_complex(a)
-    rows, cols = a.shape
-    if rows == 0:
+    top = total = 0  # rows in use at the top of stack; rows folded in so far
+    cols = None
+    for block in (a,) if isinstance(a, np.ndarray) else a:
+        block = as_complex(block)
+        rows, width = block.shape
+        if cols is None:
+            cols = width
+            stack = np.empty((0, cols), dtype=complex, order="F")
+        elif width != cols:
+            raise ShapeError(f"row block has {width} columns, expected {cols}")
+        if top + rows > stack.shape[0]:
+            # top <= cols, so blocks no taller than this one fit from now on
+            grown = np.empty((cols + rows, cols), dtype=complex, order="F")
+            grown[:top] = stack[:top]
+            stack = grown
+        stack[top : top + rows] = block
+        del block  # a block nothing else holds is freed before qr copies the stack
+        top += rows
+        total += rows
+        if top > cols:
+            # LAPACK's gesdd would take the same QR step internally for tall input
+            stack[:cols] = np.linalg.qr(stack[:top], mode="r")
+            top = cols
+    if cols is None:
+        raise ShapeError("nullspace of an empty sequence of row blocks")
+    if total == 0:
         return np.eye(cols, dtype=complex)
-    # LAPACK's gesdd takes the same QR step internally for tall input
-    square_or_wide = np.linalg.qr(a, mode="r") if rows > cols else a
-    _, s, vh = np.linalg.svd(square_or_wide, full_matrices=True)
-    r = int(np.sum(s > svd_cutoff(s, a.shape, tol, scale)))
+    _, s, vh = np.linalg.svd(stack[:top], full_matrices=True)
+    r = int(np.sum(s > svd_cutoff(s, (total, cols), tol, scale)))
     return vh[r:].conj().T
 
 

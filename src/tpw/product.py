@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FiniteAlgebra, LinearMap
+from .core import FiniteAlgebra, LinearMap, same_content
 from .errors import HomInvalid, ShapeError, ValidationError
 from .linalg import as_complex, max_abs, rank
 
@@ -133,10 +133,11 @@ class MorphismProduct:
 
 def build_product(a: FiniteAlgebra, b: FiniteAlgebra, hom: AlgebraHom, tol: float) -> MorphismProduct:
     """Construct the product algebra; the hom must pass check_hom at tol."""
-    if hom.target is not a and hom.target.name != a.name:
-        raise HomInvalid(f"hom targets {hom.target.name!r}, not {a.name!r}")
-    if hom.source is not b and hom.source.name != b.name:
-        raise HomInvalid(f"hom sources {hom.source.name!r}, not {b.name!r}")
+    # endpoints are matched by identity or content: a name says nothing about the algebra
+    if hom.target is not a and not same_content(hom.target, a):
+        raise HomInvalid(f"hom targets {hom.target.name!r}, which is not the algebra {a.name!r}")
+    if hom.source is not b and not same_content(hom.source, b):
+        raise HomInvalid(f"hom sources {hom.source.name!r}, which is not the algebra {b.name!r}")
     report = check_hom(hom, tol)
     if not report.valid:
         raise HomInvalid(

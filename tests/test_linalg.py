@@ -1,16 +1,19 @@
-"""linalg.nullspace against a full-SVD reference, and a counted guard on SVD shapes.
+"""linalg.nullspace against a full-SVD reference, and counted guards on its shapes.
 
-``nullspace`` reduces a tall matrix to its R factor before the SVD.  The
-reference below takes the full SVD of the matrix itself, with the same
-cutoff, and the two must agree on the rank and on the subspace.
+``nullspace`` folds a matrix, or a stream of its row blocks, into the R
+factor of its QR before the SVD.  The reference below takes the full SVD of
+the whole matrix, with the same cutoff, and the two must agree on the rank
+and on the subspace, however the rows are split into blocks.
 """
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tpw.amenability import derivation_space
+from tpw.errors import ShapeError
 from tpw.linalg import nullspace, subspaces_equal, svd_cutoff
 
 from conftest import TOL, matrix_unit_algebra, random_unitary, rebased
@@ -59,6 +62,73 @@ def test_nullspace_matches_full_svd_reference(scale):
         assert np.allclose(got.conj().T @ got, np.eye(got.shape[1]), atol=1e-12), label
 
 
+def row_blocks(a, split):
+    """The rows of ``a`` as a generator of blocks: one block, one row each, or uneven blocks of 5."""
+    if split == "one":
+        yield a
+    else:
+        size = 1 if split == "rows" else 5
+        for start in range(0, a.shape[0], size):
+            yield a[start : start + size]
+
+
+@pytest.mark.parametrize("split", ["one", "rows", "uneven"])
+@pytest.mark.parametrize("scale", [0.0, 1.0])
+def test_block_fed_nullspace_matches_full_svd_reference(split, scale):
+    for label, a in seeded_matrices():
+        got, want = nullspace(row_blocks(a, split), TOL, scale), reference_nullspace(a, TOL, scale)
+        assert got.shape == want.shape, (label, split, scale)
+        equal, residual = subspaces_equal(got, want, 1e-10)
+        assert equal, (label, split, scale, residual)
+        assert np.allclose(got.conj().T @ got, np.eye(got.shape[1]), atol=1e-12), label
+
+
+def test_block_fed_cutoff_uses_the_total_shape():
+    """A singular value of 3e-7 lies under the cutoff of the whole 640 x 16 matrix (6.4e-7)
+    and over the cutoff of any stack the fold factors, at most (16 + 64) x 16 (8e-8)."""
+    rng = np.random.default_rng(5)
+    u, _ = np.linalg.qr(gaussian(rng, 640, 16))
+    v, _ = np.linalg.qr(gaussian(rng, 16, 16))
+    a = (u * np.r_[np.ones(12), 3e-7, np.zeros(3)]) @ v.conj().T
+    for blocks in ([a], (a[start : start + 64] for start in range(0, 640, 64))):
+        got = nullspace(blocks, TOL, 1.0)
+        assert got.shape == (16, 4)
+        assert subspaces_equal(got, reference_nullspace(a, TOL, 1.0), 1e-10)[0]
+
+
+def test_block_fed_nullspace_rejects_ragged_or_empty_input():
+    with pytest.raises(ShapeError):
+        nullspace([np.ones((3, 4)), np.ones((3, 1))], TOL)
+    with pytest.raises(ShapeError):
+        nullspace(iter(()), TOL)
+
+
+def test_derivation_space_folds_blocks_of_at_most_five_n_squared_rows(monkeypatch):
+    """Every QR input holds R and one block of the Leibniz system, and the system is never formed."""
+    shapes = []
+    qr = np.linalg.qr
+
+    def counted_qr(a, *args, **kwargs):
+        if sys._getframe(1).f_code.co_name == "nullspace":
+            shapes.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    m4 = matrix_unit_algebra("M", 4)
+    alg = rebased(m4, random_unitary(np.random.default_rng(4), m4.dim))
+    n = alg.dim
+    tracemalloc.start()
+    try:
+        space = derivation_space(alg, TOL)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert space.dim_der == space.dim_inner == 15
+    # 4 blocks of 4 values of i: the first QR sees one block, the others R on top of one
+    assert shapes == [(4 * n * n, n * n)] + [(5 * n * n, n * n)] * 3
+    assert peak < n**5 * 16, peak  # the whole n^3 x n^2 complex system
+
+
 def test_nullspace_of_zero_rows_is_everything():
     for cols in (1, 4):
         basis = nullspace(np.zeros((0, cols)), TOL)
@@ -93,3 +163,9 @@ def test_derivation_dims_closed_forms(k):
         for candidate in (alg, rebased(alg, random_unitary(rng, alg.dim))):
             space = derivation_space(candidate, TOL)
             assert space.dim_der == space.dim_inner == expected, (candidate.name, space.dim_der, space.dim_inner)
+
+
+def test_derivation_dims_closed_form_rebased_m5():
+    m5 = matrix_unit_algebra("M", 5)
+    space = derivation_space(rebased(m5, random_unitary(np.random.default_rng(5), m5.dim)), TOL)
+    assert space.dim_der == space.dim_inner == 24

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tpw.core import FiniteAlgebra
 from tpw.corpus import (
     algebra_c,
     algebra_c2,
@@ -102,6 +103,23 @@ def test_build_product_rejects_bad_hom(alg_c2):
     bad = AlgebraHom(source=alg_c2, target=alg_c2, matrix=np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(HomInvalid):
         build_product(alg_c2, alg_c2, bad, TOL)
+
+
+def test_build_product_matches_hom_endpoints_by_content(alg_ut2, alg_c2):
+    """A namesake with other structure is not the algebra; a renamed copy of it is."""
+    namesake = FiniteAlgebra(name=alg_ut2.name, basis_labels=alg_ut2.basis_labels,
+                             structure=np.zeros((3, 3, 3)))
+    with pytest.raises(HomInvalid):
+        build_product(alg_ut2, alg_c2, hom_zero(alg_c2, namesake), TOL)
+    with pytest.raises(HomInvalid):
+        build_product(namesake, alg_c2, hom_zero(alg_c2, alg_ut2), TOL)
+    other_c2 = FiniteAlgebra(name=alg_c2.name, basis_labels=alg_c2.basis_labels,
+                             structure=np.zeros((2, 2, 2)))
+    with pytest.raises(HomInvalid):
+        build_product(alg_ut2, alg_c2, hom_zero(other_c2, alg_ut2), TOL)
+    copy = FiniteAlgebra(name="UT2-copy", basis_labels=alg_ut2.basis_labels, structure=alg_ut2.structure)
+    product = build_product(alg_ut2, alg_c2, hom_zero(alg_c2, copy), TOL)
+    assert product.a is alg_ut2
 
 
 def test_product_associativity_fuzz(corpus, rng):

@@ -12,8 +12,8 @@ import pytest
 from tpw.amenability import derivation_space, is_weakly_amenable
 from tpw.arens import topological_center
 from tpw.characters import enumerate_characters
-from tpw.core import FiniteAlgebra, validate_algebra
-from tpw.corpus import algebra_c2, algebra_group_z2, algebra_m2, algebra_ut2, hom_c2_diag_into_ut2
+from tpw.core import FiniteAlgebra, center, validate_algebra
+from tpw.corpus import algebra_c2, algebra_group_z2, algebra_m2, algebra_ut2, builtin_corpus, hom_c2_diag_into_ut2
 from tpw.product import AlgebraHom
 from tpw.suite import RunConfig, verify_theorems
 
@@ -82,3 +82,27 @@ def test_plainly_rebased_group_algebra_keeps_its_characters():
         space = derivation_space(alg, TOL)
         assert space.dim_inner == space.dim_der == 0, seed
         assert is_weakly_amenable(alg, TOL), seed
+
+
+def test_plainly_rebased_group_algebra_keeps_its_centre():
+    """C[Z2] is commutative, so its centre is all of it, in any unitary basis."""
+    z2 = algebra_group_z2()
+    dims = [center(rebased(z2, random_unitary(np.random.default_rng(seed), 2)), TOL).shape[1]
+            for seed in range(40)]
+    assert dims == [2] * 40
+
+
+@pytest.mark.parametrize("tol", [1e-11, 1e-9, 1e-7])
+def test_plainly_rebased_zero_hom_triple_keeps_inner_amenability(tol):
+    """m2-cz2-zero, rebased plainly: the inner-mean equivalences hold at every tolerance."""
+    entry = next(e for e in builtin_corpus() if e.entry_id == "m2-cz2-zero")
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        ua, ub = random_unitary(rng, entry.algebra_a.dim), random_unitary(rng, entry.algebra_b.dim)
+        a, b = rebased(entry.algebra_a, ua), rebased(entry.algebra_b, ub)
+        hom = AlgebraHom(source=b, target=a, matrix=ua.conj().T @ entry.hom.matrix @ ub)
+        report = verify_theorems(a, b, hom, RunConfig(tol=tol))
+        claims = [v for v in report.verdicts if v.claim.startswith("09-inner/") and v.claim.endswith("equivalence")]
+        assert any(v.claim == "09-inner/character-inner-amenability-equivalence" for v in claims)
+        failing = [v.claim for v in claims if v.status != "pass"]
+        assert not failing, (seed, failing)
