@@ -27,7 +27,7 @@ import numpy as np
 
 from .arens import arens_tables, stacked_side_system
 from .characters import CharacterEnumeration, enumerate_characters
-from .core import FiniteAlgebra, LinearMap, center, find_left_identity, find_right_identity
+from .core import FiniteAlgebra, center, find_left_identity, find_right_identity
 from .errors import NotADerivation
 from .linalg import column_space, max_abs, nullspace, orthonormalize, rank, subspaces_equal
 from .product import MorphismProduct
@@ -160,24 +160,6 @@ def inner_derivation(alg: FiniteAlgebra, f) -> np.ndarray:
     return (_inner_map(alg) @ f).reshape(alg.dim, alg.dim)
 
 
-def projection_maps(product: MorphismProduct) -> dict[str, LinearMap]:
-    """The two multiplicative projections used to pull derivations back.
-
-    p1(a, b) = a + T(b) onto the first factor and p2(a, b) = b onto the
-    second; both are algebra homs of the product.
-    """
-    na, nb = product.dim_a, product.dim_b
-    p1 = np.zeros((na, na + nb), dtype=complex)
-    p1[:, :na] = np.eye(na)
-    p1[:, na:] = product.hom.matrix
-    p2 = np.zeros((nb, na + nb), dtype=complex)
-    p2[:, na:] = np.eye(nb)
-    return {
-        "p1": LinearMap(source=product.algebra.name, target=product.a.name, matrix=p1),
-        "p2": LinearMap(source=product.algebra.name, target=product.b.name, matrix=p2),
-    }
-
-
 def lift_derivation(d: np.ndarray, which: str, product: MorphismProduct, tol: float) -> np.ndarray:
     """Pull a factor derivation back to the product: D = P' o d o P.
 
@@ -192,7 +174,9 @@ def lift_derivation(d: np.ndarray, which: str, product: MorphismProduct, tol: fl
         raise NotADerivation(
             f"input map on {factor.name!r} violates the Leibniz identity (residual {residual:.3e})"
         )
-    p = projection_maps(product)[which].matrix
+    # p1(a, b) = a + T(b) and p2(a, b) = b, both algebra homs of the product
+    na, nb = product.dim_a, product.dim_b
+    p = {"p1": np.hstack([np.eye(na), product.hom.matrix]), "p2": np.hstack([np.zeros((nb, na)), np.eye(nb)])}[which]
     return p.T @ d @ p
 
 

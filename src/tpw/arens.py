@@ -20,9 +20,9 @@ and the invariant-element system in ``amenability``) is a slice or a
 contraction of these tables.  The tables come from the chain and are never
 read off ``structure``, so that agreement of the Arens products with the
 original multiplication stays an actual check of the chain and not a
-definition.  Every finite-dimensional algebra is Arens regular, so
-topological-center computations here are degenerate consistency checks by
-design.
+definition.  Every finite-dimensional algebra is Arens regular, so a
+topological center here is the whole bidual unless the two tables disagree;
+the suite checks exactly that, on the product, and nothing finer.
 """
 
 from __future__ import annotations
@@ -294,8 +294,12 @@ def _center_system(alg: FiniteAlgebra, side: str) -> np.ndarray:
 
 
 def topological_center_membership(alg: FiniteAlgebra, big_phi, side: str, tol: float) -> tuple[bool, float]:
-    """Whether both Arens products agree against Phi over a bidual basis."""
-    worst = max_abs(_center_system(alg, side) @ alg.coerce(big_phi))
+    """Whether both Arens products agree against Phi over a bidual basis.
+
+    Phi may be a stack of shape (..., n); the answer and the residual are the
+    worst over the stack.
+    """
+    worst = max_abs(_bidual_stack(alg, big_phi) @ _center_system(alg, side).T)
     return worst <= tol, worst
 
 

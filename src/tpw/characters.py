@@ -72,13 +72,11 @@ def commutator_ideal(alg: FiniteAlgebra, tol: float) -> np.ndarray:
     # commutators cancel structure-scale quantities: rounding must not count as rank
     scale = max(1.0, max_abs(c))
     basis = orthonormalize(commutators, tol, scale)
+    n = alg.dim
     while basis.shape[1] > 0:
-        grown = [basis]
-        for k in range(alg.dim):
-            e = alg.basis_vector(k)
-            grown.append(alg.left_mult_operator(e) @ basis)
-            grown.append(alg.right_mult_operator(e) @ basis)
-        new_basis = orthonormalize(np.hstack(grown), tol, scale)
+        # columns [B, e_0 B, B e_0, e_1 B, B e_1, ...]: grown[m, k, 0] = e_k B, grown[m, k, 1] = B e_k
+        grown = np.stack([np.einsum("kjm,jb->mkb", c, basis), np.einsum("ikm,ib->mkb", c, basis)], axis=2)
+        new_basis = orthonormalize(np.hstack([basis, grown.reshape(n, -1)]), tol, scale)
         if new_basis.shape[1] == basis.shape[1]:
             break
         basis = new_basis
@@ -188,8 +186,9 @@ def enumerate_characters(alg: FiniteAlgebra, tol: float, seed: int = 0) -> Chara
         m = q.dim
         rng = np.random.default_rng(seed)
         splitter = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        ops: list[tuple[int | None, np.ndarray]] = [(None, q.left_mult_operator(splitter).T)]
-        ops += [(j, q.left_mult_operator(q.basis_vector(j)).T) for j in range(m)]
+        # the transposed left-multiplication operator of a is sum_i a_i structure[i]
+        ops: list[tuple[int | None, np.ndarray]] = [(None, np.einsum("i,ijk->jk", splitter, q.structure))]
+        ops += [(j, q.structure[j]) for j in range(m)]
         cluster_tol = max(np.sqrt(tol), 100 * tol)
         branches = _joint_eigenvalue_branches(ops, m, cluster_tol)
         for basis, values in branches:

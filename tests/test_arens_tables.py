@@ -207,7 +207,8 @@ def _rebind(monkeypatch, original, wrapper):
 
 
 def test_suite_run_counts_chain_and_operator_calls(monkeypatch):
-    """One suite run on C5 x C5 evaluates the chain only in group 02's cross-check."""
+    """One suite run on C5 x C5 evaluates the chain only in group 02's cross-check
+    and builds no multiplication operator."""
     c5 = rebased(matrix_unit_algebra("C", 5), random_unitary(np.random.default_rng(3), 5), "C5")
     hom = AlgebraHom(source=c5, target=c5, matrix=np.eye(5))
     calls, scopes = Counter(), []
@@ -246,8 +247,13 @@ def test_suite_run_counts_chain_and_operator_calls(monkeypatch):
     # group 02: one stack of 100 random pairs per algebra (A, B, product) x both Arens products
     assert calls["chain"] == 6
     assert calls["left_mult_in_consumers"] == 0
-    assert min(calls["solve_tli"], calls["topological_center"], calls["hom_adjoints"]) > 0
-    assert calls["left_mult_elsewhere"] > 0
+    assert min(calls["solve_tli"], calls["hom_adjoints"]) > 0
+    # group 04: the product's center, once per side
+    assert calls["topological_center"] == 2
+    # character enumeration contracts the structure tensor too
+    assert calls["left_mult_elsewhere"] == 0
+    c5.left_mult_operator(c5.basis_vector(0))
+    assert calls["left_mult_elsewhere"] == 1
 
 
 @pytest.mark.parametrize("chain", [arens_first, arens_second])

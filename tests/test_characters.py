@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import tpw.characters
 from tpw.characters import (
     commutative_quotient,
     commutator_ideal,
@@ -13,10 +14,10 @@ from tpw.characters import (
 from tpw.core import FiniteAlgebra
 from tpw.corpus import algebra_cn, hom_identity, hom_zero
 from tpw.errors import CharacterRejected
-from tpw.linalg import max_abs
+from tpw.linalg import max_abs, orthonormalize, subspaces_equal
 from tpw.product import AlgebraHom, build_product
 
-from conftest import TOL
+from conftest import TOL, matrix_unit_algebra, random_unitary, rebased
 
 
 def oracle_cn_characters(n):
@@ -50,6 +51,71 @@ def test_verify_rejects_zero_product_functional(alg_null1):
 def test_verify_rejects_zero_functional(alg_c2):
     with pytest.raises(CharacterRejected):
         verify_character(alg_c2, [0.0, 0.0], TOL)
+
+
+def contraction_algebras(corpus):
+    """Every corpus algebra and product, and rebased C_k, T_k and M_k for k <= 4."""
+    for e in corpus:
+        yield from (e.algebra_a, e.algebra_b, build_product(e.algebra_a, e.algebra_b, e.hom, TOL).algebra)
+    rng = np.random.default_rng(4)
+    for family in "CTM":
+        for k in range(1, 5):
+            alg = matrix_unit_algebra(family, k)
+            yield rebased(alg, random_unitary(rng, alg.dim))
+
+
+def reference_commutator_ideal(alg, tol):
+    """The ideal grown one basis vector at a time from the multiplication operators."""
+    c = alg.structure
+    scale = max(1.0, max_abs(c))
+    basis = orthonormalize((c - c.transpose(1, 0, 2)).reshape(-1, alg.dim).T, tol, scale)
+    while basis.shape[1] > 0:
+        grown = [basis]
+        for k in range(alg.dim):
+            e = alg.basis_vector(k)
+            grown.append(alg.left_mult_operator(e) @ basis)
+            grown.append(alg.right_mult_operator(e) @ basis)
+        new_basis = orthonormalize(np.hstack(grown), tol, scale)
+        if new_basis.shape[1] == basis.shape[1]:
+            break
+        basis = new_basis
+    return basis
+
+
+def test_commutator_ideal_matches_per_basis_loop(corpus):
+    for alg in contraction_algebras(corpus):
+        ideal, ref = commutator_ideal(alg, TOL), reference_commutator_ideal(alg, TOL)
+        assert ideal.shape == ref.shape, alg.name
+        assert subspaces_equal(ideal, ref, 1e-12)[0], alg.name
+
+
+def test_quotient_operators_match_left_mult_operators(monkeypatch, corpus):
+    """The operators enumeration refines by are the transposed left-multiplication
+    operators of the seeded splitter and of each quotient basis vector."""
+    seen = []
+
+    def record(operators, dim, cluster_tol):
+        seen.append(operators)
+        return branches(operators, dim, cluster_tol)
+
+    branches = tpw.characters._joint_eigenvalue_branches
+    monkeypatch.setattr(tpw.characters, "_joint_eigenvalue_branches", record)
+    for alg in contraction_algebras(corpus):
+        q = commutative_quotient(alg, TOL).quotient
+        seen.clear()
+        enumerate_characters(alg, TOL, seed=3)
+        if q is None:
+            assert not seen, alg.name
+            continue
+        rng = np.random.default_rng(3)
+        splitter = rng.standard_normal(q.dim) + 1j * rng.standard_normal(q.dim)
+        want = [(None, q.left_mult_operator(splitter).T)]
+        want += [(j, q.left_mult_operator(q.basis_vector(j)).T) for j in range(q.dim)]
+        (ops,) = seen
+        assert [label for label, _ in ops] == [label for label, _ in want], alg.name
+        bound = 1e-12 * max(1.0, max_abs(q.structure)) * max(1.0, max_abs(splitter))
+        for (_, op), (_, ref) in zip(ops, want):
+            assert max_abs(op - ref) <= bound, alg.name
 
 
 def test_commutator_ideal_row2(alg_row2):

@@ -1,5 +1,7 @@
 """The assembled theorem suite across the corpus."""
 
+import json
+
 import pytest
 
 from tpw.amenability import is_character_amenable, is_character_inner_amenable, is_weakly_amenable
@@ -36,16 +38,38 @@ def test_reports_carry_finite_dimension_caveat(reports):
         assert any("Arens regular" in c for c in report.caveats)
 
 
-def test_epi_entries_check_center_equality(reports):
-    for entry_id in ("c-c-id", "c2-c2-swap"):
-        claims = {v.claim: v.status for v in reports[entry_id].verdicts}
-        assert claims["04-topological-centers/left/product-center-equals-factor-centers"] == "pass"
-        assert claims["03-adjoints/surjectivity-passes-to-second-adjoint"] == "pass"
+CENTER_CLAIM = "04-topological-centers/{}/product-center-is-whole-bidual"
 
 
-def test_non_epi_entries_skip_center_equality(reports):
-    claims = {v.claim: v.status for v in reports["row2-c-zero"].verdicts}
-    assert claims["04-topological-centers/left/product-center-equals-factor-centers"] == "skip"
+def test_product_center_is_whole_bidual_on_every_entry(reports):
+    for entry_id, report in reports.items():
+        claims = {v.claim: v.status for v in report.verdicts}
+        for side in ("left", "right"):
+            assert claims[CENTER_CLAIM.format(side)] == "pass", (entry_id, side)
+
+
+def test_center_claim_fails_when_arens_tables_disagree(monkeypatch, corpus):
+    """With the second Arens table transposed, e_p <> e_q becomes e_q e_p, so
+    the product's topological center shrinks unless the product is commutative."""
+    import tpw.arens
+
+    tables = tpw.arens.arens_tables
+
+    def transposed_second(alg):
+        first, second = tables(alg)
+        return tpw.arens.ArensTables(first, second.transpose(1, 0, 2))
+
+    monkeypatch.setattr(tpw.arens, "arens_tables", transposed_second)
+    entries = {e.entry_id: e for e in corpus}
+    for entry_id, want in (("ut2-c2-diag", "fail"), ("m2-cz2-zero", "fail"), ("c2-c2-swap", "pass")):
+        e = entries[entry_id]
+        report = verify_theorems(e.algebra_a, e.algebra_b, e.hom, RunConfig())
+        verdicts = {v.claim: v for v in report.verdicts}
+        for side in ("left", "right"):
+            verdict = verdicts[CENTER_CLAIM.format(side)]
+            assert verdict.status == want, (entry_id, side)
+            if want == "fail":
+                assert verdict.witness["center_dim"] < verdict.witness["dim"] == e.algebra_a.dim + e.algebra_b.dim
 
 
 def test_every_failure_would_carry_witness(reports):
@@ -101,29 +125,38 @@ def test_report_claim_order_is_deterministic(corpus):
 
 
 def test_corpus_run_counts_multiply_and_operator_calls(monkeypatch, capsys):
-    """Counted guard: one built-in ``corpus run`` multiplies no pair of vectors and builds few operators.
+    """Counted guard: one built-in ``corpus run`` multiplies no pair of vectors,
+    builds no multiplication operator, and solves two topological centers per triple.
 
-    Group 02's cross-check, the embedding check, the Leibniz residual and the
-    commutative quotient are contractions over the structure tensor; what is
-    left of ``left_mult_operator`` is the character enumeration's splitting
-    operators and the commutator-ideal growth.
+    Group 02's cross-check, the embedding check, the Leibniz residual, the
+    commutator ideal and the commutative quotient's operators are all
+    contractions over the structure tensor; group 04 asks only for the
+    product's center on each side.
     """
     from collections import Counter
 
+    import tpw.suite
     from tpw.cli import main
     from tpw.core import FiniteAlgebra
 
     calls = Counter()
-    for name in ("multiply", "left_mult_operator"):
+    for name in ("multiply", "left_mult_operator", "right_mult_operator"):
         def counted(self, *args, _name=name, _fn=getattr(FiniteAlgebra, name)):
             calls[_name] += 1
             return _fn(self, *args)
         monkeypatch.setattr(FiniteAlgebra, name, counted)
+    center = tpw.suite.topological_center
+
+    def counted_center(*args):
+        calls["topological_center"] += 1
+        return center(*args)
+
+    monkeypatch.setattr(tpw.suite, "topological_center", counted_center)
     monkeypatch.delenv("TPW_CORPUS_DIR", raising=False)
     assert main(["corpus", "run", "--format", "json"]) == 0
-    capsys.readouterr()
-    assert calls["multiply"] == 0
-    assert calls["left_mult_operator"] <= 98
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    assert calls["multiply"] == calls["left_mult_operator"] == calls["right_mult_operator"] == 0
+    assert calls["topological_center"] == 2 * len(entries) == 16
 
 
 def test_benchmark_tracer_spans_resolve():
