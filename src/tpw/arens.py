@@ -223,8 +223,8 @@ def hom_adjoints(hom: AlgebraHom, tol: float) -> HomAdjoints:
     res1 = max_abs(tables_b.first @ m2.T - _pair_batches(tables_a.first, m2, m2))
     res2 = max_abs(tables_b.second @ m2.T - _pair_batches(tables_a.second, m2, m2))
 
+    # T'' has T's matrix, so surjectivity passes to it with the same rank
     source_epi = rank(m, tol) == a_alg.dim
-    second_epi = rank(t_second.matrix, tol) == a_alg.dim
     return HomAdjoints(
         t_prime=t_prime,
         t_second=t_second,
@@ -232,7 +232,7 @@ def hom_adjoints(hom: AlgebraHom, tol: float) -> HomAdjoints:
         mult_residual_first=res1,
         mult_residual_second=res2,
         source_epi=source_epi,
-        second_epi=second_epi,
+        second_epi=source_epi,
     )
 
 

@@ -74,8 +74,9 @@ def commutator_ideal(alg: FiniteAlgebra, tol: float) -> np.ndarray:
     basis = orthonormalize(commutators, tol, scale)
     n = alg.dim
     while basis.shape[1] > 0:
-        # columns [B, e_0 B, B e_0, e_1 B, B e_1, ...]: grown[m, k, 0] = e_k B, grown[m, k, 1] = B e_k
-        grown = np.stack([np.einsum("kjm,jb->mkb", c, basis), np.einsum("ikm,ib->mkb", c, basis)], axis=2)
+        # left products suffice: [x, z] y = [xy, z] - x [y, z], so the left ideal
+        # the commutators generate is two-sided; columns [B, e_0 B, e_1 B, ...]
+        grown = np.einsum("kjm,jb->mkb", c, basis)
         new_basis = orthonormalize(np.hstack([basis, grown.reshape(n, -1)]), tol, scale)
         if new_basis.shape[1] == basis.shape[1]:
             break
@@ -248,8 +249,9 @@ def product_characters(product: MorphismProduct, tol: float, seed: int = 0) -> P
 
 def character_decomposition(product: MorphismProduct, sigma_a: CharacterEnumeration, sigma_b: CharacterEnumeration,
                             enumerated: CharacterEnumeration, tol: float) -> ProductCharacterReport:
-    """Build {(phi, phi o T)} and {(0, psi)}, verify both families, and compare
-    against an independent enumeration of the product's characters.
+    """Build {(phi, phi o T)} and {(0, psi)}, measure each member's defect as a
+    product character, and compare against an independent enumeration of the
+    product's characters.
 
     ``sigma_a``, ``sigma_b`` and ``enumerated`` enumerate A, B and the product.
     ``decomposition_ok`` is None (unknown) when any enumeration is flagged
@@ -258,14 +260,12 @@ def character_decomposition(product: MorphismProduct, sigma_a: CharacterEnumerat
     palg = product.algebra
     m = product.hom.matrix
 
-    lifted = []
-    for ch in sigma_a.characters:
-        phi = ch.functional
-        lifted.append(verify_character(palg, np.concatenate([phi, m.T @ phi]), tol))
-    pure_b = []
-    for ch in sigma_b.characters:
-        psi = ch.functional
-        pure_b.append(verify_character(palg, np.concatenate([np.zeros(product.dim_a), psi]), tol))
+    def member(f):
+        # recorded with its defect, not verified: a wrong product fails the claim instead of raising
+        return Character(palg, f, character_defect(palg, f)[0])
+
+    lifted = [member(np.concatenate([ch.functional, m.T @ ch.functional])) for ch in sigma_a.characters]
+    pure_b = [member(np.concatenate([np.zeros(product.dim_a), ch.functional])) for ch in sigma_b.characters]
 
     combined = [c.functional for c in lifted] + [c.functional for c in pure_b]
     disjoint = all(

@@ -36,7 +36,7 @@ def _add_common(parser: argparse.ArgumentParser):
 
 
 def _config(args) -> RunConfig:
-    return RunConfig(tol=args.tol, seed=args.seed, side=args.side, format=args.format)
+    return RunConfig(tol=args.tol, seed=args.seed, side=args.side)
 
 
 def _emit(args, payload, text: str) -> None:

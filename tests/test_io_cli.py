@@ -1,6 +1,7 @@
 """File formats, loaders, the command-line interface, and its exit-code contract."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,7 +50,7 @@ def test_algebra_round_trip_is_byte_identical(files):
     alg = load_algebra(paths["M2"])
     out = tmp_path / "resaved.json"
     save_algebra(alg, str(out))
-    assert out.read_bytes() == open(paths["M2"], "rb").read()
+    assert out.read_bytes() == Path(paths["M2"]).read_bytes()
 
 
 def test_load_reports_parse_position(tmp_path):

@@ -2,12 +2,16 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from tpw.amenability import is_character_amenable, is_character_inner_amenable, is_weakly_amenable
-from tpw.product import build_product
-from tpw.suite import RunConfig, verify_theorems
+from tpw.amenability import is_character_amenable, is_character_inner_amenable, is_weakly_amenable, product_analyses
+from tpw.core import FiniteAlgebra
+from tpw.product import AlgebraHom, MorphismProduct, build_product
+from tpw.suite import RunConfig, verify_product, verify_theorems
 from tpw.errors import ValidationError
+
+from conftest import random_unitary, rebased
 
 @pytest.fixture(scope="module")
 def reports(corpus):
@@ -36,6 +40,49 @@ def test_all_corpus_entries_pass(reports):
 def test_reports_carry_finite_dimension_caveat(reports):
     for report in reports.values():
         assert any("Arens regular" in c for c in report.caveats)
+
+
+SHEAR_CLAIM = "01-construction/shear-onto-direct-sum"
+
+
+def test_shear_claim_passes_on_every_entry_and_a_rebased_copy(reports, corpus):
+    for entry_id, report in reports.items():
+        assert {v.claim: v.status for v in report.verdicts}[SHEAR_CLAIM] == "pass", entry_id
+    rng = np.random.default_rng(0)
+    for e in corpus:
+        ua, ub = random_unitary(rng, e.algebra_a.dim), random_unitary(rng, e.algebra_b.dim)
+        a, b = rebased(e.algebra_a, ua), rebased(e.algebra_b, ub)
+        hom = AlgebraHom(source=b, target=a, matrix=ua.conj().T @ e.hom.matrix @ ub)
+        report = verify_theorems(a, b, hom, RunConfig())
+        assert {v.claim: v.status for v in report.verdicts}[SHEAR_CLAIM] == "pass", e.entry_id
+
+
+def test_direct_sum_fails_the_shear_claim_instead_of_raising(corpus):
+    """The product's blocks multiplied as the plain direct sum, without the cross
+    terms a1 T(b2) + T(b1) a2: the suite reports it, with a basis pair that mixes
+    the two blocks, exactly when the hom is nonzero."""
+    config = RunConfig()
+    failing = []
+    for e in corpus:
+        product = build_product(e.algebra_a, e.algebra_b, e.hom, config.tol)
+        na, n = product.dim_a, product.algebra.dim
+        c = np.zeros((n, n, n), dtype=complex)
+        c[:na, :na, :na] = product.a.structure
+        c[na:, na:, na:] = product.b.structure
+        direct_sum = FiniteAlgebra(name=f"sum({e.entry_id})", basis_labels=product.algebra.basis_labels,
+                                   structure=c, norm_weights=product.algebra.norm_weights)
+        wrong = MorphismProduct(a=product.a, b=product.b, hom=product.hom, algebra=direct_sum)
+        report = verify_product(wrong, product_analyses(wrong, config.tol, config.seed), config)
+        verdicts = {v.claim: v for v in report.verdicts}
+        shear, lifted = verdicts[SHEAR_CLAIM], verdicts["05-characters/lifted-family-verified"]
+        if not e.hom.matrix.any():
+            assert shear.status == lifted.status == "pass" and report.exit_code() == 0, e.entry_id
+            continue
+        failing.append(e.entry_id)
+        assert shear.status == lifted.status == "fail" and report.exit_code() == 1, e.entry_id
+        assert shear.residual == lifted.residual == 1.0, e.entry_id
+        assert {label[:2] for label in shear.witness["basis_pair"]} == {"a:", "b:"}, e.entry_id
+    assert failing == ["c-c-id", "c2-c-lau", "ut2-c2-diag", "c2-c2-swap"]
 
 
 CENTER_CLAIM = "04-topological-centers/{}/product-center-is-whole-bidual"
@@ -128,7 +175,7 @@ def test_corpus_run_counts_multiply_and_operator_calls(monkeypatch, capsys):
     """Counted guard: one built-in ``corpus run`` multiplies no pair of vectors,
     builds no multiplication operator, and solves two topological centers per triple.
 
-    Group 02's cross-check, the embedding check, the Leibniz residual, the
+    Group 01's shear, group 02's cross-check, the Leibniz residual, the
     commutator ideal and the commutative quotient's operators are all
     contractions over the structure tensor; group 04 asks only for the
     product's center on each side.
