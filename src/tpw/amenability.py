@@ -29,7 +29,7 @@ from .arens import arens_tables, stacked_side_system
 from .characters import CharacterEnumeration, enumerate_characters
 from .core import FiniteAlgebra, center, find_left_identity, find_right_identity
 from .errors import NotADerivation
-from .linalg import column_space, max_abs, nullspace, orthonormalize, rank, subspaces_equal
+from .linalg import column_space, max_abs, nullspace, orthonormalize, subspaces_equal
 from .product import MorphismProduct
 from .report import CheckReport
 
@@ -140,10 +140,8 @@ def derivation_space(alg: FiniteAlgebra, tol: float) -> DerivationSpace:
     copies ``numpy.linalg.qr`` makes of it took 3 n^5 * 16 B (1.5 GiB).
     """
     n = alg.dim
-    # both systems are differences of structure-scale quantities
-    scale = max(1.0, max_abs(alg.structure))
-    der_flat = nullspace(_leibniz_blocks(alg), tol, scale=scale)
-    inner_flat = column_space(_inner_map(alg), tol, scale=scale)
+    der_flat = nullspace(_leibniz_blocks(alg), tol, scale=alg.cutoff_scale)
+    inner_flat = column_space(_inner_map(alg), tol, scale=alg.cutoff_scale)
     der = tuple(der_flat[:, k].reshape(n, n) for k in range(der_flat.shape[1]))
     inner = tuple(inner_flat[:, k].reshape(n, n) for k in range(inner_flat.shape[1]))
     return DerivationSpace(algebra=alg, der_basis=der, inner_basis=inner)
@@ -174,9 +172,8 @@ def lift_derivation(d: np.ndarray, which: str, product: MorphismProduct, tol: fl
         raise NotADerivation(
             f"input map on {factor.name!r} violates the Leibniz identity (residual {residual:.3e})"
         )
-    # p1(a, b) = a + T(b) and p2(a, b) = b, both algebra homs of the product
-    na, nb = product.dim_a, product.dim_b
-    p = {"p1": np.hstack([np.eye(na), product.hom.matrix]), "p2": np.hstack([np.zeros((nb, na)), np.eye(nb)])}[which]
+    # p1 and p2, the rows of the shear, are both algebra homs of the product
+    p = product.shear[: product.dim_a] if which == "p1" else product.shear[product.dim_a :]
     return p.T @ d @ p
 
 
@@ -210,8 +207,7 @@ def solve_tli(alg: FiniteAlgebra, phi, side: str, tol: float) -> TliSolution:
     solution space (a rank test on the pairing row).
     """
     phi = alg.coerce(phi)
-    scale = max(1.0, max_abs(alg.structure), max_abs(phi))
-    basis = nullspace(_tli_system(alg, phi, side), tol, scale=scale)
+    basis = nullspace(_tli_system(alg, phi, side), tol, scale=max(alg.cutoff_scale, max_abs(phi)))
     pairings = phi @ basis
     nonvanishing = bool(basis.shape[1] and max_abs(pairings) > tol * max(1.0, max_abs(phi)))
     return TliSolution(algebra=alg, phi=phi, side=side, basis=basis, exists_nonvanishing=nonvanishing)
@@ -238,8 +234,6 @@ def tli_product_characterization(
     character and side, when the caller holds it; otherwise it is solved here.
     """
     palg = product.algebra
-    m = product.hom.matrix
-    na = product.dim_a
     tag = "embedded-first-factor" if kind == "lifted" else "second-factor-graph"
     report = CheckReport(subject=f"invariant elements of {palg.name} ({kind}, {side})")
 
@@ -247,12 +241,9 @@ def tli_product_characterization(
     chi = factor.coerce(factor_character)
     factor_sol = factor_solution if factor_solution is not None else solve_tli(factor, chi, side, tol)
     if kind == "lifted":
-        prod_char = np.concatenate([chi, m.T @ chi])
-        claimed = np.zeros((palg.dim, factor_sol.dim), dtype=complex)
-        claimed[:na, :] = factor_sol.basis
+        prod_char, claimed = product.lift_first(chi), product.embed_a(factor_sol.basis)
     else:
-        prod_char = np.concatenate([np.zeros(na, dtype=complex), chi])
-        claimed = np.vstack([-(m @ factor_sol.basis), factor_sol.basis])
+        prod_char, claimed = product.lift_second(chi), product.graph(factor_sol.basis)
     claimed = orthonormalize(claimed, tol) if claimed.size else claimed
 
     prod_sol = solve_tli(palg, prod_char, side, tol)
@@ -474,7 +465,6 @@ def inner_amenability_suite(product: MorphismProduct, tol: float, seed: int = 0,
     ``analyses`` are the run's analyses of (A, B, product), or None for fresh ones.
     """
     palg = product.algebra
-    m_hom = product.hom.matrix
     a_alg, b_alg = product.a, product.b
     report = CheckReport(subject=f"inner amenability transfer for {palg.name}")
     report.caveat(CENTER_REDUCTION_CAVEAT)
@@ -482,12 +472,12 @@ def inner_amenability_suite(product: MorphismProduct, tol: float, seed: int = 0,
 
     an_a, an_b, an_p = analyses or product_analyses(product, tol, seed)
     sigma_a, sigma_b = an_a.characters, an_b.characters
-    epi = rank(m_hom, tol) == a_alg.dim
+    epi = product.hom_report.surjective
 
     for idx, ch in enumerate(sigma_a.characters):
         phi = ch.functional
-        phi_t = m_hom.T @ phi
-        lifted = np.concatenate([phi, phi_t])
+        lifted = product.lift_first(phi)
+        _, phi_t = product.split(lifted)
         label = f"inner/first-factor-character-{idx}"
         a_mean = an_a.inner_mean(phi)
         p_mean = an_p.inner_mean(lifted)
@@ -495,48 +485,37 @@ def inner_amenability_suite(product: MorphismProduct, tol: float, seed: int = 0,
         _means_agree(report, f"{label}/equivalence", a_mean, p_mean,
                      "the factor has a mean for phi iff the product has one for the lifted character")
         if a_mean is not None:
-            _mean_witness_checks(
-                report, f"{label}/witness-embedded-factor-mean", palg,
-                np.concatenate([a_mean, np.zeros(product.dim_b)]), lifted, tol,
-            )
+            _mean_witness_checks(report, f"{label}/witness-embedded-factor-mean", palg, product.embed_a(a_mean),
+                                 lifted, tol)
         else:
             report.skip(f"{label}/witness-embedded-factor-mean", detail="factor has no mean to embed")
         if p_mean is not None:
-            m_blk, n_blk = product.split(p_mean)
-            _mean_witness_checks(
-                report, f"{label}/witness-combined-blocks", a_alg, m_blk + m_hom @ n_blk, phi, tol,
-            )
+            _, n_blk = product.split(p_mean)
+            _mean_witness_checks(report, f"{label}/witness-combined-blocks", a_alg, product.p1(p_mean), phi, tol)
             n_pair = complex(np.dot(n_blk, phi_t))
             if abs(n_pair) > tol * max(1.0, max_abs(phi_t)):
-                _mean_witness_checks(
-                    report, f"{label}/witness-normalized-second-block", b_alg, n_blk / n_pair, phi_t, tol,
-                )
+                _mean_witness_checks(report, f"{label}/witness-normalized-second-block", b_alg, n_blk / n_pair,
+                                     phi_t, tol)
             else:
-                report.skip(
-                    f"{label}/witness-normalized-second-block",
-                    detail="second block annihilates the pulled-back character; claim not applicable",
-                )
+                report.skip(f"{label}/witness-normalized-second-block",
+                            detail="second block annihilates the pulled-back character; claim not applicable")
         else:
             report.skip(f"{label}/witness-combined-blocks", detail="product has no mean to split")
             report.skip(f"{label}/witness-normalized-second-block", detail="product has no mean to split")
         if epi:
             b_mean = an_b.inner_mean(phi_t)
             if b_mean is not None:
-                _mean_witness_checks(
-                    report, f"{label}/witness-embedded-second-mean", palg,
-                    np.concatenate([np.zeros(product.dim_a), b_mean]), lifted, tol,
-                )
+                _mean_witness_checks(report, f"{label}/witness-embedded-second-mean", palg,
+                                     product.join(np.zeros(product.dim_a), b_mean), lifted, tol)
             else:
-                report.skip(
-                    f"{label}/witness-embedded-second-mean",
-                    detail="second factor has no mean for the pulled-back character",
-                )
+                report.skip(f"{label}/witness-embedded-second-mean",
+                            detail="second factor has no mean for the pulled-back character")
         else:
             report.skip(f"{label}/witness-embedded-second-mean", detail="not applicable: hom is not onto")
 
     for idx, ch in enumerate(sigma_b.characters):
         psi = ch.functional
-        pure = np.concatenate([np.zeros(product.dim_a), psi])
+        pure = product.lift_second(psi)
         label = f"inner/second-factor-character-{idx}"
         b_mean = an_b.inner_mean(psi)
         p_mean = an_p.inner_mean(pure)
@@ -544,10 +523,7 @@ def inner_amenability_suite(product: MorphismProduct, tol: float, seed: int = 0,
         _means_agree(report, f"{label}/equivalence", b_mean, p_mean,
                      "the product has a mean for (0, psi) iff the second factor has one for psi")
         if b_mean is not None:
-            _mean_witness_checks(
-                report, f"{label}/witness-graph-embedding", palg,
-                np.concatenate([-(m_hom @ b_mean), b_mean]), pure, tol,
-            )
+            _mean_witness_checks(report, f"{label}/witness-graph-embedding", palg, product.graph(b_mean), pure, tol)
         else:
             report.skip(f"{label}/witness-graph-embedding", detail="second factor has no mean to embed")
         if p_mean is not None:

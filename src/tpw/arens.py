@@ -311,6 +311,4 @@ def topological_center(alg: FiniteAlgebra, side: str, tol: float) -> np.ndarray:
     finite dimension the answer is always the whole space; see
     FINITE_DIM_CAVEAT.
     """
-    # the difference system is a cancellation of product-scale quantities
-    scale = max(1.0, max_abs(alg.structure))
-    return nullspace(_center_system(alg, side), tol, scale=scale)
+    return nullspace(_center_system(alg, side), tol, scale=alg.cutoff_scale)

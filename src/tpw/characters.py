@@ -69,8 +69,7 @@ def commutator_ideal(alg: FiniteAlgebra, tol: float) -> np.ndarray:
     """Orthonormal basis of the two-sided ideal generated by all commutators."""
     c = alg.structure
     commutators = (c - c.transpose(1, 0, 2)).reshape(-1, alg.dim).T
-    # commutators cancel structure-scale quantities: rounding must not count as rank
-    scale = max(1.0, max_abs(c))
+    scale = alg.cutoff_scale
     basis = orthonormalize(commutators, tol, scale)
     n = alg.dim
     while basis.shape[1] > 0:
@@ -258,37 +257,29 @@ def character_decomposition(product: MorphismProduct, sigma_a: CharacterEnumerat
     incomplete; membership of the constructed families is still checked.
     """
     palg = product.algebra
-    m = product.hom.matrix
 
     def member(f):
         # recorded with its defect, not verified: a wrong product fails the claim instead of raising
         return Character(palg, f, character_defect(palg, f)[0])
 
-    lifted = [member(np.concatenate([ch.functional, m.T @ ch.functional])) for ch in sigma_a.characters]
-    pure_b = [member(np.concatenate([np.zeros(product.dim_a), ch.functional])) for ch in sigma_b.characters]
+    lifted = [member(product.lift_first(ch.functional)) for ch in sigma_a.characters]
+    pure_b = [member(product.lift_second(ch.functional)) for ch in sigma_b.characters]
 
     combined = [c.functional for c in lifted] + [c.functional for c in pure_b]
     disjoint = all(
         max_abs(c1.functional - c2.functional) > 10 * tol for c1 in lifted for c2 in pure_b
     )
 
-    mismatch = None
+    def unmatched(fs, gs):
+        return next((f for f in fs if not any(max_abs(f - g) <= 10 * tol for g in gs)), None)
+
+    mismatch = decomposition_ok = None
     if sigma_a.complete and sigma_b.complete and enumerated.complete:
-        ok = True
-        for ch in enumerated.characters:
-            if not any(max_abs(ch.functional - g) <= 10 * tol for g in combined):
-                ok = False
-                mismatch = ch.functional
-                break
-        if ok:
-            for g in combined:
-                if not any(max_abs(ch.functional - g) <= 10 * tol for ch in enumerated.characters):
-                    ok = False
-                    mismatch = g
-                    break
-        decomposition_ok = ok and disjoint
-    else:
-        decomposition_ok = None
+        found = [ch.functional for ch in enumerated.characters]
+        mismatch = unmatched(found, combined)
+        if mismatch is None:
+            mismatch = unmatched(combined, found)
+        decomposition_ok = mismatch is None and disjoint
 
     return ProductCharacterReport(
         lifted=tuple(lifted),

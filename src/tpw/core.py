@@ -14,6 +14,7 @@ Conventions used throughout the workbench:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -72,6 +73,13 @@ class FiniteAlgebra:
     @property
     def dim(self) -> int:
         return len(self.basis_labels)
+
+    @cached_property
+    def cutoff_scale(self) -> float:
+        """max(1, max |structure|), the rank-cutoff floor of every system that cancels
+        structure-scale quantities (commutators; the centre, Leibniz, topological-centre
+        and invariant-element systems): rounding noise in them must not count as rank."""
+        return max(1.0, max_abs(self.structure))
 
     def basis_vector(self, i: int) -> np.ndarray:
         v = np.zeros(self.dim, dtype=complex)
@@ -213,10 +221,7 @@ def center(alg: FiniteAlgebra, tol: float) -> np.ndarray:
     """
     n = alg.dim
     commutator = alg.structure - alg.structure.transpose(1, 0, 2)
-    # a difference of structure-scale quantities: rounding noise in a
-    # commutative tensor must not register as a commutator
-    scale = max(1.0, max_abs(alg.structure))
-    return nullspace(commutator.transpose(0, 2, 1).reshape(n * n, n), tol, scale=scale)
+    return nullspace(commutator.transpose(0, 2, 1).reshape(n * n, n), tol, scale=alg.cutoff_scale)
 
 
 def find_left_identity(alg: FiniteAlgebra, tol: float) -> np.ndarray | None:

@@ -14,7 +14,7 @@ import numpy as np
 from .characters import verify_character
 from .core import FiniteAlgebra, same_content, validate_algebra
 from .errors import CharacterRejected, ParseError, ShapeError, ValidationError
-from .product import AlgebraHom, check_hom
+from .product import AlgebraHom
 from .report import dump_json
 
 DEFAULT_TOL = 1e-9
@@ -70,16 +70,19 @@ def algebra_from_dict(data: dict, where: str, tol: float = DEFAULT_TOL, validate
     name = _require(data, "name", where)
     dim = _require(data, "dim", where)
     basis = _require(data, "basis", where)
-    if not isinstance(dim, int) or dim < 1:
+    # bool is a subclass of int, but "dim": true is not a dimension
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ParseError(f"{where}: dim must be a positive integer")
     if not isinstance(basis, list) or len(basis) != dim:
         raise ParseError(f"{where}: basis must list exactly {dim} labels")
     structure = _parse_complex_array(_require(data, "structure", where), (dim, dim, dim), f"{where}: structure")
     weights = data.get("norm_weights")
-    declared = [
-        _parse_complex_array(f, (dim,), f"{where}: declared_characters[{k}]")
-        for k, f in enumerate(data.get("declared_characters", []))
-    ]
+    if weights is not None and not (isinstance(weights, list) and all(isinstance(w, (int, float)) for w in weights)):
+        raise ParseError(f"{where}: norm_weights must be a list of numbers, got {weights!r}")
+    declared = data.get("declared_characters", [])
+    if not isinstance(declared, list):
+        raise ParseError(f"{where}: declared_characters must be a list of functionals, got {declared!r}")
+    declared = [_parse_complex_array(f, (dim,), f"{where}: declared_characters[{k}]") for k, f in enumerate(declared)]
     try:
         alg = FiniteAlgebra(
             name=str(name),
@@ -161,12 +164,8 @@ def hom_from_dict(
         hom = AlgebraHom(source=source, target=target, matrix=matrix)
     except ShapeError as exc:
         raise ValidationError(f"{where}: {exc}") from exc
-    report = check_hom(hom, tol)
-    if not report.multiplicative:
-        ca, cb, m = target.structure, source.structure, hom.matrix
-        table = np.einsum("km,ijm->ijk", m, cb) - np.einsum("pi,qj,pqk->ijk", m, m, ca)
-        flat = np.max(np.abs(table), axis=2)
-        i, j = np.unravel_index(np.argmax(flat), flat.shape)
+    if not hom.mult_residual <= tol:
+        i, j = hom.worst_pair
         raise ValidationError(
             f"{where}: map is not multiplicative on basis pair "
             f"({source.basis_labels[i]!r}, {source.basis_labels[j]!r}) "

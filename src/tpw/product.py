@@ -4,13 +4,18 @@ The product carries the multiplication
 
     (a1, b1) (a2, b2) = (a1 a2 + a1 T(b2) + T(b1) a2,  b1 b2)
 
-on A + B coordinates (A-block first), with the summed l1 norm.  The A-block
-is a two-sided ideal and the quotient by it recovers B.
+on A + B coordinates (A-block first), with the summed l1 norm.  This is the
+one module that knows the block layout and decides the hom's facts: the
+product keeps the ``check_hom`` report made when it was built, and exposes
+the shear S(a, b) = (a + T b, b), an algebra isomorphism onto the direct sum
+A + B, with the block maps that carry characters, invariant elements and
+means between the product and its factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -24,15 +29,17 @@ class AlgebraHom:
     """A linear map between algebras with its multiplicativity certificate.
 
     ``matrix`` maps source coordinates to target coordinates.  The
-    multiplicativity residual and the l1-induced operator norm are computed
-    once at construction; an operator norm above 1 is a warning, not an
-    error, because nothing checked downstream depends on contractivity.
+    multiplicativity residual, the source basis pair ``worst_pair`` where it
+    is attained (the first in C order) and the l1-induced operator norm are
+    computed once at construction; an operator norm above 1 is a warning,
+    not an error, because nothing checked downstream depends on contractivity.
     """
 
     source: FiniteAlgebra
     target: FiniteAlgebra
     matrix: np.ndarray
     mult_residual: float = field(init=False)
+    worst_pair: tuple[int, int] = field(init=False)
     op_norm: float = field(init=False)
 
     def __post_init__(self):
@@ -42,19 +49,14 @@ class AlgebraHom:
             raise ShapeError(f"hom matrix has shape {m.shape}, expected {expected}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "mult_residual", self._mult_residual())
-        object.__setattr__(self, "op_norm", self._op_norm())
-
-    def _mult_residual(self) -> float:
-        ca, cb, m = self.target.structure, self.source.structure, self.matrix
-        t_of_products = np.einsum("km,ijm->ijk", m, cb)
-        products_of_t = np.einsum("pi,qj,pqk->ijk", m, m, ca)
-        return max_abs(t_of_products - products_of_t)
-
-    def _op_norm(self) -> float:
-        wa, wb = self.target.norm_weights, self.source.norm_weights
-        column_norms = wa @ np.abs(self.matrix)
-        return float(np.max(column_norms / wb))
+        ca, cb = self.target.structure, self.source.structure
+        # T(e_i e_j) - T(e_i) T(e_j) at [i, j, k]
+        gap = np.abs(np.einsum("km,ijm->ijk", m, cb) - np.einsum("pi,qj,pqk->ijk", m, m, ca))
+        i, j, k = np.unravel_index(np.argmax(gap), gap.shape)
+        object.__setattr__(self, "mult_residual", float(gap[i, j, k]))
+        object.__setattr__(self, "worst_pair", (int(i), int(j)))
+        column_norms = self.target.norm_weights @ np.abs(m)
+        object.__setattr__(self, "op_norm", float(np.max(column_norms / self.source.norm_weights)))
 
     def __repr__(self):
         return f"AlgebraHom({self.source.name!r} -> {self.target.name!r})"
@@ -103,12 +105,14 @@ def check_hom(hom: AlgebraHom, tol: float, strict_norm: bool = False) -> HomVali
 
 @dataclass(frozen=True)
 class MorphismProduct:
-    """The block product algebra of (A, B, T), A-coordinates first."""
+    """The block product algebra of (A, B, T), A-coordinates first, with the
+    ``check_hom`` report ``hom_report`` of the hom at the build tolerance."""
 
     a: FiniteAlgebra
     b: FiniteAlgebra
     hom: AlgebraHom
     algebra: FiniteAlgebra
+    hom_report: HomValidationReport
 
     @property
     def dim_a(self) -> int:
@@ -119,9 +123,9 @@ class MorphismProduct:
         return self.b.dim
 
     def embed_a(self, x) -> np.ndarray:
-        v = np.zeros(self.algebra.dim, dtype=complex)
-        v[: self.dim_a] = self.a.coerce(x)
-        return v
+        """(x, 0); x may be a stack of columns."""
+        x = as_complex(x)
+        return np.concatenate([x, np.zeros((self.dim_b,) + x.shape[1:])])
 
     def join(self, x, y) -> np.ndarray:
         return np.concatenate([self.a.coerce(x), self.b.coerce(y)])
@@ -129,6 +133,33 @@ class MorphismProduct:
     def split(self, v) -> tuple[np.ndarray, np.ndarray]:
         v = self.algebra.coerce(v)
         return v[: self.dim_a].copy(), v[self.dim_a :].copy()
+
+    @cached_property
+    def shear(self) -> np.ndarray:
+        """S = [[I, M], [0, I]], read-only; its rows are the multiplicative
+        projections p1(a, b) = a + T(b) and p2(a, b) = b."""
+        s = np.eye(self.algebra.dim, dtype=complex)
+        s[: self.dim_a, self.dim_a :] = self.hom.matrix
+        s.setflags(write=False)
+        return s
+
+    def p1(self, v) -> np.ndarray:
+        """p1(a, b) = a + T(b)."""
+        a, b = self.split(v)
+        return a + self.hom.matrix @ b
+
+    def lift_first(self, phi) -> np.ndarray:
+        """phi o p1 = (phi, phi o T), the product functional of a first-factor functional."""
+        phi = self.a.coerce(phi)
+        return np.concatenate([phi, self.hom.matrix.T @ phi])
+
+    def lift_second(self, psi) -> np.ndarray:
+        """psi o p2 = (0, psi), the product functional of a second-factor functional."""
+        return self.join(np.zeros(self.dim_a), psi)
+
+    def graph(self, big_psi) -> np.ndarray:
+        """S^-1(0, Psi) = (-T''(Psi), Psi); Psi may be a stack of columns."""
+        return np.concatenate([-(self.hom.matrix @ big_psi), big_psi])
 
 
 def build_product(a: FiniteAlgebra, b: FiniteAlgebra, hom: AlgebraHom, tol: float) -> MorphismProduct:
@@ -165,7 +196,7 @@ def build_product(a: FiniteAlgebra, b: FiniteAlgebra, hom: AlgebraHom, tol: floa
     residual = product.associativity_residual()
     if residual > 10 * tol:
         raise ValidationError(f"product algebra fails associativity (residual {residual:.3e})")
-    return MorphismProduct(a=a, b=b, hom=hom, algebra=product)
+    return MorphismProduct(a=a, b=b, hom=hom, algebra=product, hom_report=report)
 
 
 @dataclass

@@ -4,10 +4,12 @@ Each group of claims verifies one structural statement about the morphism
 product at desk scale: the construction, the bidual identification with
 both Arens products, adjoint plumbing, Arens regularity of the product, the
 character-space decomposition, and the amenability transfer theorems.
-Group 01 checks the one fact the construction rests on: the shear
-(a, b) -> (a + T(b), b) is an algebra isomorphism onto the direct sum A + B.
-It implies the ideal, the quotient and the embedding of the first factor,
-and it is the one claim that sees the cross terms a1 T(b2) + T(b1) a2.
+Group 01 checks the one fact the construction rests on: the product's
+``shear`` (a, b) -> (a + T(b), b) is an algebra isomorphism onto the direct
+sum A + B.  It implies the ideal, the quotient and the first factor's
+embedding, and it is the one claim that sees the cross terms.  The other
+groups move characters, invariant elements and means with the product's
+block maps and read the hom's facts from ``product.hom_report``.
 Finite dimension forces Arens regularity, so group 04 asks one question per
 side that fails exactly when the two Arens tables disagree: is the product's
 topological center the whole bidual?  A transfer of centers between the
@@ -46,7 +48,7 @@ from .characters import character_decomposition, character_defect
 from .core import FiniteAlgebra
 from .errors import ValidationError
 from .linalg import max_abs
-from .product import AlgebraHom, MorphismProduct, build_product, check_hom
+from .product import AlgebraHom, MorphismProduct, build_product
 from .report import CheckReport
 
 
@@ -77,14 +79,12 @@ def _merge_prefixed(report: CheckReport, sub: CheckReport, prefix: str):
 
 
 def _check_construction(report: CheckReport, product: MorphismProduct, tol: float):
-    for w in check_hom(product.hom, tol).warnings:
+    for w in product.hom_report.warnings:
         report.caveat(w)
 
-    # the shear S = [[I, M], [0, I]] against the direct sum A + B: S(e_p e_q)
-    # and S(e_p) S(e_q) over all basis pairs of the product, two n^4 contractions
-    na, n = product.dim_a, product.algebra.dim
-    shear = np.eye(n, dtype=complex)
-    shear[:na, na:] = product.hom.matrix
+    # the shear against the direct sum A + B: S(e_p e_q) and S(e_p) S(e_q)
+    # over all basis pairs of the product, two n^4 contractions
+    na, n, shear = product.dim_a, product.algebra.dim, product.shear
     direct_sum = np.zeros((n, n, n), dtype=complex)
     direct_sum[:na, :na, :na] = product.a.structure
     direct_sum[na:, na:, na:] = product.b.structure
@@ -201,8 +201,8 @@ def _check_characters(report: CheckReport, product: MorphismProduct, analyses: t
         )
 
     worst = 0.0
-    for ch in pc.sigma_a.characters:
-        pullback = product.hom.matrix.T @ ch.functional
+    for lifted in pc.lifted:
+        _, pullback = product.split(lifted.functional)  # phi o T, the second block of phi o p1
         if max_abs(pullback) > tol:
             worst = max(worst, character_defect(product.b, pullback)[0])
     report.add(

@@ -250,3 +250,31 @@ def test_cli_rejects_distinct_algebras_sharing_a_name(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "both named 'X'" in err
         assert "matrix" not in err
+
+
+MALFORMED_FIELDS = {"dim": True, "norm_weights": ["a"], "declared_characters": 5}
+
+
+@pytest.mark.parametrize("field", sorted(MALFORMED_FIELDS))
+def test_malformed_algebra_field_is_an_input_error(field, tmp_path, monkeypatch, capsys):
+    """A malformed field exits 2 with a parse error that names it, through
+    ``tpw validate`` and through an entry of ``TPW_CORPUS_DIR``."""
+    data = json.loads(dump_json(algebra_to_dict(algebra_c())))
+    data[field] = MALFORMED_FIELDS[field]
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ParseError, match=field):
+        load_algebra(str(path))
+    assert main(["validate", "--algebra", str(path)]) == 2
+    assert field in capsys.readouterr().err
+
+    entries = tmp_path / "entries"
+    entries.mkdir()
+    c = json.loads(dump_json(algebra_to_dict(algebra_c())))
+    entry = {"id": "malformed", "algebra_a": data, "algebra_b": c,
+             "hom": json.loads(dump_json(hom_to_dict(hom_identity(algebra_c())))), "tags": []}
+    (entries / "entry.json").write_text(json.dumps(entry))
+    monkeypatch.setenv("TPW_CORPUS_DIR", str(entries))
+    assert main(["corpus", "list"]) == 2
+    err = capsys.readouterr().err
+    assert "algebra_a" in err and field in err

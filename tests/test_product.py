@@ -15,7 +15,7 @@ from tpw.errors import HomInvalid
 from tpw.linalg import max_abs
 from tpw.product import AlgebraHom, build_product, check_hom, ideal_and_quotient
 
-from conftest import TOL, random_element
+from conftest import TOL, random_element, random_unitary, rebased
 
 
 def test_check_hom_zero(alg_c2, alg_m2):
@@ -158,3 +158,63 @@ def test_ideal_holds_corpus_wide(corpus):
         report = ideal_and_quotient(product, TOL)
         assert report.ideal_ok, entry.entry_id
         assert report.quotient_iso_ok, entry.entry_id
+
+
+def _corpus_products(corpus):
+    """Every corpus product and one rebased copy of each (A, B, T)."""
+    rng = np.random.default_rng(0)
+    for e in corpus:
+        yield e.entry_id, build_product(e.algebra_a, e.algebra_b, e.hom, TOL)
+        ua, ub = random_unitary(rng, e.algebra_a.dim), random_unitary(rng, e.algebra_b.dim)
+        a, b = rebased(e.algebra_a, ua), rebased(e.algebra_b, ub)
+        hom = AlgebraHom(source=b, target=a, matrix=ua.conj().T @ e.hom.matrix @ ub)
+        yield f"{e.entry_id}-rebased", build_product(a, b, hom, TOL)
+
+
+def test_block_maps_equal_the_explicit_formulas(corpus):
+    """The shear and the maps that come from it, bit for bit against the block formulas."""
+    rng = np.random.default_rng(1)
+    for label, product in _corpus_products(corpus):
+        m, na, nb = product.hom.matrix, product.dim_a, product.dim_b
+        shear = np.eye(na + nb, dtype=complex)
+        shear[:na, na:] = m
+        assert np.array_equal(product.shear, shear) and not product.shear.flags.writeable, label
+        phi, x = random_element(rng, na), random_element(rng, na)
+        psi, y = random_element(rng, nb), random_element(rng, nb)
+        columns = rng.standard_normal((nb, 3)) + 1j * rng.standard_normal((nb, 3))
+        a_columns = rng.standard_normal((na, 2)) + 1j * rng.standard_normal((na, 2))
+        v = np.concatenate([x, y])
+        assert np.array_equal(product.p1(v), x + m @ y), label
+        assert np.array_equal(product.lift_first(phi), np.concatenate([phi, m.T @ phi])), label
+        assert np.array_equal(product.lift_second(psi), np.concatenate([np.zeros(na), psi])), label
+        assert np.array_equal(product.graph(psi), np.concatenate([-(m @ psi), psi])), label
+        assert np.array_equal(product.graph(columns), np.vstack([-(m @ columns), columns])), label
+        assert np.array_equal(product.embed_a(x), np.concatenate([x, np.zeros(nb)])), label
+        assert np.array_equal(product.embed_a(a_columns), np.vstack([a_columns, np.zeros((nb, 2))])), label
+
+
+def test_shear_rows_are_the_lifting_projections(corpus):
+    """The rows of the shear are the p1 and p2 that ``lift_derivation`` once built by hand."""
+    for label, product in _corpus_products(corpus):
+        na, nb = product.dim_a, product.dim_b
+        p1 = np.hstack([np.eye(na), product.hom.matrix])
+        p2 = np.hstack([np.zeros((nb, na)), np.eye(nb)])
+        assert np.array_equal(product.shear[:na], p1) and np.array_equal(product.shear[na:], p2), label
+
+
+def test_product_keeps_the_hom_report_of_its_build(corpus):
+    for label, product in _corpus_products(corpus):
+        assert vars(product.hom_report) == vars(check_hom(product.hom, TOL)), label
+
+
+def test_worst_pair_is_the_first_worst_basis_pair(alg_c2, alg_ut2, alg_m2):
+    """The pair kept at construction is the one the per-pair maximum picks first."""
+    rng = np.random.default_rng(2)
+    for source, target in ((alg_c2, alg_c2), (alg_c2, alg_ut2), (alg_ut2, alg_m2), (alg_m2, alg_m2)):
+        for matrix in (rng.standard_normal((target.dim, source.dim)), np.ones((target.dim, source.dim))):
+            hom = AlgebraHom(source=source, target=target, matrix=matrix)
+            m = hom.matrix
+            table = np.einsum("km,ijm->ijk", m, source.structure) - np.einsum("pi,qj,pqk->ijk", m, m, target.structure)
+            flat = np.max(np.abs(table), axis=2)
+            assert hom.worst_pair == np.unravel_index(np.argmax(flat), flat.shape)
+            assert hom.mult_residual == max_abs(table)

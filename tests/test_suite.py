@@ -1,13 +1,14 @@
 """The assembled theorem suite across the corpus."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tpw.amenability import is_character_amenable, is_character_inner_amenable, is_weakly_amenable, product_analyses
 from tpw.core import FiniteAlgebra
-from tpw.product import AlgebraHom, MorphismProduct, build_product
+from tpw.product import AlgebraHom, build_product
 from tpw.suite import RunConfig, verify_product, verify_theorems
 from tpw.errors import ValidationError
 
@@ -71,7 +72,7 @@ def test_direct_sum_fails_the_shear_claim_instead_of_raising(corpus):
         c[na:, na:, na:] = product.b.structure
         direct_sum = FiniteAlgebra(name=f"sum({e.entry_id})", basis_labels=product.algebra.basis_labels,
                                    structure=c, norm_weights=product.algebra.norm_weights)
-        wrong = MorphismProduct(a=product.a, b=product.b, hom=product.hom, algebra=direct_sum)
+        wrong = replace(product, algebra=direct_sum)
         report = verify_product(wrong, product_analyses(wrong, config.tol, config.seed), config)
         verdicts = {v.claim: v for v in report.verdicts}
         shear, lifted = verdicts[SHEAR_CLAIM], verdicts["05-characters/lifted-family-verified"]
@@ -204,6 +205,40 @@ def test_corpus_run_counts_multiply_and_operator_calls(monkeypatch, capsys):
     entries = json.loads(capsys.readouterr().out)["entries"]
     assert calls["multiply"] == calls["left_mult_operator"] == calls["right_mult_operator"] == 0
     assert calls["topological_center"] == 2 * len(entries) == 16
+
+
+def test_corpus_run_decides_the_hom_facts_once_per_product(monkeypatch, capsys, corpus):
+    """Counted guard: one built-in ``corpus run`` checks each hom once, when its
+    product is built, and takes two ranks per triple, both of the hom matrix
+    (one in ``check_hom``, one in ``hom_adjoints``).
+
+    The suite, the inner-mean claims and the CLI read the hom's facts from
+    ``product.hom_report`` instead of deciding them again.
+    """
+    import sys
+
+    import tpw.linalg
+    import tpw.product
+    from tpw.cli import main
+
+    calls = {"check_hom": [], "rank": []}
+    for module, name in ((tpw.product, "check_hom"), (tpw.linalg, "rank")):
+        original = getattr(module, name)
+
+        def counted(a, *args, _fn=original, _seen=calls[name], **kwargs):
+            _seen.append(a)
+            return _fn(a, *args, **kwargs)
+
+        for held in [m for key, m in sys.modules.items() if key.split(".")[0] == "tpw"]:
+            if getattr(held, name, None) is original:
+                monkeypatch.setattr(held, name, counted)
+    monkeypatch.delenv("TPW_CORPUS_DIR", raising=False)
+    assert main(["corpus", "run", "--format", "json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["entries"]) == len(corpus) == 8
+    assert len(calls["check_hom"]) == 8
+    assert len(calls["rank"]) == 16
+    homs = [e.hom.matrix for e in corpus]
+    assert all(any(np.array_equal(a, m) for m in homs) for a in calls["rank"])
 
 
 def test_benchmark_tracer_spans_resolve():
