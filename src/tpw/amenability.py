@@ -28,8 +28,8 @@ import numpy as np
 from .arens import arens_tables, stacked_side_system
 from .characters import CharacterEnumeration, enumerate_characters
 from .core import FiniteAlgebra, center, find_left_identity, find_right_identity
-from .errors import NotADerivation
-from .linalg import column_space, max_abs, nullspace, orthonormalize, subspaces_equal
+from .errors import NotADerivation, ShapeError
+from .linalg import as_complex, column_space, max_abs, nullspace, nullspaces, orthonormalize, subspaces_equal
 from .product import MorphismProduct
 from .report import CheckReport
 
@@ -193,24 +193,42 @@ class TliSolution:
 
 
 def _tli_system(alg: FiniteAlgebra, phi: np.ndarray, side: str) -> np.ndarray:
-    """Phi [] e_j - phi(e_j) Phi (left) or e_j [] Phi - phi(e_j) Phi (right), stacked over j."""
-    first = arens_tables(alg).first
-    return stacked_side_system(first, side) - np.kron(phi[:, None], np.eye(alg.dim))
+    """Phi [] e_j - phi(e_j) Phi (left) or e_j [] Phi - phi(e_j) Phi (right), stacked over j.
+
+    ``phi`` may be a stack of functionals of shape (k, n); the systems then
+    come as a stack of shape (k, n^2, n).
+    """
+    n = alg.dim
+    # block j of each system is phi(e_j) I, entry for entry what np.kron(phi[:, None], I) gives
+    shift = (phi[..., :, None, None] * np.eye(n)).reshape(phi.shape[:-1] + (n * n, n))
+    return stacked_side_system(arens_tables(alg).first, side) - shift
 
 
-def solve_tli(alg: FiniteAlgebra, phi, side: str, tol: float) -> TliSolution:
+def solve_tli(alg: FiniteAlgebra, phi, side: str, tol: float) -> TliSolution | tuple[TliSolution, ...]:
     """Solve Phi [] a = phi(a) Phi (left) or a [] Phi = phi(a) Phi (right).
 
-    ``phi`` may be a verified character or the zero functional.  The linear
-    system is a slice of the first Arens table over the element basis.
-    ``exists_nonvanishing`` reports whether phi fails to annihilate the
-    solution space (a rank test on the pairing row).
+    ``phi`` may be a verified character or the zero functional, or a stack
+    of them of shape (k, n), which gives one solution per row; a single
+    vector is the one-row case and gives a single solution.  The linear
+    systems are slices of the first Arens table over the element basis, and
+    a stack is solved as one (``linalg.nullspaces``), each system with the
+    cutoff floor max(cutoff_scale, max |phi|).  ``exists_nonvanishing``
+    reports whether phi fails to annihilate the solution space (a rank test
+    on the pairing row).
     """
-    phi = alg.coerce(phi)
-    basis = nullspace(_tli_system(alg, phi, side), tol, scale=max(alg.cutoff_scale, max_abs(phi)))
-    pairings = phi @ basis
-    nonvanishing = bool(basis.shape[1] and max_abs(pairings) > tol * max(1.0, max_abs(phi)))
-    return TliSolution(algebra=alg, phi=phi, side=side, basis=basis, exists_nonvanishing=nonvanishing)
+    phis = as_complex(phi)
+    single = phis.ndim < 2
+    phis = alg.coerce(phis)[None] if single else phis
+    if phis.shape[1:] != (alg.dim,):
+        raise ShapeError(f"functional stack of shape {phis.shape} for algebra {alg.name!r} of dim {alg.dim}")
+    if not len(phis):
+        return ()
+    scales = [max(alg.cutoff_scale, max_abs(f)) for f in phis]
+    solutions = []
+    for f, basis in zip(phis, nullspaces(_tli_system(alg, phis, side), tol, scales)):
+        nonvanishing = bool(basis.shape[1] and max_abs(f @ basis) > tol * max(1.0, max_abs(f)))
+        solutions.append(TliSolution(algebra=alg, phi=f, side=side, basis=basis, exists_nonvanishing=nonvanishing))
+    return solutions[0] if single else tuple(solutions)
 
 
 def tli_product_characterization(
@@ -220,6 +238,7 @@ def tli_product_characterization(
     tol: float,
     side: str = "left",
     factor_solution: TliSolution | None = None,
+    product_solution: TliSolution | None = None,
 ) -> CheckReport:
     """Verify the invariant-element characterization for one product character.
 
@@ -231,7 +250,8 @@ def tli_product_characterization(
     whenever the pairing does not vanish identically on either side; when it
     vanishes on both, the characterization is vacuous and the claim is
     skipped.  ``factor_solution`` is the factor's own solution for this
-    character and side, when the caller holds it; otherwise it is solved here.
+    character and side, and ``product_solution`` the product's for its lift,
+    when the caller holds them; otherwise they are solved here.
     """
     palg = product.algebra
     tag = "embedded-first-factor" if kind == "lifted" else "second-factor-graph"
@@ -246,7 +266,7 @@ def tli_product_characterization(
         prod_char, claimed = product.lift_second(chi), product.graph(factor_sol.basis)
     claimed = orthonormalize(claimed, tol) if claimed.size else claimed
 
-    prod_sol = solve_tli(palg, prod_char, side, tol)
+    prod_sol = product_solution if product_solution is not None else solve_tli(palg, prod_char, side, tol)
     nv_prod = prod_sol.exists_nonvanishing
     nv_factor = factor_sol.exists_nonvanishing
 
@@ -346,11 +366,11 @@ class Analysis:
 
     @cached_property
     def left_tli(self) -> tuple[TliSolution, ...]:
-        return tuple(solve_tli(self.algebra, ch.functional, "left", self.tol) for ch in self.characters.characters)
+        return solve_tli(self.algebra, self.characters.functionals, "left", self.tol)
 
     @cached_property
     def right_tli(self) -> tuple[TliSolution, ...]:
-        return tuple(solve_tli(self.algebra, ch.functional, "right", self.tol) for ch in self.characters.characters)
+        return solve_tli(self.algebra, self.characters.functionals, "right", self.tol)
 
     def tli(self, side: str) -> tuple[TliSolution, ...]:
         """Invariant-element solutions on ``side``, one per enumerated character."""
@@ -390,8 +410,11 @@ class Analysis:
 
 
 def product_analyses(product: MorphismProduct, tol: float, seed: int = 0) -> tuple[Analysis, Analysis, Analysis]:
-    """Fresh analyses of the first factor, the second factor and the product algebra."""
-    return tuple(Analysis(alg, tol, seed) for alg in (product.a, product.b, product.algebra))
+    """Fresh analyses of the first factor, the second factor and the product algebra;
+    when both factors are one object, they share one analysis."""
+    an_a = Analysis(product.a, tol, seed)
+    an_b = an_a if product.b is product.a else Analysis(product.b, tol, seed)
+    return an_a, an_b, Analysis(product.algebra, tol, seed)
 
 
 def is_character_amenable(alg: FiniteAlgebra, side: str, tol: float, seed: int = 0) -> CharacterAmenability:

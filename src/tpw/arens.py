@@ -14,7 +14,8 @@ then paired with P (or Q).  ``arens_first`` and ``arens_second`` take single
 vectors or stacks of shape (..., n), pairing the stacks row by row, so a
 batch of pairs is one chain evaluation.  ``arens_tables`` runs the same two
 steps on the whole basis at once, giving ``first[p, q] = e_p [] e_q`` and
-``second[p, q] = e_p <> e_q``.  Every system or residual over basis pairs
+``second[p, q] = e_p <> e_q``; they are built once per algebra object, kept
+on it and read-only.  Every system or residual over basis pairs
 (topological centers, the multiplicativity of T'', the Theta block formula,
 and the invariant-element system in ``amenability``) is a slice or a
 contraction of these tables.  The tables come from the chain and are never
@@ -98,10 +99,26 @@ class ArensTables(NamedTuple):
 
 
 def arens_tables(alg: FiniteAlgebra) -> ArensTables:
-    """Both Arens tables, from the two-step chain run on every basis pair at once."""
+    """Both Arens tables, from the two-step chain run on every basis pair at once.
+
+    They are built once per algebra object and kept on it, the way
+    ``cached_property`` keeps ``FiniteAlgebra.cutoff_scale``, so they live
+    exactly as long as the algebra; the arrays are read-only.
+    """
+    tables = vars(alg).get("_arens_tables")
+    if tables is None:
+        tables = _chain_tables(alg)
+        object.__setattr__(alg, "_arens_tables", tables)  # FiniteAlgebra is frozen
+    return tables
+
+
+def _chain_tables(alg: FiniteAlgebra) -> ArensTables:
+    """Build both read-only tables through the chain; ``arens_tables`` keeps them."""
     basis = np.eye(alg.dim, dtype=complex)
     first = np.einsum("pi,qik->pqk", basis, _bidual_left_action(alg, basis))
     second = np.einsum("qi,pik->pqk", basis, _bidual_right_action(alg, basis))
+    first.setflags(write=False)
+    second.setflags(write=False)
     return ArensTables(first, second)
 
 

@@ -124,6 +124,11 @@ class CharacterEnumeration:
     def __len__(self):
         return len(self.characters)
 
+    @property
+    def functionals(self) -> np.ndarray:
+        """The characters' functionals as the rows of a (k, n) stack."""
+        return np.array([ch.functional for ch in self.characters], dtype=complex).reshape(-1, self.algebra.dim)
+
 
 def _nullspace_abs(a: np.ndarray, cutoff: float) -> np.ndarray:
     u, s, vh = np.linalg.svd(a, full_matrices=True)
@@ -149,13 +154,21 @@ def _joint_eigenvalue_branches(operators: list[np.ndarray], dim: int, cluster_to
 
     Returns (basis, eigenvalue tuple) per terminal branch.  Only strict
     eigenspaces are kept: defective directions carry no characters.  Operators
-    labeled None are splitters whose eigenvalues are not recorded.
+    labeled None are splitters whose eigenvalues are not recorded.  A branch
+    of dimension 1 cannot split: its eigenvalue is the 1 x 1 restriction
+    b^H op b itself, which is what the eigensolve, the clustering and the
+    nullspace would return for it, so they are skipped and the branch keeps
+    its basis.  Once a splitter has separated every joint eigenspace, the
+    remaining operators cost one small product per branch.
     """
     branches = [(np.eye(dim, dtype=complex), ())]
     for label, op in operators:
         refined = []
         for basis, values in branches:
             restricted = basis.conj().T @ op @ basis
+            if restricted.shape[0] == 1:
+                refined.append((basis, values + (complex(restricted[0, 0]),) if label is not None else values))
+                continue
             eigs = np.linalg.eigvals(restricted)
             scale = max(1.0, float(np.max(np.abs(eigs))) if eigs.size else 1.0)
             for mu in _cluster(eigs, cluster_tol * scale):

@@ -223,6 +223,9 @@ def load_corpus_dir(path: str, tol: float = 1e-9) -> list[CorpusEntry]:
         for key in ("id", "algebra_a", "algebra_b", "hom"):
             if key not in data:
                 raise ParseError(f"{name}: missing required field {key!r}")
+        tags = data.get("tags", [])
+        if not isinstance(tags, list):
+            raise ParseError(f"{name}: tags must be a list, got {tags!r}")
         alg_a = algebra_from_dict(data["algebra_a"], f"{name}: algebra_a", tol)
         alg_b = algebra_from_dict(data["algebra_b"], f"{name}: algebra_b", tol)
         hom = hom_from_dict(data["hom"], _registry(alg_a, alg_b, f"{name}: hom"), f"{name}: hom", tol)
@@ -232,7 +235,7 @@ def load_corpus_dir(path: str, tol: float = 1e-9) -> list[CorpusEntry]:
                 algebra_a=alg_a,
                 algebra_b=alg_b,
                 hom=hom,
-                tags=tuple(str(t) for t in data.get("tags", [])),
+                tags=tuple(str(t) for t in tags),
             )
         )
     return entries

@@ -26,7 +26,10 @@ def _parse_complex(value, where: str) -> complex:
     re, im = value
     if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
         raise ParseError(f"{where}: complex components must be numbers, got {value!r}")
-    return complex(re, im)
+    try:
+        return complex(re, im)
+    except OverflowError:
+        raise ParseError(f"{where}: complex component too large for a float") from None
 
 
 def _parse_complex_array(value, shape: tuple[int, ...], where: str) -> np.ndarray:
@@ -61,6 +64,8 @@ def _load_json(path: str) -> dict:
 
 
 def _require(data: dict, key: str, path: str):
+    if not isinstance(data, dict):
+        raise ParseError(f"{path}: must be an object, got {data!r}")
     if key not in data:
         raise ParseError(f"{path}: missing required field {key!r}")
     return data[key]

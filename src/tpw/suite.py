@@ -33,6 +33,7 @@ from .amenability import (
     leibniz_residual,
     lift_derivation,
     product_analyses,
+    solve_tli,
     tli_product_characterization,
 )
 from .arens import (
@@ -258,10 +259,16 @@ def _check_tli(report: CheckReport, product: MorphismProduct, analyses: tuple[An
             None,
             detail="factor character enumeration incomplete; characterization checked on verified characters only",
         )
-    for an, kind, prefix in ((an_a, "lifted", "first-factor"), (an_b, "pure", "second-factor")):
-        for idx, ch in enumerate(an.characters.characters):
+    for an, kind, prefix, lift in ((an_a, "lifted", "first-factor", product.lift_first),
+                                   (an_b, "pure", "second-factor", product.lift_second)):
+        chars = an.characters.characters
+        # the product's solutions for every lifted (or pure) character, one stack per side
+        lifts = np.array([lift(ch.functional) for ch in chars], dtype=complex).reshape(-1, product.algebra.dim)
+        product_tli = {side: solve_tli(product.algebra, lifts, side, tol) for side in sides}
+        for idx, ch in enumerate(chars):
             for side in sides:
-                sub = tli_product_characterization(product, ch.functional, kind, tol, side, an.tli(side)[idx])
+                sub = tli_product_characterization(product, ch.functional, kind, tol, side, an.tli(side)[idx],
+                                                   product_tli[side][idx])
                 _merge_prefixed(report, sub, f"07-invariant-elements/{prefix}-{idx}/")
 
 

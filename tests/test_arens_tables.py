@@ -12,7 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from tpw.amenability import _tli_system, solve_tli
+from tpw.amenability import TliSolution, _tli_system, solve_tli
 from tpw.arens import (
     _center_system,
     arens_first,
@@ -27,7 +27,7 @@ from tpw.arens import (
 from tpw.characters import enumerate_characters
 from tpw.core import FiniteAlgebra
 from tpw.errors import ShapeError
-from tpw.linalg import max_abs
+from tpw.linalg import max_abs, nullspace, subspaces_equal
 from tpw.product import AlgebraHom, build_product
 from tpw.suite import RunConfig, verify_theorems
 
@@ -269,3 +269,74 @@ def test_swapped_chain_fails_arens_cross_check(monkeypatch, corpus, chain):
     assert status() == "pass"
     _rebind(monkeypatch, chain, lambda alg, big_phi, big_psi: chain(alg, big_psi, big_phi))
     assert status() == "fail"
+
+
+def reference_tli(alg, phi, side):
+    """One invariant-element solve per functional: its own system, nullspace and pairing test."""
+    basis = nullspace(_tli_system(alg, phi, side), TOL, scale=max(alg.cutoff_scale, max_abs(phi)))
+    return basis, bool(basis.shape[1] and max_abs(phi @ basis) > TOL * max(1.0, max_abs(phi)))
+
+
+def test_stacked_tli_matches_per_functional_loop(corpus):
+    """One stacked ``solve_tli`` per side gives what one solve per functional gives:
+    the same dimensions, nonvanishing verdicts and solution spaces, for every
+    character, the zero functional and two functionals that are no character.
+    One of them is large, so a cutoff floor shared across the stack would
+    show on the other rows."""
+    rng = np.random.default_rng(4)
+    for a, b, hom in triples(corpus):
+        for alg in (a, b, build_product(a, b, hom, TOL).algebra):
+            n = alg.dim
+            phis = [ch.functional for ch in enumerate_characters(alg, TOL).characters]
+            phis += [np.zeros(n), random_element(rng, n), 1e9 * random_element(rng, n)]
+            phis = np.array(phis, dtype=complex)
+            for side in ("left", "right"):
+                solutions = solve_tli(alg, phis, side, TOL)
+                assert len(solutions) == len(phis)
+                for phi, sol in zip(phis, solutions):
+                    basis, nonvanishing = reference_tli(alg, phi, side)
+                    assert sol.dim == basis.shape[1], (alg.name, side)
+                    assert sol.exists_nonvanishing == nonvanishing, (alg.name, side)
+                    assert subspaces_equal(sol.basis, basis, 1e-12)[0], (alg.name, side)
+                    (one,) = solve_tli(alg, phi[None], side, TOL)
+                    single = solve_tli(alg, phi, side, TOL)
+                    assert isinstance(single, TliSolution) and single.dim == one.dim == sol.dim
+                    assert single.exists_nonvanishing == one.exists_nonvanishing == nonvanishing
+            assert solve_tli(alg, np.zeros((0, n)), "left", TOL) == ()
+    with pytest.raises(ShapeError):
+        solve_tli(a, np.zeros((2, a.dim + 1)), "left", TOL)
+
+
+def test_arens_tables_are_built_once_per_algebra_and_read_only(monkeypatch, capsys):
+    """Counted guard: one ``verify_theorems`` and one built-in ``corpus run``
+    build the Arens tables at most once per algebra object, and the tables
+    they share cannot be written to."""
+    import tpw.arens
+    from tpw.cli import main
+
+    builds, chain_tables = Counter(), tpw.arens._chain_tables
+
+    def counted(alg):
+        builds[id(alg)] += 1
+        return chain_tables(alg)
+
+    monkeypatch.setattr(tpw.arens, "_chain_tables", counted)
+    rng = np.random.default_rng(6)
+    c5 = rebased(matrix_unit_algebra("C", 5), random_unitary(rng, 5), "C5")
+    t3 = rebased(matrix_unit_algebra("T", 3), random_unitary(rng, 6), "T3")
+    zero = AlgebraHom(source=c5, target=t3, matrix=np.zeros((6, 5)))
+    for a, b, hom in ((c5, c5, AlgebraHom(source=c5, target=c5, matrix=np.eye(5))), (t3, c5, zero)):
+        builds.clear()
+        verify_theorems(a, b, hom, RunConfig())
+        assert builds and max(builds.values()) == 1
+    tables = arens_tables(c5)
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 1.0
+    assert arens_tables(c5) is tables
+
+    builds.clear()
+    monkeypatch.delenv("TPW_CORPUS_DIR", raising=False)
+    assert main(["corpus", "run", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert builds and max(builds.values()) == 1

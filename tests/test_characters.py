@@ -254,3 +254,73 @@ def test_pullback_lands_in_spectrum_or_zero(corpus):
                 continue
             defect, _ = character_defect(entry.algebra_b, pullback)
             assert defect <= 10 * TOL
+
+
+def reference_branches(operators, dim, cluster_tol):
+    """The refinement with an eigensolve, a clustering and a nullspace on every branch,
+    lines included."""
+    branches = [(np.eye(dim, dtype=complex), ())]
+    for label, op in operators:
+        refined = []
+        for basis, values in branches:
+            restricted = basis.conj().T @ op @ basis
+            eigs = np.linalg.eigvals(restricted)
+            scale = max(1.0, float(np.max(np.abs(eigs))) if eigs.size else 1.0)
+            for mu in tpw.characters._cluster(eigs, cluster_tol * scale):
+                shifted = restricted - mu * np.eye(restricted.shape[0])
+                eigvecs = tpw.characters._nullspace_abs(shifted, cluster_tol * scale)
+                if eigvecs.shape[1] == 0:
+                    continue
+                refined.append((basis @ eigvecs, values + (mu,) if label is not None else values))
+        branches = refined
+    return branches
+
+
+def test_refinement_matches_eigensolve_on_every_branch(monkeypatch, corpus):
+    """Skipping the eigensolve on one-dimensional branches changes no branch and no character."""
+    seen = []
+
+    def record(operators, dim, cluster_tol):
+        seen.append((operators, dim, cluster_tol))
+        return branches(operators, dim, cluster_tol)
+
+    branches = tpw.characters._joint_eigenvalue_branches
+    monkeypatch.setattr(tpw.characters, "_joint_eigenvalue_branches", record)
+    algebras = [*contraction_algebras(corpus), zero_product_algebra(2)]
+    enumerations = [enumerate_characters(alg, TOL, seed=3) for alg in algebras]
+    refined = [alg for alg in algebras if commutative_quotient(alg, TOL).quotient is not None]
+    assert len(refined) == len(seen)
+    for alg, args in zip(refined, seen):
+        got, want = branches(*args), reference_branches(*args)
+        assert len(got) == len(want), alg.name
+        for (basis, values), (ref_basis, ref_values) in zip(got, want):
+            assert basis.shape == ref_basis.shape and len(values) == len(ref_values), alg.name
+            assert max_abs(np.array(values) - np.array(ref_values)) <= 1e-12, alg.name
+            assert subspaces_equal(basis, ref_basis, 1e-12)[0], alg.name
+
+    monkeypatch.setattr(tpw.characters, "_joint_eigenvalue_branches", reference_branches)
+    for alg, enum in zip(algebras, enumerations):
+        ref = enumerate_characters(alg, TOL, seed=3)
+        assert (enum.complete, len(enum), enum.notes) == (ref.complete, len(ref), ref.notes), alg.name
+        for ch, ref_ch in zip(enum.characters, ref.characters):
+            assert max_abs(ch.functional - ref_ch.functional) <= 1e-12, alg.name
+    assert not enumerations[-1].complete and len(enumerations[-1]) == 0
+
+
+def test_one_eigensolve_per_enumeration_with_a_complete_splitter(monkeypatch):
+    """Counted guard: on rebased C5 and C5 x C5 the splitter separates every joint
+    eigenspace, so each enumeration takes one eigensolve, on the whole quotient."""
+    eigvals, calls = np.linalg.eigvals, []
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    c5 = rebased(matrix_unit_algebra("C", 5), random_unitary(np.random.default_rng(3), 5), "C5")
+    product = build_product(c5, c5, AlgebraHom(source=c5, target=c5, matrix=np.eye(5)), TOL)
+    for alg, count in ((c5, 5), (product.algebra, 10)):
+        calls.clear()
+        enum = enumerate_characters(alg, TOL)
+        assert enum.complete and len(enum) == count
+        assert calls == [(count, count)]

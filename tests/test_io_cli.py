@@ -278,3 +278,29 @@ def test_malformed_algebra_field_is_an_input_error(field, tmp_path, monkeypatch,
     assert main(["corpus", "list"]) == 2
     err = capsys.readouterr().err
     assert "algebra_a" in err and field in err
+
+
+@pytest.mark.parametrize("field", ["algebra_a", "structure", "tags"])
+def test_malformed_corpus_entry_is_an_input_error(field, tmp_path, monkeypatch, capsys):
+    """A field of the wrong type, or a number too large for a float, exits 2
+    with a parse error that names the field instead of a traceback, through
+    an entry of ``TPW_CORPUS_DIR`` and, for an algebra, ``tpw validate``."""
+    c = json.loads(dump_json(algebra_to_dict(algebra_c())))
+    entry = {"id": "malformed", "algebra_a": c, "algebra_b": json.loads(json.dumps(c)),
+             "hom": json.loads(dump_json(hom_to_dict(hom_identity(algebra_c())))), "tags": []}
+    if field == "structure":
+        entry["algebra_a"]["structure"][0][0][0] = [10**400, 0]
+    else:
+        entry[field] = 5
+    (tmp_path / "entry.json").write_text(json.dumps(entry))
+    with pytest.raises(ParseError, match=field):
+        load_corpus_dir(str(tmp_path), TOL)
+    monkeypatch.setenv("TPW_CORPUS_DIR", str(tmp_path))
+    assert main(["corpus", "list"]) == 2
+    assert field in capsys.readouterr().err
+
+    if field == "structure":
+        path = tmp_path / "algebra.json"
+        path.write_text(json.dumps(entry["algebra_a"]))
+        assert main(["validate", "--algebra", str(path)]) == 2
+        assert field in capsys.readouterr().err

@@ -241,6 +241,24 @@ def test_corpus_run_decides_the_hom_facts_once_per_product(monkeypatch, capsys, 
     assert all(any(np.array_equal(a, m) for m in homs) for a in calls["rank"])
 
 
+def test_builtin_corpus_run_verdicts_match_golden(monkeypatch, capsys):
+    """Golden check: every claim of the built-in ``corpus run`` keeps its status.
+
+    ``data/builtin_corpus_verdicts.json`` maps each entry's claim IDs to the
+    statuses that a run gave when it was written; a claim that is added,
+    dropped, renamed or flips its status fails here.
+    """
+    from pathlib import Path
+
+    from tpw.cli import main
+
+    golden = json.loads((Path(__file__).parent / "data" / "builtin_corpus_verdicts.json").read_text())
+    monkeypatch.delenv("TPW_CORPUS_DIR", raising=False)
+    assert main(["corpus", "run", "--format", "json"]) == 0
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    assert {e["id"]: {v["claim"]: v["status"] for v in e["report"]["verdicts"]} for e in entries} == golden
+
+
 def test_benchmark_tracer_spans_resolve():
     """Every (module, function) the benchmark tracer wraps exists in tpw.
 
