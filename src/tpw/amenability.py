@@ -16,6 +16,15 @@ holds one ``Analysis(algebra, tol, seed)`` per algebra: the characters, the
 centre, the derivations, the one-sided identities, the invariant elements
 (TLI) and the three decisions, each solved on first use.  The ``is_*``
 functions and ``solve_inner_mean`` are views over a fresh Analysis.
+
+The product's analysis (``ProductAnalysis``) carries its derivation space
+from its factors' through the shear S, an algebra isomorphism onto A + B,
+where the Leibniz system splits into A's, B's and two cross blocks (a
+derivation A -> B' vanishes on A^2 and takes values in the annihilator of
+B^2, and B -> A' likewise).  So dim Der(P) = dim Der(A) + dim Der(B) +
+2 codim(A^2) codim(B^2) and dim Inn(P) = dim Inn(A) + dim Inn(B).  This is
+used only when the product's shear gap is within 10 tol, the bound of the
+suite's shear claim; otherwise the product's own Leibniz system is solved.
 """
 
 from __future__ import annotations
@@ -51,11 +60,19 @@ CENTER_REDUCTION_CAVEAT = (
 
 @dataclass
 class DerivationSpace:
-    """Solutions of the Leibniz identity into the dual module, with the inner ones."""
+    """Solutions of the Leibniz identity into the dual module, with the inner ones.
+
+    ``parts`` is None for a space solved from the algebra's own Leibniz
+    system.  For a product's space carried from its factors through the
+    shear, it splits ``der_basis`` by origin: "p1" and "p2" hold the lifted
+    bases of the first and the second factor, and "cross" the maps from the
+    cross blocks of A + B, which no factor derivation accounts for.
+    """
 
     algebra: FiniteAlgebra
     der_basis: tuple[np.ndarray, ...]
     inner_basis: tuple[np.ndarray, ...]
+    parts: dict[str, tuple[np.ndarray, ...]] | None = None
 
     @property
     def dim_der(self) -> int:
@@ -119,12 +136,15 @@ def leibniz_residual(alg: FiniteAlgebra, d: np.ndarray) -> float:
 
     Entry (i, j, m) is the m-th coordinate of D(e_i e_j) - D(e_i).e_j - e_i.D(e_j),
     with (D(e_i).e_j)_m = sum_k c[j,m,k] D[k,i] and (e_i.D(e_j))_m = sum_k c[m,i,k] D[k,j].
+    ``d`` may be a stack of maps of shape (k, n, n); the result is then the
+    worst over the stack, from one contraction per term.
     """
     n = alg.dim
     c = alg.structure
-    d = np.asarray(d, dtype=complex).reshape(n, n)
-    lhs = np.einsum("mk,ijk->ijm", d, c)
-    rhs = np.einsum("jmk,ki->ijm", c, d) + np.einsum("mik,kj->ijm", c, d)
+    d = as_complex(d)
+    d = d.reshape(n, n) if d.ndim < 3 else d
+    lhs = np.einsum("...mk,ijk->...ijm", d, c)
+    rhs = np.einsum("jmk,...ki->...ijm", c, d) + np.einsum("mik,...kj->...ijm", c, d)
     return max_abs(lhs - rhs)
 
 
@@ -145,6 +165,52 @@ def derivation_space(alg: FiniteAlgebra, tol: float) -> DerivationSpace:
     der = tuple(der_flat[:, k].reshape(n, n) for k in range(der_flat.shape[1]))
     inner = tuple(inner_flat[:, k].reshape(n, n) for k in range(inner_flat.shape[1]))
     return DerivationSpace(algebra=alg, der_basis=der, inner_basis=inner)
+
+
+def square_annihilator(alg: FiniteAlgebra, tol: float) -> np.ndarray:
+    """Orthonormal basis (columns) of the functionals that vanish on A^2.
+
+    Row (i, j) of the system is e_i e_j, so the column count is codim(A^2).
+    A weakly amenable algebra has none: if f vanishes on A^2, then
+    D(x) = f(x) f is a derivation with D(x)(x) = f(x)^2, which no inner
+    derivation can match, since ad_g(x)(x) = 0 for every g.
+    """
+    n = alg.dim
+    return nullspace(alg.structure.reshape(n * n, n), tol, scale=alg.cutoff_scale)
+
+
+def transported_derivation_space(product: MorphismProduct, an_a: Analysis, an_b: Analysis) -> DerivationSpace:
+    """The product's derivation space, carried from the factors' through the shear.
+
+    A map D of A + B moves to the product as S^T D S, which for a factor map
+    d is p^T d p with p = p1 or p2, as in ``lift_derivation``.  The cross
+    map x -> f(x) g of A + B, from A to B' for f vanishing on A^2 and g on
+    B^2, moves to x -> (f o p1)(x) (g o p2); its transpose is the cross map
+    from B to A'.  The basis is not orthonormal.  It is only a basis of the
+    product's derivations when S is an algebra isomorphism onto A + B,
+    which the caller checks.
+    """
+    na, n = product.dim_a, product.algebra.dim
+    p1, p2 = product.shear[:na], product.shear[na:]
+
+    def lifted(space_basis, p):
+        return tuple(p.T @ d @ p for d in space_basis)
+
+    ds_a, ds_b = an_a.derivations, an_b.derivations
+    lf, lg = p1.T @ an_a.square_annihilator, p2.T @ an_b.square_annihilator
+    # map [j, i] sends e_k to (f_i o p1)(e_k) (g_j o p2): its entry [m, k] is lg[m, j] lf[k, i]
+    a_to_b = (lg.T[:, None, :, None] * lf.T[None, :, None, :]).reshape(-1, n, n)
+    parts = {
+        "p1": lifted(ds_a.der_basis, p1),
+        "p2": lifted(ds_b.der_basis, p2),
+        "cross": tuple(a_to_b) + tuple(a_to_b.transpose(0, 2, 1)),
+    }
+    return DerivationSpace(
+        algebra=product.algebra,
+        der_basis=parts["p1"] + parts["p2"] + parts["cross"],
+        inner_basis=lifted(ds_a.inner_basis, p1) + lifted(ds_b.inner_basis, p2),
+        parts=parts,
+    )
 
 
 def is_weakly_amenable(alg: FiniteAlgebra, tol: float) -> bool:
@@ -357,6 +423,10 @@ class Analysis:
         return derivation_space(self.algebra, self.tol)
 
     @cached_property
+    def square_annihilator(self) -> np.ndarray:
+        return square_annihilator(self.algebra, self.tol)
+
+    @cached_property
     def left_identity(self) -> np.ndarray | None:
         return find_left_identity(self.algebra, self.tol)
 
@@ -409,12 +479,32 @@ class Analysis:
                                          (CENTER_REDUCTION_CAVEAT,))
 
 
+class ProductAnalysis(Analysis):
+    """The analysis of ``product.algebra``, which also holds the product and its factors' analyses.
+
+    Its derivation space is carried from the factors' through the shear when
+    the product's shear gap is within 10 tol; otherwise it is solved from the
+    product's own Leibniz system.  Every other fact is solved as for any algebra.
+    """
+
+    def __init__(self, product: MorphismProduct, factors: tuple[Analysis, Analysis], tol: float, seed: int = 0):
+        super().__init__(product.algebra, tol, seed)
+        object.__setattr__(self, "product", product)  # Analysis is frozen
+        object.__setattr__(self, "factors", factors)
+
+    @cached_property
+    def derivations(self) -> DerivationSpace:
+        if self.product.shear_gap.residual <= 10 * self.tol:
+            return transported_derivation_space(self.product, *self.factors)
+        return derivation_space(self.algebra, self.tol)
+
+
 def product_analyses(product: MorphismProduct, tol: float, seed: int = 0) -> tuple[Analysis, Analysis, Analysis]:
     """Fresh analyses of the first factor, the second factor and the product algebra;
     when both factors are one object, they share one analysis."""
     an_a = Analysis(product.a, tol, seed)
     an_b = an_a if product.b is product.a else Analysis(product.b, tol, seed)
-    return an_a, an_b, Analysis(product.algebra, tol, seed)
+    return an_a, an_b, ProductAnalysis(product, (an_a, an_b), tol, seed)
 
 
 def is_character_amenable(alg: FiniteAlgebra, side: str, tol: float, seed: int = 0) -> CharacterAmenability:

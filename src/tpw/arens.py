@@ -29,6 +29,7 @@ the suite checks exactly that, on the product, and nothing finer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -208,23 +209,36 @@ def product_dual_action_tables(product: MorphismProduct) -> ProductDualActions:
 
 @dataclass
 class HomAdjoints:
-    """First and second adjoints of an algebra hom, with their certificates."""
+    """First and second adjoints of an algebra hom, with their certificates.
+
+    Surjectivity is a rank decision at ``tol``, taken on first read.
+    """
 
     t_prime: LinearMap
     t_second: LinearMap
     embedding_residual: float
     mult_residual_first: float
     mult_residual_second: float
-    source_epi: bool
-    second_epi: bool
+    tol: float
+
+    @cached_property
+    def source_epi(self) -> bool:
+        """Whether T is onto: rank T = dim of its target."""
+        m = self.t_second.matrix  # T's matrix
+        return rank(m, self.tol) == m.shape[0]
+
+    @property
+    def second_epi(self) -> bool:
+        """Whether T'' is onto; T'' has T's matrix, so surjectivity passes to it with the same rank."""
+        return self.source_epi
 
 
 def hom_adjoints(hom: AlgebraHom, tol: float) -> HomAdjoints:
     """T' (f -> f o T) and T'' (F -> F o T') under canonical identifications.
 
     Also certifies that T'' restricted to the embedded copy of the source
-    agrees with T, that T'' is multiplicative for both Arens products, and
-    whether surjectivity carries over.
+    agrees with T and that T'' is multiplicative for both Arens products;
+    whether surjectivity carries over is decided when it is first read.
     """
     b_alg, a_alg = hom.source, hom.target
     m = hom.matrix
@@ -239,17 +253,13 @@ def hom_adjoints(hom: AlgebraHom, tol: float) -> HomAdjoints:
     tables_b, tables_a = arens_tables(b_alg), arens_tables(a_alg)
     res1 = max_abs(tables_b.first @ m2.T - _pair_batches(tables_a.first, m2, m2))
     res2 = max_abs(tables_b.second @ m2.T - _pair_batches(tables_a.second, m2, m2))
-
-    # T'' has T's matrix, so surjectivity passes to it with the same rank
-    source_epi = rank(m, tol) == a_alg.dim
     return HomAdjoints(
         t_prime=t_prime,
         t_second=t_second,
         embedding_residual=embedding_residual,
         mult_residual_first=res1,
         mult_residual_second=res2,
-        source_epi=source_epi,
-        second_epi=source_epi,
+        tol=tol,
     )
 
 

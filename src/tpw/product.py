@@ -8,14 +8,16 @@ on A + B coordinates (A-block first), with the summed l1 norm.  This is the
 one module that knows the block layout and decides the hom's facts: the
 product keeps the ``check_hom`` report made when it was built, and exposes
 the shear S(a, b) = (a + T b, b), an algebra isomorphism onto the direct sum
-A + B, with the block maps that carry characters, invariant elements and
-means between the product and its factors.
+A + B, with its measured distance from one (``shear_gap``) and the block
+maps that carry characters, invariant elements, derivations and means
+between the product and its factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,6 +105,14 @@ def check_hom(hom: AlgebraHom, tol: float, strict_norm: bool = False) -> HomVali
     )
 
 
+class ShearGap(NamedTuple):
+    """Worst basis-pair deviation of the shear from an algebra hom onto A + B,
+    with the first product basis pair (in C order) where it is attained."""
+
+    residual: float
+    worst_pair: tuple[int, int]
+
+
 @dataclass(frozen=True)
 class MorphismProduct:
     """The block product algebra of (A, B, T), A-coordinates first, with the
@@ -142,6 +152,21 @@ class MorphismProduct:
         s[: self.dim_a, self.dim_a :] = self.hom.matrix
         s.setflags(write=False)
         return s
+
+    @cached_property
+    def shear_gap(self) -> ShearGap:
+        """max |S(e_p e_q) - S(e_p) S(e_q)| over the product's basis pairs, the
+        right-hand products taken in the direct sum A + B: two n^4
+        contractions, made once per product and read by every consumer."""
+        na, n, shear = self.dim_a, self.algebra.dim, self.shear
+        direct_sum = np.zeros((n, n, n), dtype=complex)
+        direct_sum[:na, :na, :na] = self.a.structure
+        direct_sum[na:, na:, na:] = self.b.structure
+        images = self.algebra.structure @ shear.T
+        products = np.einsum("pjk,jq->pqk", np.tensordot(shear, direct_sum, axes=(0, 0)), shear)
+        gap = np.abs(images - products)
+        p, q, k = np.unravel_index(np.argmax(gap), gap.shape)
+        return ShearGap(float(gap[p, q, k]), (int(p), int(q)))
 
     def p1(self, v) -> np.ndarray:
         """p1(a, b) = a + T(b)."""

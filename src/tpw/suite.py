@@ -10,6 +10,15 @@ sum A + B.  It implies the ideal, the quotient and the first factor's
 embedding, and it is the one claim that sees the cross terms.  The other
 groups move characters, invariant elements and means with the product's
 block maps and read the hom's facts from ``product.hom_report``.
+Group 06 reads the product's derivation space from its analysis, which
+carries it from the factors' through the shear when the shear claim's gap
+is within bound and solves it directly otherwise.  A carried space's own
+maps are checked against the product's Leibniz identity, so a wrong
+transport fails a claim: its lifted factor derivations in
+``derivation-lift-*`` and its cross derivations, built from the
+annihilators of A^2 and B^2, in ``cross-derivations``.  For a space solved
+directly, ``derivation-lift-*`` check the factor derivations pulled back by
+``lift_derivation`` and ``cross-derivations`` is skipped.
 Finite dimension forces Arens regularity, so group 04 asks one question per
 side that fails exactly when the two Arens tables disagree: is the product's
 topological center the whole bidual?  A transfer of centers between the
@@ -83,17 +92,9 @@ def _check_construction(report: CheckReport, product: MorphismProduct, tol: floa
     for w in product.hom_report.warnings:
         report.caveat(w)
 
-    # the shear against the direct sum A + B: S(e_p e_q) and S(e_p) S(e_q)
-    # over all basis pairs of the product, two n^4 contractions
-    na, n, shear = product.dim_a, product.algebra.dim, product.shear
-    direct_sum = np.zeros((n, n, n), dtype=complex)
-    direct_sum[:na, :na, :na] = product.a.structure
-    direct_sum[na:, na:, na:] = product.b.structure
-    images = product.algebra.structure @ shear.T
-    products = np.einsum("pjk,jq->pqk", np.tensordot(shear, direct_sum, axes=(0, 0)), shear)
-    gap = np.abs(images - products)
-    p, q, k = np.unravel_index(np.argmax(gap), gap.shape)
-    worst = float(gap[p, q, k])
+    # the shear against the direct sum A + B over all basis pairs, kept on the
+    # product: group 06 reads the same gap before it transports derivations
+    worst, (p, q) = product.shear_gap
     labels = product.algebra.basis_labels
     report.add(
         "01-construction/shear-onto-direct-sum",
@@ -233,14 +234,17 @@ def _check_weak_amenability(report: CheckReport, product: MorphismProduct, analy
         ),
     )
 
+    # a transported space's own lifts are checked, so a wrong transport fails here
+    parts = ds_p.parts
     for which, space in (("p1", ds_a), ("p2", ds_b)):
         if not space.der_basis:
             report.add(f"06-weak-amenability/derivation-lift-{which}", True, residual=0.0,
                        detail="no nonzero derivations to lift")
             continue
+        lifts = (parts[which] if parts is not None
+                 else (lift_derivation(d, which, product, tol) for d in space.der_basis))
         worst = 0.0
-        for d in space.der_basis:
-            lifted = lift_derivation(d, which, product, tol)
+        for lifted in lifts:
             worst = max(worst, leibniz_residual(product.algebra, lifted))
         report.add(
             f"06-weak-amenability/derivation-lift-{which}",
@@ -248,6 +252,21 @@ def _check_weak_amenability(report: CheckReport, product: MorphismProduct, analy
             residual=worst,
             detail="pulled-back factor derivations satisfy the Leibniz identity on the product",
         )
+
+    # the rest of a transported basis: the cross derivations, in one contraction
+    claim = "06-weak-amenability/cross-derivations"
+    if parts is None:
+        report.skip(claim, detail="the product's derivations were solved directly: its shear gap exceeds 10 tol")
+        return
+    cross = parts["cross"]
+    worst = leibniz_residual(product.algebra, np.array(cross)) if cross else 0.0
+    report.add(
+        claim,
+        worst <= 10 * tol,
+        residual=worst,
+        detail=f"{len(cross)} cross derivations carried through the shear satisfy the Leibniz identity "
+               "on the product",
+    )
 
 
 def _check_tli(report: CheckReport, product: MorphismProduct, analyses: tuple[Analysis, ...], tol: float,

@@ -12,6 +12,7 @@ from tpw.corpus import (
     algebra_ut2,
     builtin_corpus,
 )
+from tpw.product import AlgebraHom
 
 TOL = 1e-9
 
@@ -89,8 +90,10 @@ def rebased(alg, u, name=None):
 
 
 def matrix_unit_algebra(family, k):
-    """C_k (diagonal), T_k (upper triangular) or M_k (all) k x k matrix units, E_ij E_jl = E_il."""
-    keep = {"C": lambda i, j: i == j, "T": lambda i, j: i <= j, "M": lambda i, j: True}[family]
+    """C_k (diagonal), T_k (upper triangular), N_k (strictly upper triangular) or M_k (all)
+    k x k matrix units, E_ij E_jl = E_il, labelled with 0-based indices."""
+    keep = {"C": lambda i, j: i == j, "T": lambda i, j: i <= j, "N": lambda i, j: i < j,
+            "M": lambda i, j: True}[family]
     units = [(i, j) for i in range(k) for j in range(k) if keep(i, j)]
     c = np.zeros((len(units),) * 3)
     for a, (i, j) in enumerate(units):
@@ -100,3 +103,31 @@ def matrix_unit_algebra(family, k):
     return FiniteAlgebra(
         name=f"{family}{k}", basis_labels=tuple(f"E{i}{j}" for i, j in units), structure=c
     )
+
+
+def zero_product_algebra(n):
+    """Z_n, the n-dimensional algebra in which every product is 0."""
+    return FiniteAlgebra(name=f"Z{n}", basis_labels=tuple(f"z{i}" for i in range(n)), structure=np.zeros((n, n, n)))
+
+
+def rebased_triple(a, b, hom, rng):
+    """(A, B, T) in random unitary bases, one per algebra object, with T's matrix moved along."""
+    ua = random_unitary(rng, a.dim)
+    ub = ua if b is a else random_unitary(rng, b.dim)
+    ra = rebased(a, ua)
+    rb = ra if b is a else rebased(b, ub)
+    return ra, rb, AlgebraHom(source=rb, target=ra, matrix=ua.conj().T @ hom.matrix @ ub)
+
+
+def cross_term_triple(image="E02"):
+    """N3 x_T null1 with T(z) the matrix unit ``image``: a nonzero hom, and both A^2 and
+    B^2 proper, so the product has 2 codim(A^2) codim(B^2) = 4 cross derivations.  Kept
+    out of the built-in corpus.
+
+    The default, E02 (E13 in 1-based indices), annihilates N3, so the product's
+    multiplication is the direct sum's; E01 (E12) does not, since E12 E23 = E13.
+    """
+    n3, null1 = matrix_unit_algebra("N", 3), algebra_null1()
+    m = np.zeros((3, 1))
+    m[n3.basis_labels.index(image), 0] = 1.0
+    return n3, null1, AlgebraHom(source=null1, target=n3, matrix=m)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tpw.amenability import (
+    Analysis,
     commutation_residual,
     derivation_space,
     inner_amenability_suite,
@@ -15,16 +16,24 @@ from tpw.amenability import (
     is_weakly_amenable,
     leibniz_residual,
     lift_derivation,
+    product_analyses,
     solve_inner_mean,
     solve_tli,
     tli_product_characterization,
 )
-from tpw.corpus import hom_identity, hom_scaled_character, hom_zero
+from tpw.corpus import algebra_null1, algebra_row2, algebra_ut2, hom_identity, hom_scaled_character, hom_zero
 from tpw.errors import NotADerivation
-from tpw.linalg import max_abs
+from tpw.linalg import max_abs, orthonormalize, subspaces_equal
 from tpw.product import build_product
 
-from conftest import TOL, random_element
+from conftest import (
+    TOL,
+    cross_term_triple,
+    matrix_unit_algebra,
+    random_element,
+    rebased_triple,
+    zero_product_algebra,
+)
 
 
 def oracle_derivation_dims(alg):
@@ -146,6 +155,72 @@ def test_weak_amenability_decisions(alg_c, alg_m2, alg_null1):
     assert is_weakly_amenable(alg_c, TOL)
     assert is_weakly_amenable(alg_m2, TOL)
     assert not is_weakly_amenable(alg_null1, TOL)
+
+
+def shear_oracle_triples(corpus):
+    """The triples on which the product's transported derivation space is checked
+    against its own Leibniz solve: the built-in entries; C_k x C_k with the identity
+    hom for k = 2, 3, 4 and 8; seven triples with A^2 != A, the last with a nonzero
+    hom; and N3 x_T null1 with T(z) = E12, whose multiplication has cross terms."""
+    triples = [(e.entry_id, e.algebra_a, e.algebra_b, e.hom) for e in corpus]
+    for k in (2, 3, 4, 8):
+        ck = matrix_unit_algebra("C", k)
+        triples.append((f"C{k}-C{k}-id", ck, ck, hom_identity(ck)))
+    null1, n3 = algebra_null1(), matrix_unit_algebra("N", 3)
+    for a, b in ((null1, null1), (zero_product_algebra(2), zero_product_algebra(3)), (n3, zero_product_algebra(2)),
+                 (algebra_row2(), zero_product_algebra(2)), (n3, matrix_unit_algebra("N", 4)), (algebra_ut2(), n3)):
+        triples.append((f"{a.name}-{b.name}-zero", a, b, hom_zero(b, a)))
+    triples.append(("N3-null1-E13", *cross_term_triple()))
+    triples.append(("N3-null1-E12", *cross_term_triple("E01")))
+    return triples
+
+
+def flat_span(maps, tol):
+    """Orthonormal basis of the span of n x n maps, flattened row-major."""
+    n = maps[0].shape[0] if maps else 0
+    return orthonormalize(np.array(maps, dtype=complex).reshape(len(maps), n * n).T, tol)
+
+
+@pytest.mark.parametrize("basis", ["plain", "rebased"])
+def test_transported_derivations_match_the_product_solve(corpus, basis):
+    """The product's derivation space, carried from its factors' through the shear,
+    has the dims and the span of the product's own Leibniz solve, on every oracle triple."""
+    rng = np.random.default_rng(11)
+    with_cross = 0
+    for name, a, b, hom in shear_oracle_triples(corpus):
+        if basis == "rebased":
+            a, b, hom = rebased_triple(a, b, hom, rng)
+        product = build_product(a, b, hom, TOL)
+        an_a, an_b, an_p = product_analyses(product, TOL)
+        carried, solved = an_p.derivations, derivation_space(product.algebra, TOL)
+        assert carried.parts is not None, name
+        assert (carried.dim_der, carried.dim_inner) == (solved.dim_der, solved.dim_inner), name
+        codims = an_a.square_annihilator.shape[1] * an_b.square_annihilator.shape[1]
+        assert carried.dim_der == an_a.derivations.dim_der + an_b.derivations.dim_der + 2 * codims, name
+        assert carried.dim_inner == an_a.derivations.dim_inner + an_b.derivations.dim_inner, name
+        for got, want in ((carried.der_basis, solved.der_basis), (carried.inner_basis, solved.inner_basis)):
+            if want:
+                assert subspaces_equal(flat_span(got, TOL), flat_span(want, TOL), 1e-8)[0], name
+        with_cross += bool(carried.parts["cross"])
+    assert with_cross == 6
+
+
+def test_weakly_amenable_algebras_equal_their_square(corpus):
+    """Weak amenability implies A^2 = A: a functional f that vanishes on A^2 gives
+    the derivation D(x) = f(x) f, which is not inner, since D(x)(x) = f(x)^2."""
+    algebras = [alg for e in corpus for alg in (e.algebra_a, e.algebra_b)]
+    algebras += [matrix_unit_algebra(family, k) for family in "CTM" for k in (1, 2, 3)]
+    algebras += [matrix_unit_algebra("N", k) for k in (2, 3, 4)] + [zero_product_algebra(k) for k in (1, 2, 3)]
+    seen = Counter()
+    for alg in algebras:
+        an = Analysis(alg, TOL)
+        annihilator = an.square_annihilator
+        if an.weakly_amenable:
+            assert annihilator.shape[1] == 0, alg.name
+        for f in annihilator.T:
+            assert leibniz_residual(alg, np.outer(f, f)) <= 10 * TOL, alg.name
+        seen[an.weakly_amenable, annihilator.shape[1] > 0] += 1
+    assert seen[True, False] and seen[False, True]
 
 
 def test_lift_zero_derivation(alg_c2):
@@ -331,10 +406,12 @@ def test_run_solves_each_fact_once_per_algebra(monkeypatch, capsys, corpus):
 
     The inner suite takes one centre per distinct algebra object on every
     corpus entry; one ``verify_theorems`` on rebased C5 x C5 and one built-in
-    ``corpus run`` take one enumeration, centre and derivation space per
-    distinct algebra object of each triple (a factor that is both A and B is
-    one object, with one analysis), and ``corpus run`` builds each product
-    once.  A ladder-shaped rung (C5 x C5, one object, identity hom) solves the
+    ``corpus run`` take one enumeration and centre per distinct algebra
+    object of each triple (a factor that is both A and B is one object, with
+    one analysis), and ``corpus run`` builds each product once.  Derivation
+    spaces are solved for the distinct factor objects only: every product
+    passes its shear claim, so its space is carried from its factors'.  A
+    ladder-shaped rung (C5 x C5, one object, identity hom) solves the
     invariant-element systems in 8 stacks: one per side for the factor and
     for the product, and one per side for the lifted and for the pure
     product characters.
@@ -349,7 +426,7 @@ def test_run_solves_each_fact_once_per_algebra(monkeypatch, capsys, corpus):
     from tpw.product import AlgebraHom
     from tpw.suite import RunConfig, verify_theorems
 
-    from conftest import matrix_unit_algebra, random_unitary, rebased
+    from conftest import random_unitary, rebased
 
     solvers = {
         "enumerate_characters": tpw.characters.enumerate_characters,
@@ -386,7 +463,7 @@ def test_run_solves_each_fact_once_per_algebra(monkeypatch, capsys, corpus):
     c5 = rebased(matrix_unit_algebra("C", 5), random_unitary(np.random.default_rng(3), 5), "C5")
     calls.clear()
     verify_theorems(c5, c5, AlgebraHom(source=c5, target=c5, matrix=np.eye(5)), RunConfig())
-    assert (calls["enumerate_characters"], calls["center"], calls["derivation_space"]) == (2, 2, 2)
+    assert (calls["enumerate_characters"], calls["center"], calls["derivation_space"]) == (2, 2, 1)
     assert calls["solve_tli"] == 8
 
     monkeypatch.delenv("TPW_CORPUS_DIR", raising=False)
@@ -395,4 +472,5 @@ def test_run_solves_each_fact_once_per_algebra(monkeypatch, capsys, corpus):
     capsys.readouterr()
     assert calls["build_product"] == len(corpus) == 8
     # c-c-id, c-c-zero and c2-c2-swap take one object as both factors
-    assert (calls["enumerate_characters"], calls["derivation_space"], calls["center"]) == (21, 21, 21)
+    assert (calls["enumerate_characters"], calls["center"]) == (21, 21)
+    assert calls["derivation_space"] == sum(len({id(e.algebra_a), id(e.algebra_b)}) for e in corpus) == 13

@@ -314,10 +314,11 @@ def test_arens_tables_are_built_once_per_algebra_and_read_only(monkeypatch, caps
     import tpw.arens
     from tpw.cli import main
 
-    builds, chain_tables = Counter(), tpw.arens._chain_tables
+    builds, chain_tables, held = Counter(), tpw.arens._chain_tables, []
 
     def counted(alg):
         builds[id(alg)] += 1
+        held.append(alg)  # a freed algebra's id could be given to a later one
         return chain_tables(alg)
 
     monkeypatch.setattr(tpw.arens, "_chain_tables", counted)

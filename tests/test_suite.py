@@ -12,7 +12,7 @@ from tpw.product import AlgebraHom, build_product
 from tpw.suite import RunConfig, verify_product, verify_theorems
 from tpw.errors import ValidationError
 
-from conftest import random_unitary, rebased
+from conftest import cross_term_triple, random_unitary, rebased
 
 @pytest.fixture(scope="module")
 def reports(corpus):
@@ -58,10 +58,20 @@ def test_shear_claim_passes_on_every_entry_and_a_rebased_copy(reports, corpus):
         assert {v.claim: v.status for v in report.verdicts}[SHEAR_CLAIM] == "pass", e.entry_id
 
 
-def test_direct_sum_fails_the_shear_claim_instead_of_raising(corpus):
+def test_direct_sum_fails_the_shear_claim_instead_of_raising(monkeypatch, corpus):
     """The product's blocks multiplied as the plain direct sum, without the cross
     terms a1 T(b2) + T(b1) a2: the suite reports it, with a basis pair that mixes
-    the two blocks, exactly when the hom is nonzero."""
+    the two blocks, exactly when the hom is nonzero.  Group 06 then solves that
+    algebra's derivations directly, once, instead of carrying its factors'."""
+    import tpw.amenability
+
+    solved, derivation_space = [], tpw.amenability.derivation_space
+
+    def counted(alg, tol):
+        solved.append(alg)
+        return derivation_space(alg, tol)
+
+    monkeypatch.setattr(tpw.amenability, "derivation_space", counted)
     config = RunConfig()
     failing = []
     for e in corpus:
@@ -73,17 +83,69 @@ def test_direct_sum_fails_the_shear_claim_instead_of_raising(corpus):
         direct_sum = FiniteAlgebra(name=f"sum({e.entry_id})", basis_labels=product.algebra.basis_labels,
                                    structure=c, norm_weights=product.algebra.norm_weights)
         wrong = replace(product, algebra=direct_sum)
+        solved.clear()
         report = verify_product(wrong, product_analyses(wrong, config.tol, config.seed), config)
         verdicts = {v.claim: v for v in report.verdicts}
         shear, lifted = verdicts[SHEAR_CLAIM], verdicts["05-characters/lifted-family-verified"]
+        cross = verdicts[CROSS_CLAIM]
         if not e.hom.matrix.any():
-            assert shear.status == lifted.status == "pass" and report.exit_code() == 0, e.entry_id
+            assert shear.status == lifted.status == cross.status == "pass" and report.exit_code() == 0, e.entry_id
+            assert all(alg is not direct_sum for alg in solved), e.entry_id
             continue
         failing.append(e.entry_id)
         assert shear.status == lifted.status == "fail" and report.exit_code() == 1, e.entry_id
+        assert [alg is direct_sum for alg in solved].count(True) == 1 and cross.status == "skip", e.entry_id
         assert shear.residual == lifted.residual == 1.0, e.entry_id
         assert {label[:2] for label in shear.witness["basis_pair"]} == {"a:", "b:"}, e.entry_id
     assert failing == ["c-c-id", "c2-c-lau", "ut2-c2-diag", "c2-c2-swap"]
+
+
+CROSS_CLAIM = "06-weak-amenability/cross-derivations"
+
+
+def test_a_wrong_derivation_transport_fails_a_group_06_claim(monkeypatch, corpus):
+    """A transport that gets the shear wrong fails a claim instead of slipping through.
+
+    The cross maps moved by S D S^T, the shear on the wrong side, fail
+    ``cross-derivations`` on N3 x_T null1 with T(z) = E13.  A transport that skips
+    the shear altogether fails ``derivation-lift-p1`` on ut2-c2-diag, because the
+    claim reads the transported lifts.  Skipping the shear cannot fail the cross
+    claim: a map u (x) v with u and v vanishing on P^2 is a derivation of P, and
+    the unmoved cross maps are such maps.  On the E13 triple, whose multiplication
+    is the direct sum's, skipping it fails nothing at all, because there the
+    identity is an isomorphism onto A + B as well.
+    """
+    import tpw.amenability
+
+    transport = tpw.amenability.transported_derivation_space
+
+    def unsheared(product, an_a, an_b):
+        zero = np.zeros_like(product.hom.matrix)
+        return transport(replace(product, hom=AlgebraHom(source=product.b, target=product.a, matrix=zero)),
+                         an_a, an_b)
+
+    def shear_on_wrong_side(product, an_a, an_b):
+        space = transport(product, an_a, an_b)
+        s, na = product.shear, product.dim_a
+        fs = product.embed_a(an_a.square_annihilator).T  # (f, 0)
+        gs = np.concatenate([np.zeros((na, an_b.square_annihilator.shape[1])), an_b.square_annihilator]).T  # (0, g)
+        a_to_b = tuple(np.outer(s @ g, s @ f) for g in gs for f in fs)
+        parts = dict(space.parts, cross=a_to_b + tuple(d.T for d in a_to_b))
+        return replace(space, der_basis=parts["p1"] + parts["p2"] + parts["cross"], parts=parts)
+
+    def group_06(transport_fn, triple):
+        monkeypatch.setattr(tpw.amenability, "transported_derivation_space", transport_fn)
+        report = verify_theorems(*triple, RunConfig())
+        return {v.claim: v.status for v in report.verdicts if v.claim.startswith("06-")}
+
+    e13 = cross_term_triple()
+    ut2_c2 = next((e.algebra_a, e.algebra_b, e.hom) for e in corpus if e.entry_id == "ut2-c2-diag")
+    lift_p1 = "06-weak-amenability/derivation-lift-p1"
+    assert set(group_06(transport, e13).values()) == {"pass"}
+    assert set(group_06(transport, ut2_c2).values()) == {"pass"}
+    assert group_06(shear_on_wrong_side, e13)[CROSS_CLAIM] == "fail"
+    assert group_06(unsheared, ut2_c2)[lift_p1] == "fail"
+    assert set(group_06(unsheared, e13).values()) == {"pass"}
 
 
 CENTER_CLAIM = "04-topological-centers/{}/product-center-is-whole-bidual"
@@ -209,11 +271,12 @@ def test_corpus_run_counts_multiply_and_operator_calls(monkeypatch, capsys):
 
 def test_corpus_run_decides_the_hom_facts_once_per_product(monkeypatch, capsys, corpus):
     """Counted guard: one built-in ``corpus run`` checks each hom once, when its
-    product is built, and takes two ranks per triple, both of the hom matrix
-    (one in ``check_hom``, one in ``hom_adjoints``).
+    product is built, and takes one rank per triple, of the hom matrix, in
+    ``check_hom``.
 
     The suite, the inner-mean claims and the CLI read the hom's facts from
-    ``product.hom_report`` instead of deciding them again.
+    ``product.hom_report`` instead of deciding them again, and group 03 never
+    reads ``hom_adjoints``' surjectivity, which is decided only when read.
     """
     import sys
 
@@ -236,7 +299,7 @@ def test_corpus_run_decides_the_hom_facts_once_per_product(monkeypatch, capsys, 
     assert main(["corpus", "run", "--format", "json"]) == 0
     assert len(json.loads(capsys.readouterr().out)["entries"]) == len(corpus) == 8
     assert len(calls["check_hom"]) == 8
-    assert len(calls["rank"]) == 16
+    assert len(calls["rank"]) == 8
     homs = [e.hom.matrix for e in corpus]
     assert all(any(np.array_equal(a, m) for m in homs) for a in calls["rank"])
 
