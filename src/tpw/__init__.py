@@ -21,7 +21,6 @@ from .arens import (
     hom_adjoints,
     product_dual_action_tables,
     product_dual_actions,
-    theta_iso,
     topological_center,
     topological_center_membership,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "save_hom",
     "solve_inner_mean",
     "solve_tli",
-    "theta_iso",
     "tli_product_characterization",
     "topological_center",
     "topological_center_membership",

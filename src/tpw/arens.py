@@ -8,22 +8,26 @@ pairing.  Both Arens products are computed through their pairing chains
     <P [] Q, f> = <P, Q . f>        (first)
     <P <> Q, f> = <Q, f . P>        (second)
 
-evaluated as they are defined, in two steps: one ``einsum`` builds the
-matrix of the dual action f -> Q . f (or f -> f . P), and that matrix is
-then paired with P (or Q).  ``arens_first`` and ``arens_second`` take single
-vectors or stacks of shape (..., n), pairing the stacks row by row, so a
-batch of pairs is one chain evaluation.  ``arens_tables`` runs the same two
-steps on the whole basis at once, giving ``first[p, q] = e_p [] e_q`` and
+evaluated as they are defined, in two steps: one matrix product with the
+structure tensor, laid out as n x n^2, builds the matrix of the dual action
+f -> Q . f (or f -> f . P), and a second one pairs that matrix with P (or
+Q).  ``arens_first`` and ``arens_second`` take single vectors or stacks of
+shape (..., n), pairing the stacks row by row, so a batch of pairs is one
+chain evaluation.  ``arens_tables`` runs the same two steps on the whole
+basis at once, giving ``first[p, q] = e_p [] e_q`` and
 ``second[p, q] = e_p <> e_q``; they are built once per algebra object, kept
 on it and read-only.  Every system or residual over basis pairs
 (topological centers, the multiplicativity of T'', the Theta block formula,
 and the invariant-element system in ``amenability``) is a slice or a
-contraction of these tables.  The tables come from the chain and are never
-read off ``structure``, so that agreement of the Arens products with the
-original multiplication stays an actual check of the chain and not a
-definition.  Every finite-dimensional algebra is Arens regular, so a
-topological center here is the whole bidual unless the two tables disagree;
-the suite checks exactly that, on the product, and nothing finer.
+contraction of these tables; a contraction with identity or basis-column
+matrices is written as the slices and transposes it amounts to, and a
+contraction with the hom's matrix as one matrix product per block.  The
+tables come from the chain and are never read off ``structure``, so that
+agreement of the Arens products with the original multiplication stays an
+actual check of the chain and not a definition.  Every finite-dimensional
+algebra is Arens regular, so a topological center here is the whole bidual
+unless the two tables disagree; the suite checks exactly that, on the
+product, and nothing finer.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import numpy as np
 from .core import FiniteAlgebra, LinearMap
 from .errors import ShapeError
 from .linalg import as_complex, max_abs, nullspace, rank
-from .product import AlgebraHom, MorphismProduct
+from .product import AlgebraHom, MorphismProduct, multiplicativity_gap
 
 FINITE_DIM_CAVEAT = (
     "finite dimension forces Arens regularity: both Arens products coincide and "
@@ -56,13 +60,23 @@ def dual_actions(alg: FiniteAlgebra, f, a) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _bidual_left_action(alg: FiniteAlgebra, big_psi: np.ndarray) -> np.ndarray:
-    """Matrix of f -> Psi . f, the functional a -> <Psi, f . a>; Psi may be a stack of rows."""
-    return np.einsum("ijk,...j->...ik", alg.structure, big_psi)
+    """Matrix of f -> Psi . f, the functional a -> <Psi, f . a>, holding sum_j c[i, j, k] Psi_j
+    at [..., i, k]; Psi may be a stack of rows."""
+    n = alg.dim
+    flat = alg.structure.transpose(1, 0, 2).reshape(n, n * n)
+    return (big_psi @ flat).reshape(big_psi.shape[:-1] + (n, n))
 
 
 def _bidual_right_action(alg: FiniteAlgebra, big_phi: np.ndarray) -> np.ndarray:
-    """Matrix of f -> f . Phi, the functional a -> <Phi, a . f>; Phi may be a stack of rows."""
-    return np.einsum("jik,...j->...ik", alg.structure, big_phi)
+    """Matrix of f -> f . Phi, the functional a -> <Phi, a . f>, holding sum_j c[j, i, k] Phi_j
+    at [..., i, k]; Phi may be a stack of rows."""
+    n = alg.dim
+    return (big_phi @ alg.structure.reshape(n, n * n)).reshape(big_phi.shape[:-1] + (n, n))
+
+
+def _pair(big: np.ndarray, action: np.ndarray) -> np.ndarray:
+    """<Big, action>: sum_i Big_i action[..., i, k], row by row, leading axes broadcast."""
+    return (big[..., None, :] @ action)[..., 0, :]
 
 
 def _bidual_stack(alg: FiniteAlgebra, v) -> np.ndarray:
@@ -80,7 +94,7 @@ def arens_first(alg: FiniteAlgebra, big_phi, big_psi) -> np.ndarray:
     row, with the leading axes broadcast.
     """
     action = _bidual_left_action(alg, _bidual_stack(alg, big_psi))
-    return np.einsum("...i,...ik->...k", _bidual_stack(alg, big_phi), action)
+    return _pair(_bidual_stack(alg, big_phi), action)
 
 
 def arens_second(alg: FiniteAlgebra, big_phi, big_psi) -> np.ndarray:
@@ -89,7 +103,7 @@ def arens_second(alg: FiniteAlgebra, big_phi, big_psi) -> np.ndarray:
     Phi and Psi may be stacks of shape (..., n), as in ``arens_first``.
     """
     action = _bidual_right_action(alg, _bidual_stack(alg, big_phi))
-    return np.einsum("...i,...ik->...k", _bidual_stack(alg, big_psi), action)
+    return _pair(_bidual_stack(alg, big_psi), action)
 
 
 class ArensTables(NamedTuple):
@@ -114,10 +128,17 @@ def arens_tables(alg: FiniteAlgebra) -> ArensTables:
 
 
 def _chain_tables(alg: FiniteAlgebra) -> ArensTables:
-    """Build both read-only tables through the chain; ``arens_tables`` keeps them."""
+    """Build both read-only tables through the chain; ``arens_tables`` keeps them.
+
+    The actions of the basis vectors are one stack each; pairing every basis
+    vector with every action is one product with the identity, which is exact
+    up to the sign of a zero.  Adding 0.0 makes every zero +0.0, so the bits of
+    the tables do not depend on the BLAS kernel.
+    """
     basis = np.eye(alg.dim, dtype=complex)
-    first = np.einsum("pi,qik->pqk", basis, _bidual_left_action(alg, basis))
-    second = np.einsum("qi,pik->pqk", basis, _bidual_right_action(alg, basis))
+    # basis @ (action of e_q) holds e_p [] e_q at [q, p]
+    first = (basis @ _bidual_left_action(alg, basis)).transpose(1, 0, 2) + 0.0
+    second = basis @ _bidual_right_action(alg, basis) + 0.0
     first.setflags(write=False)
     second.setflags(write=False)
     return ArensTables(first, second)
@@ -132,11 +153,6 @@ def stacked_side_system(table: np.ndarray, side: str) -> np.ndarray:
     n = table.shape[0]
     blocks = table.transpose(1, 2, 0) if side == "left" else table.transpose(0, 2, 1)
     return blocks.reshape(n * n, n)
-
-
-def _pair_batches(table: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """out[p, q] = x_p # y_q for the columns x_p of xs and y_q of ys."""
-    return np.einsum("ip,jq,ijk->pqk", xs, ys, table)
 
 
 @dataclass
@@ -156,55 +172,54 @@ class ProductDualActions:
         )
 
 
-def _dual_action_batches(c: np.ndarray, fs: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(f_p . x_q, x_q . f_p) at [p, q] for the columns f_p of fs and x_q of xs.
+def _block_table(product: MorphismProduct, table_a: np.ndarray, table_b: np.ndarray) -> np.ndarray:
+    """The product's table on basis pairs from the factors' tables by the block formula
 
-    (f.a)(x) = f(a x) = sum_k f_k c[a, x, k] and (a.f)(x) = f(x a) = sum_k f_k c[x, a, k].
+        (P1, Q1) # (P2, Q2) = (P1 # P2 + P1 # T(Q2) + T(Q1) # P2,  Q1 # Q2):
+
+    the factor tables in the diagonal blocks, one product with the hom's matrix in each cross block.
     """
-    return np.einsum("kp,jq,jxk->pqx", fs, xs, c), np.einsum("kp,jq,xjk->pqx", fs, xs, c)
+    na, n, m = product.dim_a, product.algebra.dim, product.hom.matrix
+    block = np.zeros((n, n, n), dtype=complex)
+    block[:na, :na, :na] = table_a
+    block[:na, na:, :na] = m.T @ table_a
+    block[na:, :na, :na] = (m.T @ table_a.reshape(na, na * na)).reshape(-1, na, na)
+    block[na:, na:, na:] = table_b
+    return block
 
 
-def _product_dual_action_batches(product: MorphismProduct, f, g, a, b) -> ProductDualActions:
-    """``product_dual_actions`` for column batches: entry [p, q] is (a_q, b_q) acting on (f_p, g_p)."""
-    m = product.hom.matrix
-    right_direct, left_direct = _dual_action_batches(
-        product.algebra.structure, np.vstack([f, g]), np.vstack([a, b])
-    )
-    fa, af = _dual_action_batches(product.a.structure, f, a)
-    ftb, tbf = _dual_action_batches(product.a.structure, f, m @ b)
-    gb, bg = _dual_action_batches(product.b.structure, g, b)
-    # f o (L_a T) = T'(f . a) and f o (R_a T) = T'(a . f); T' has matrix m^T
-    return ProductDualActions(
-        right_direct=right_direct,
-        right_block=np.concatenate([fa + ftb, fa @ m + gb], axis=2),
-        left_direct=left_direct,
-        left_block=np.concatenate([af + tbf, af @ m + bg], axis=2),
-    )
+def product_dual_action_tables(product: MorphismProduct) -> ProductDualActions:
+    """Both actions of every basis element on every basis functional, computed two ways.
 
-
-def product_dual_actions(product: MorphismProduct, f, g, a, b) -> ProductDualActions:
-    """Both actions of (a, b) on (f, g), computed two ways.
-
-    The direct computation contracts the product algebra's own structure
-    tensor; the block computation uses the factor structures and the hom in
-    the factor-level formulas
+    Entry [i, j] is e_j acting on e_i.  (f.a)(x) = f(a x) reads entry [a, x, f]
+    of the multiplication table and (a.f)(x) = f(x a) entry [x, a, f], so both
+    ways are transposes of a table: the direct one of the product algebra's own
+    structure tensor, the block one of the table that the factor structures and
+    the hom give, which is what the factor-level formulas
 
         (f, g) . (a, b) = (f.a + f.T(b),  f o (L_a T) + g.b)
         (a, b) . (f, g) = (a.f + T(b).f,  f o (R_a T) + b.g)
 
-    which must agree with it.
+    read on basis pairs.  The two must agree.
     """
-    columns = [alg.coerce(v)[:, None] for alg, v in
-               ((product.a, f), (product.b, g), (product.a, a), (product.b, b))]
-    acts = _product_dual_action_batches(product, *columns)
-    return ProductDualActions(**{name: value[0, 0] for name, value in vars(acts).items()})
+    c = product.algebra.structure
+    block = _block_table(product, product.a.structure, product.b.structure)
+    return ProductDualActions(
+        right_direct=c.transpose(2, 0, 1),
+        right_block=block.transpose(2, 0, 1),
+        left_direct=c.transpose(2, 1, 0),
+        left_block=block.transpose(2, 1, 0),
+    )
 
 
-def product_dual_action_tables(product: MorphismProduct) -> ProductDualActions:
-    """``product_dual_actions`` on every basis pair at once: entry [i, j] is e_j acting on e_i."""
-    na = product.dim_a
-    basis = np.eye(product.algebra.dim, dtype=complex)
-    return _product_dual_action_batches(product, basis[:na], basis[na:], basis[:na], basis[na:])
+def product_dual_actions(product: MorphismProduct, f, g, a, b) -> ProductDualActions:
+    """Both actions of (a, b) on (f, g), direct and by the block formulas of
+    ``product_dual_action_tables``, contracted from those tables."""
+    fg, ab, n = product.join(f, g), product.join(a, b), product.algebra.dim
+    tables = product_dual_action_tables(product)
+    return ProductDualActions(**{
+        name: ab @ (fg @ table.reshape(n, n * n)).reshape(n, n) for name, table in vars(tables).items()
+    })
 
 
 @dataclass
@@ -251,67 +266,26 @@ def hom_adjoints(hom: AlgebraHom, tol: float) -> HomAdjoints:
     # T''(e_p # e_q) against T''(e_p) # T''(e_q), over all basis pairs at once
     m2 = t_second.matrix
     tables_b, tables_a = arens_tables(b_alg), arens_tables(a_alg)
-    res1 = max_abs(tables_b.first @ m2.T - _pair_batches(tables_a.first, m2, m2))
-    res2 = max_abs(tables_b.second @ m2.T - _pair_batches(tables_a.second, m2, m2))
     return HomAdjoints(
         t_prime=t_prime,
         t_second=t_second,
         embedding_residual=embedding_residual,
-        mult_residual_first=res1,
-        mult_residual_second=res2,
+        mult_residual_first=max_abs(multiplicativity_gap(tables_b.first, tables_a.first, m2)),
+        mult_residual_second=max_abs(multiplicativity_gap(tables_b.second, tables_a.second, m2)),
         tol=tol,
     )
-
-
-def theta_iso(product: MorphismProduct, big_phi, big_psi) -> np.ndarray:
-    """The bidual identification pairing <Theta(Phi, Psi), (f, g)> = Phi(f) + Psi(g).
-
-    In coordinates this is the concatenation of the two bidual vectors.
-    """
-    return product.join(big_phi, big_psi)
-
-
-def _block_products(product: MorphismProduct, which: str, phi1, psi1, phi2, psi2) -> np.ndarray:
-    """Theta of the block formula, for pairs (P1, Q1) and (P2, Q2) given as columns.
-
-    Entry [p, q] combines pair p of the first batch with pair q of the second.
-    """
-    table_a = getattr(arens_tables(product.a), which)
-    table_b = getattr(arens_tables(product.b), which)
-    m = product.hom.matrix
-    a_part = (
-        _pair_batches(table_a, phi1, phi2)
-        + _pair_batches(table_a, phi1, m @ psi2)
-        + _pair_batches(table_a, m @ psi1, phi2)
-    )
-    return np.concatenate([a_part, _pair_batches(table_b, psi1, psi2)], axis=2)
-
-
-def bidual_block_product(product: MorphismProduct, pair1, pair2, which: str) -> np.ndarray:
-    """The bidual-level block formula for the product of Theta-preimages.
-
-    Computes (P1 # P2 + P1 # T''(Q2) + T''(Q1) # P2,  Q1 # Q2) with # the
-    chosen Arens product taken inside the factor biduals, then maps through
-    Theta.
-    """
-    (phi1, psi1), (phi2, psi2) = pair1, pair2
-    columns = [alg.coerce(v)[:, None] for alg, v in
-               ((product.a, phi1), (product.b, psi1), (product.a, phi2), (product.b, psi2))]
-    return _block_products(product, which, *columns)[0, 0]
 
 
 def theta_homomorphism_residual(product: MorphismProduct, which: str) -> float:
     """Worst basis-pair deviation of Theta from multiplicativity.
 
-    Compares the factor-level block formula against the Arens product formed
-    inside the product algebra itself, over all pairs of block basis vectors.
+    Compares the factor-level block formula, with # the chosen Arens product
+    inside the factor biduals and T'' in place of T, against the Arens product
+    formed inside the product algebra itself, over all pairs of block basis
+    vectors.
     """
-    na = product.dim_a
-    # the block basis vectors e_p = Theta(x_p, y_p), as columns of x and y
-    basis = np.eye(product.algebra.dim, dtype=complex)
-    x, y = basis[:na], basis[na:]
-    block = _block_products(product, which, x, y, x, y)
-    return max_abs(block - getattr(arens_tables(product.algebra), which))
+    table_a, table_b, table_p = (getattr(arens_tables(alg), which) for alg in (product.a, product.b, product.algebra))
+    return max_abs(_block_table(product, table_a, table_b) - table_p)
 
 
 def _center_system(alg: FiniteAlgebra, side: str) -> np.ndarray:

@@ -105,7 +105,9 @@ def commutative_quotient(alg: FiniteAlgebra, tol: float) -> CommutativeQuotient:
     if m == 0:
         return CommutativeQuotient(quotient=None, section=section, ideal=ideal)
     # cq[p, q] = section^H (s_p s_q), for the columns s_p of the section
-    cq = np.einsum("ip,jq,ijk,kr->pqr", section, section, alg.structure, section.conj(), optimize=True)
+    # the path that optimize=True picks for every n <= 48 and m <= n, given so no call searches for it
+    path = ["einsum_path", (0, 2), (0, 2), (0, 1)]
+    cq = np.einsum("ip,jq,ijk,kr->pqr", section, section, alg.structure, section.conj(), optimize=path)
     quotient = FiniteAlgebra(
         name=f"{alg.name}.commutative-quotient",
         basis_labels=tuple(f"q{i}" for i in range(m)),

@@ -108,11 +108,14 @@ class FiniteAlgebra:
         return float(np.sum(self.norm_weights * np.abs(self.coerce(x))))
 
     def associativity_residual(self) -> float:
-        """max-norm of (e_i e_j) e_k - e_i (e_j e_k) over all basis triples."""
-        c = self.structure
-        left = np.einsum("ijm,mkl->ijkl", c, c)
-        right = np.einsum("jkm,iml->ijkl", c, c)
-        return max_abs(left - right)
+        """max-norm of (e_i e_j) e_k - e_i (e_j e_k) over all basis triples; each side is one
+        (n^2, n) @ (n, n^2) product, with (e_i e_j) e_k at [(i, j), (k, l)] and e_i (e_j e_k) at [(j, k), (i, l)]."""
+        n, c = self.dim, self.structure
+        flat = c.reshape(n * n, n)
+        left = (flat @ c.reshape(n, n * n)).reshape(n, n, n, n)
+        right = (flat @ c.transpose(1, 0, 2).reshape(n, n * n)).reshape(n, n, n, n)
+        right -= left.transpose(1, 2, 0, 3)
+        return max_abs(right)
 
     def __repr__(self):
         return f"FiniteAlgebra({self.name!r}, dim={self.dim})"

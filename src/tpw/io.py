@@ -33,6 +33,18 @@ def _parse_complex(value, where: str) -> complex:
 
 
 def _parse_complex_array(value, shape: tuple[int, ...], where: str) -> np.ndarray:
+    """An array of [re, im] number pairs of the given shape, as complex.
+
+    A well-formed array is one conversion, its pairs reinterpreted without
+    arithmetic, so each entry is what complex(re, im) gives; anything else
+    is walked entry by entry, which names the first bad entry.
+    """
+    try:
+        pairs = np.array(value)
+    except (ValueError, TypeError, OverflowError):  # ragged or unconvertible: walk it
+        pairs = None
+    if pairs is not None and pairs.dtype.kind in "iuf" and pairs.shape == shape + (2,):
+        return np.ascontiguousarray(pairs, dtype=float).view(complex).reshape(shape)
     out = np.empty(shape, dtype=complex)
     flat = out.reshape(-1)
 

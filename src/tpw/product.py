@@ -26,6 +26,14 @@ from .errors import HomInvalid, ShapeError, ValidationError
 from .linalg import as_complex, max_abs, rank
 
 
+def multiplicativity_gap(source_table: np.ndarray, target_table: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """T(e_i # e_j) - T(e_i) # T(e_j) at [i, j] for the map T with matrix m, where ``table[p, q]``
+    is e_p # e_q for a bilinear product # on each side; T(e_i) # T(e_j) is two products with m^T."""
+    nt, ns = m.shape
+    images = (m.T @ (m.T @ target_table).reshape(nt, ns * nt)).reshape(ns, ns, nt)
+    return source_table @ m.T - images
+
+
 @dataclass(frozen=True)
 class AlgebraHom:
     """A linear map between algebras with its multiplicativity certificate.
@@ -51,9 +59,7 @@ class AlgebraHom:
             raise ShapeError(f"hom matrix has shape {m.shape}, expected {expected}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        ca, cb = self.target.structure, self.source.structure
-        # T(e_i e_j) - T(e_i) T(e_j) at [i, j, k]
-        gap = np.abs(np.einsum("km,ijm->ijk", m, cb) - np.einsum("pi,qj,pqk->ijk", m, m, ca))
+        gap = np.abs(multiplicativity_gap(self.source.structure, self.target.structure, m))
         i, j, k = np.unravel_index(np.argmax(gap), gap.shape)
         object.__setattr__(self, "mult_residual", float(gap[i, j, k]))
         object.__setattr__(self, "worst_pair", (int(i), int(j)))

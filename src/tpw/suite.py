@@ -125,13 +125,15 @@ def _check_bidual_identification(report: CheckReport, product: MorphismProduct, 
     )
 
     # 100 random pairs per algebra, one stack each; the direct products come
-    # from the structure tensor, so the chain is checked against multiplication
+    # from the structure tensor, the coefficients x_i y_j against c laid out as
+    # (n^2, n), so the chain is checked against multiplication
     rng = np.random.default_rng(seed)
     worst = 0.0
     for alg in (product.a, product.b, palg):
-        g = rng.standard_normal((100, 4, alg.dim))
+        n = alg.dim
+        g = rng.standard_normal((100, 4, n))
         x, y = g[:, 0] + 1j * g[:, 1], g[:, 2] + 1j * g[:, 3]
-        direct = np.einsum("pi,pj,ijk->pk", x, y, alg.structure)
+        direct = (x[:, :, None] * y[:, None, :]).reshape(100, n * n) @ alg.structure.reshape(n * n, n)
         worst = max(worst, max_abs(arens_first(alg, x, y) - direct), max_abs(arens_second(alg, x, y) - direct))
     report.add(
         "02-bidual-identification/arens-equals-multiplication",

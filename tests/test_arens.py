@@ -6,12 +6,10 @@ import pytest
 from tpw.arens import (
     arens_first,
     arens_second,
-    bidual_block_product,
     dual_actions,
     hom_adjoints,
     product_dual_actions,
     theta_homomorphism_residual,
-    theta_iso,
     topological_center,
     topological_center_membership,
 )
@@ -129,9 +127,19 @@ def test_hom_adjoints_identity(alg_c2):
     assert adj.source_epi and adj.second_epi
 
 
+def block_product(product, pair1, pair2, which):
+    """Theta of the bidual block formula (P1 # P2 + P1 # T''(Q2) + T''(Q1) # P2, Q1 # Q2),
+    with # the chosen Arens product inside the factor biduals."""
+    (phi1, psi1), (phi2, psi2) = pair1, pair2
+    op, m = {"first": arens_first, "second": arens_second}[which], product.hom.matrix
+    a_part = op(product.a, phi1, phi2) + op(product.a, phi1, m @ psi2) + op(product.a, m @ psi1, phi2)
+    return product.join(a_part, op(product.b, psi1, psi2))
+
+
 def test_theta_pairing(alg_c):
+    # <Theta(Phi, Psi), (f, g)> = Phi(f) + Psi(g): Theta is the concatenation
     product = build_product(alg_c, alg_c, hom_identity(alg_c), TOL)
-    vec = theta_iso(product, [2.0], [3.0])
+    vec = product.join([2.0], [3.0])
     assert np.dot(vec, np.array([1.0, 1.0])) == pytest.approx(5.0)
 
 
@@ -141,10 +149,10 @@ def test_theta_first_block_is_subalgebra(alg_c2):
     phi2 = np.array([3.0, 4.0], dtype=complex)
     lhs = arens_first(
         product.algebra,
-        theta_iso(product, phi1, np.zeros(2)),
-        theta_iso(product, phi2, np.zeros(2)),
+        product.join(phi1, np.zeros(2)),
+        product.join(phi2, np.zeros(2)),
     )
-    rhs = theta_iso(product, arens_first(alg_c2, phi1, phi2), np.zeros(2))
+    rhs = product.join(arens_first(alg_c2, phi1, phi2), np.zeros(2))
     np.testing.assert_allclose(lhs, rhs, atol=10 * TOL)
 
 
@@ -152,9 +160,9 @@ def test_theta_block_product_by_hand(alg_c):
     # Theta(1,1) [] Theta(1,1) = Theta(1*1 + 1*1 + 1*1, 1*1) = Theta(3, 1)
     product = build_product(alg_c, alg_c, hom_identity(alg_c), TOL)
     one = np.ones(1, dtype=complex)
-    block = bidual_block_product(product, (one, one), (one, one), "first")
+    block = block_product(product, (one, one), (one, one), "first")
     np.testing.assert_allclose(block, [3.0, 1.0])
-    direct = arens_first(product.algebra, theta_iso(product, one, one), theta_iso(product, one, one))
+    direct = arens_first(product.algebra, product.join(one, one), product.join(one, one))
     np.testing.assert_allclose(direct, [3.0, 1.0])
 
 

@@ -304,3 +304,64 @@ def test_malformed_corpus_entry_is_an_input_error(field, tmp_path, monkeypatch, 
         path.write_text(json.dumps(entry["algebra_a"]))
         assert main(["validate", "--algebra", str(path)]) == 2
         assert field in capsys.readouterr().err
+
+
+def _short(structure):
+    return structure[:1]
+
+
+def _ragged(structure):
+    structure[0][1] = structure[0][1][:1]
+    return structure
+
+
+def _set(index, value):
+    def edit(structure):
+        i, j, k = index
+        structure[i][j][k] = value
+        return structure
+    return edit
+
+
+MALFORMED_ARRAYS = {
+    "non-pair leaf": (_set((0, 0, 0), 5), "structure[0, 0, 0]: complex values must be [re, im] pairs, got 5"),
+    "non-numeric component": (_set((0, 0, 0), [None, 0]),
+                              "structure[0, 0, 0]: complex components must be numbers, got [None, 0]"),
+    "string component": (_set((0, 1, 0), ["1", 0]),
+                         "structure[0, 1, 0]: complex components must be numbers, got ['1', 0]"),
+    "short list": (_short, "structure[]: expected a list of length 2"),
+    "ragged list": (_ragged, "structure[0, 1]: expected a list of length 2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ARRAYS))
+def test_malformed_complex_array_names_the_first_bad_entry(case, tmp_path, capsys):
+    """A structure tensor that is not an array of [re, im] number pairs of the
+    declared shape exits 2 through ``tpw validate``, and the parse error names
+    the first bad entry."""
+    edit, message = MALFORMED_ARRAYS[case]
+    data = json.loads(dump_json(algebra_to_dict(algebra_c2())))
+    data["structure"] = edit(data["structure"])
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ParseError) as info:
+        load_algebra(str(path))
+    assert str(info.value) == f"{path}: {message}"
+    assert main(["validate", "--algebra", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def test_complex_array_keeps_signed_zeros_infinities_and_large_integers():
+    """Each entry comes out as complex(re, im) gives it: -0.0 and infinities keep
+    their sign, and an integer too large for int64 is still a number."""
+    from tpw.io import _parse_complex_array
+
+    inf = float("inf")
+    value = [[-0.0, 0.0], [inf, -inf], [2**70, -0.0], [True, 3]]
+    out = _parse_complex_array(value, (4,), "x")
+    want = np.array([complex(re, im) for re, im in value])
+    assert out.shape == (4,) and out.dtype == complex
+    assert out.tobytes() == want.tobytes()
+    floats = [[[1.5, -0.0], [0, 2]], [[-3, 4.25], [-0.0, -0.0]]]
+    out = _parse_complex_array(floats, (2, 2), "x")
+    assert out.tobytes() == np.array([[complex(*p) for p in row] for row in floats]).tobytes()
