@@ -37,8 +37,8 @@ import numpy as np
 from .arens import arens_tables, stacked_side_system
 from .characters import CharacterEnumeration, enumerate_characters
 from .core import FiniteAlgebra, center, find_left_identity, find_right_identity
-from .errors import NotADerivation, ShapeError
-from .linalg import as_complex, column_space, max_abs, nullspace, nullspaces, orthonormalize, subspaces_equal
+from .errors import NotADerivation
+from .linalg import as_complex, column_space, max_abs, nullspace, nullspaces, subspace_contains
 from .product import MorphismProduct
 from .report import CheckReport
 
@@ -262,12 +262,15 @@ def _tli_system(alg: FiniteAlgebra, phi: np.ndarray, side: str) -> np.ndarray:
     """Phi [] e_j - phi(e_j) Phi (left) or e_j [] Phi - phi(e_j) Phi (right), stacked over j.
 
     ``phi`` may be a stack of functionals of shape (k, n); the systems then
-    come as a stack of shape (k, n^2, n).
+    come as one stack of shape (k, n^2, n): copies of the side system, each
+    with phi(e_j) taken off the diagonal of block j in place.
     """
-    n = alg.dim
-    # block j of each system is phi(e_j) I, entry for entry what np.kron(phi[:, None], I) gives
-    shift = (phi[..., :, None, None] * np.eye(n)).reshape(phi.shape[:-1] + (n * n, n))
-    return stacked_side_system(arens_tables(alg).first, side) - shift
+    n, phi = alg.dim, as_complex(phi)
+    system = np.empty(phi.shape[:-1] + (n * n, n), dtype=complex)
+    system[...] = stacked_side_system(arens_tables(alg).first, side)
+    # entry (j n + i, i) of a system is its flat entry j n^2 + i (n + 1): a strided view of the diagonals
+    system.reshape(phi.shape[:-1] + (n, n * n))[..., :: n + 1] -= phi[..., :, None]
+    return system
 
 
 def solve_tli(alg: FiniteAlgebra, phi, side: str, tol: float) -> TliSolution | tuple[TliSolution, ...]:
@@ -277,35 +280,36 @@ def solve_tli(alg: FiniteAlgebra, phi, side: str, tol: float) -> TliSolution | t
     of them of shape (k, n), which gives one solution per row; a single
     vector is the one-row case and gives a single solution.  The linear
     systems are slices of the first Arens table over the element basis, and
-    a stack is solved as one (``linalg.nullspaces``), each system with the
-    cutoff floor max(cutoff_scale, max |phi|).  ``exists_nonvanishing``
-    reports whether phi fails to annihilate the solution space (a rank test
-    on the pairing row).
+    a stack is solved as one (``linalg.nullspaces``) in parts of n rows,
+    each system with the cutoff floor max(cutoff_scale, max |phi|).
+    ``exists_nonvanishing`` reports whether phi fails to annihilate the
+    solution space (a rank test on the pairing row).
     """
-    phis = as_complex(phi)
-    single = phis.ndim < 2
-    phis = alg.coerce(phis)[None] if single else phis
-    if phis.shape[1:] != (alg.dim,):
-        raise ShapeError(f"functional stack of shape {phis.shape} for algebra {alg.name!r} of dim {alg.dim}")
-    if not len(phis):
-        return ()
-    scales = [max(alg.cutoff_scale, max_abs(f)) for f in phis]
-    solutions = []
-    for f, basis in zip(phis, nullspaces(_tli_system(alg, phis, side), tol, scales)):
-        nonvanishing = bool(basis.shape[1] and max_abs(f @ basis) > tol * max(1.0, max_abs(f)))
-        solutions.append(TliSolution(algebra=alg, phi=f, side=side, basis=basis, exists_nonvanishing=nonvanishing))
+    phis, single = alg.coerce_rows(phi)
+    size = np.max(np.abs(phis), axis=1)
+    # n systems at a time, as many as an algebra of dim n can have characters: numpy's QR copies its
+    # input, and the product's characters with both families (up to 2n systems) would peak at twice that
+    scales, solutions = np.maximum(alg.cutoff_scale, size), []
+    for part in (slice(start, start + alg.dim) for start in range(0, len(phis), alg.dim)):
+        bases, dims = nullspaces(_tli_system(alg, phis[part], side), tol, scales[part])
+        # the padding columns of ``bases`` pair to zero with every functional
+        pairing = np.max(np.abs((phis[part, None, :] @ bases)[:, 0]), axis=1, initial=0.0)
+        solutions += [TliSolution(algebra=alg, phi=f, side=side, basis=basis[:, :d], exists_nonvanishing=bool(nv))
+                      for f, basis, d, nv in zip(phis[part], bases, dims, pairing > tol * np.maximum(1.0, size[part]))]
     return solutions[0] if single else tuple(solutions)
 
 
-def tli_product_characterization(
-    product: MorphismProduct,
-    factor_character,
-    kind: str,
-    tol: float,
-    side: str = "left",
-    factor_solution: TliSolution | None = None,
-    product_solution: TliSolution | None = None,
-) -> CheckReport:
+def _padded(bases: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n, d_i) bases as one (k, n, max d_i) stack padded with zero columns, and the d_i."""
+    dims = np.array([basis.shape[1] for basis in bases], dtype=int)
+    stack = np.zeros((len(bases), n, int(dims.max(initial=0))), dtype=complex)
+    for row, basis in zip(stack, bases):
+        row[:, : basis.shape[1]] = basis
+    return stack, dims
+
+
+def tli_product_characterization(product: MorphismProduct, factor_character, kind: str, tol: float, side: str = "left",
+                                 factor_solution=None, product_solution=None) -> CheckReport | tuple[CheckReport, ...]:
     """Verify the invariant-element characterization for one product character.
 
     For a character lifted from the first factor the invariant elements with
@@ -318,48 +322,58 @@ def tli_product_characterization(
     skipped.  ``factor_solution`` is the factor's own solution for this
     character and side, and ``product_solution`` the product's for its lift,
     when the caller holds them; otherwise they are solved here.
+
+    ``factor_character`` may be a stack of shape (k, n), with sequences of
+    solutions, which gives one report per row, checked as one stack: the
+    solution spaces are padded to the widest with zero columns, which add
+    nothing to a projector and fall below every cutoff, and each claimed
+    family is orthonormalized with the cutoff of its own (n, dim) shape, as
+    ``orthonormalize`` would.
     """
-    palg = product.algebra
+    palg, n = product.algebra, product.algebra.dim
     tag = "embedded-first-factor" if kind == "lifted" else "second-factor-graph"
-    report = CheckReport(subject=f"invariant elements of {palg.name} ({kind}, {side})")
-
     factor = product.a if kind == "lifted" else product.b
-    chi = factor.coerce(factor_character)
-    factor_sol = factor_solution if factor_solution is not None else solve_tli(factor, chi, side, tol)
-    if kind == "lifted":
-        prod_char, claimed = product.lift_first(chi), product.embed_a(factor_sol.basis)
-    else:
-        prod_char, claimed = product.lift_second(chi), product.graph(factor_sol.basis)
-    claimed = orthonormalize(claimed, tol) if claimed.size else claimed
+    chis, single = factor.coerce_rows(factor_character)
 
-    prod_sol = product_solution if product_solution is not None else solve_tli(palg, prod_char, side, tol)
-    nv_prod = prod_sol.exists_nonvanishing
-    nv_factor = factor_sol.exists_nonvanishing
+    def given(solution, alg, fs):
+        return solve_tli(alg, fs, side, tol) if solution is None else (solution,) if single else tuple(solution)
 
-    report.add(
-        f"tli/{side}/{tag}/nonvanishing-agreement",
-        nv_prod == nv_factor,
-        witness=None if nv_prod == nv_factor else {"product": nv_prod, "factor": nv_factor},
-        detail="an invariant element with nonzero pairing exists on one level iff on the other",
-    )
-    if nv_prod or nv_factor:
-        equal, residual = subspaces_equal(prod_sol.basis, claimed, 100 * tol)
-        report.add(
-            f"tli/{side}/{tag}/solution-space-equality",
-            equal,
-            residual=residual,
-            witness=None if equal else {
-                "product_dim": prod_sol.dim,
-                "claimed_dim": int(claimed.shape[1]),
-            },
-            detail="product-level solutions coincide with the characterized family",
-        )
-    else:
-        report.skip(
-            f"tli/{side}/{tag}/solution-space-equality",
-            detail="pairing vanishes on both solution spaces; the characterization is vacuous here",
-        )
-    return report
+    factor_sols = given(factor_solution, factor, chis)
+    prod_sols = given(product_solution, palg, product.lift_first(chis) if kind == "lifted" else product.lift_second(chis))
+    f_bases, _ = _padded([sol.basis for sol in factor_sols], factor.dim)
+    p_bases, p_dims = _padded([sol.basis for sol in prod_sols], n)
+    k, w = f_bases.shape[0], f_bases.shape[2]
+    # every claimed family as columns of one matrix: the embedded (x, 0) or the graphs (-T''(x), x)
+    columns = f_bases.transpose(1, 0, 2).reshape(factor.dim, k * w)
+    claimed = (product.embed_a(columns) if kind == "lifted" else product.graph(columns)).reshape(n, k, w)
+    claimed = claimed.transpose(1, 0, 2)
+    ranks = np.zeros(k, dtype=int)
+    if w:
+        u, s, _ = np.linalg.svd(claimed, full_matrices=False)
+        # each family's own shape is (n, dim) with dim < n, so its cutoff is tol * s_max * n
+        ranks = np.sum(s > (tol * s[:, 0] * n)[:, None], axis=1)
+        claimed = u * (np.arange(u.shape[2]) < ranks[:, None])[:, None, :]
+    claimed_ok, to_claimed = subspace_contains(claimed, p_bases, 100 * tol)
+    prod_ok, to_prod = subspace_contains(p_bases, claimed, 100 * tol)
+    same_dim = p_dims == ranks
+    equal, residual = same_dim & claimed_ok & prod_ok, np.where(same_dim, np.maximum(to_claimed, to_prod), np.inf)
+
+    reports = []
+    for i, (f_sol, p_sol) in enumerate(zip(factor_sols, prod_sols)):
+        report = CheckReport(subject=f"invariant elements of {palg.name} ({kind}, {side})")
+        nv_prod, nv_factor = p_sol.exists_nonvanishing, f_sol.exists_nonvanishing
+        report.add(f"tli/{side}/{tag}/nonvanishing-agreement", nv_prod == nv_factor,
+                   witness=None if nv_prod == nv_factor else {"product": nv_prod, "factor": nv_factor},
+                   detail="an invariant element with nonzero pairing exists on one level iff on the other")
+        if nv_prod or nv_factor:
+            report.add(f"tli/{side}/{tag}/solution-space-equality", bool(equal[i]), residual=float(residual[i]),
+                       witness=None if equal[i] else {"product_dim": p_sol.dim, "claimed_dim": int(ranks[i])},
+                       detail="product-level solutions coincide with the characterized family")
+        else:
+            report.skip(f"tli/{side}/{tag}/solution-space-equality",
+                        detail="pairing vanishes on both solution spaces; the characterization is vacuous here")
+        reports.append(report)
+    return reports[0] if single else tuple(reports)
 
 
 @dataclass
@@ -435,16 +449,21 @@ class Analysis:
         return find_right_identity(self.algebra, self.tol)
 
     @cached_property
+    def tli_functionals(self) -> np.ndarray:
+        """The functionals whose invariant elements are solved, as one stack: the enumerated characters."""
+        return self.characters.functionals
+
+    @cached_property
     def left_tli(self) -> tuple[TliSolution, ...]:
-        return solve_tli(self.algebra, self.characters.functionals, "left", self.tol)
+        return solve_tli(self.algebra, self.tli_functionals, "left", self.tol)
 
     @cached_property
     def right_tli(self) -> tuple[TliSolution, ...]:
-        return solve_tli(self.algebra, self.characters.functionals, "right", self.tol)
+        return solve_tli(self.algebra, self.tli_functionals, "right", self.tol)
 
     def tli(self, side: str) -> tuple[TliSolution, ...]:
         """Invariant-element solutions on ``side``, one per enumerated character."""
-        return self.left_tli if side == "left" else self.right_tli
+        return (self.left_tli if side == "left" else self.right_tli)[: len(self.characters)]
 
     @cached_property
     def weakly_amenable(self) -> bool:
@@ -458,22 +477,26 @@ class Analysis:
         verdict, failing = _for_every_character(enum, (sol.exists_nonvanishing for sol in self.tli(side)))
         return CharacterAmenability(self.algebra, side, verdict, True, enum, failing, caveats)
 
-    def inner_mean(self, phi) -> np.ndarray | None:
-        """Minimal-norm central m with <m, phi> = 1, or None when infeasible."""
-        phi = self.algebra.coerce(phi)
-        if self.center.shape[1] == 0:
-            return None
-        pair_row = phi @ self.center
-        if max_abs(pair_row) <= self.tol * max(1.0, max_abs(phi)):
-            return None
-        coeffs = pair_row.conj() / np.real(pair_row @ pair_row.conj())
-        return self.center @ coeffs
+    def inner_means(self, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The minimal-norm central m with <m, phi> = 1 for each row phi of a (k, n) stack,
+        from one contraction with the centre, and whether each exists (rows without one are zero)."""
+        pair = phis @ self.center
+        feasible = np.max(np.abs(pair), axis=1, initial=0.0) > self.tol * np.maximum(1.0, np.max(np.abs(phis), axis=1))
+        coeffs = pair.conj() / np.where(feasible, np.real(np.sum(pair * pair.conj(), axis=1)), 1.0)[:, None]
+        return np.where(feasible[:, None], coeffs @ self.center.T, 0.0), feasible
+
+    def inner_mean(self, phi) -> np.ndarray | None | tuple[np.ndarray | None, ...]:
+        """Minimal-norm central m with <m, phi> = 1, or None when infeasible; for a stack
+        of shape (k, n), one per row, from ``inner_means``."""
+        phis, single = self.algebra.coerce_rows(phi)
+        means = tuple(m if ok else None for m, ok in zip(*self.inner_means(phis)))
+        return means[0] if single else means
 
     @cached_property
     def character_inner_amenability(self) -> CharacterInnerAmenability:
         """An inner mean for every character; unknown when enumeration is incomplete."""
         enum = self.characters
-        means = tuple(self.inner_mean(ch.functional) for ch in enum.characters)
+        means = self.inner_mean(enum.functionals)
         verdict, failing = _for_every_character(enum, (m is not None for m in means))
         return CharacterInnerAmenability(self.algebra, verdict, enum, self.center, means, failing,
                                          (CENTER_REDUCTION_CAVEAT,))
@@ -484,13 +507,31 @@ class ProductAnalysis(Analysis):
 
     Its derivation space is carried from the factors' through the shear when
     the product's shear gap is within 10 tol; otherwise it is solved from the
-    product's own Leibniz system.  Every other fact is solved as for any algebra.
+    product's own Leibniz system.  Its invariant elements are solved for its
+    characters and the lifted and pure families in one stack per side.
     """
 
     def __init__(self, product: MorphismProduct, factors: tuple[Analysis, Analysis], tol: float, seed: int = 0):
         super().__init__(product.algebra, tol, seed)
         object.__setattr__(self, "product", product)  # Analysis is frozen
         object.__setattr__(self, "factors", factors)
+
+    @cached_property
+    def families(self) -> tuple[np.ndarray, np.ndarray]:
+        """The lifted family (phi, phi o T) and the pure family (0, psi) of the factors' characters, as stacks."""
+        an_a, an_b = self.factors
+        return self.product.lift_first(an_a.characters.functionals), self.product.lift_second(an_b.characters.functionals)
+
+    @cached_property
+    def tli_functionals(self) -> np.ndarray:
+        """The enumerated characters, then the lifted and the pure family: one invariant-element stack per side."""
+        return np.vstack([self.characters.functionals, *self.families])
+
+    def family_tli(self, side: str) -> tuple[tuple[TliSolution, ...], tuple[TliSolution, ...]]:
+        """The invariant-element solutions of the lifted and of the pure family on ``side``."""
+        solutions, start = self.left_tli if side == "left" else self.right_tli, len(self.characters)
+        middle = start + len(self.families[0])
+        return solutions[start:middle], solutions[middle:]
 
     @cached_property
     def derivations(self) -> DerivationSpace:
@@ -522,32 +563,38 @@ def solve_inner_mean(alg: FiniteAlgebra, phi, tol: float) -> np.ndarray | None:
     return Analysis(alg, tol).inner_mean(phi)
 
 
-def commutation_residual(alg: FiniteAlgebra, m) -> float:
-    """Worst deviation of m [] a from a [] m over the element basis."""
+def commutation_residual(alg: FiniteAlgebra, m) -> float | np.ndarray:
+    """Worst deviation of m [] a from a [] m over the element basis.
+
+    ``m`` may be a stack of shape (k, n), which gives one residual per row
+    from one product with the commutator system.
+    """
     first = arens_tables(alg).first
     commutator = stacked_side_system(first, "left") - stacked_side_system(first, "right")
-    return max_abs(commutator @ alg.coerce(m))
+    ms, single = alg.coerce_rows(m)
+    worst = np.max(np.abs(ms @ commutator.T), axis=1, initial=0.0)
+    return float(worst[0]) if single else worst
 
 
-def _mean_witness_checks(report: CheckReport, claim: str, alg: FiniteAlgebra, mean, char, tol: float):
-    """Record pairing-equals-one and commutation residuals for a mean witness."""
-    pairing = complex(np.dot(alg.coerce(mean), alg.coerce(char)))
-    comm = commutation_residual(alg, mean)
-    ok = abs(pairing - 1.0) <= 10 * tol and comm <= 10 * tol
-    report.add(
-        claim,
-        ok,
-        residual=max(abs(pairing - 1.0), comm),
-        witness=None if ok else {"pairing": pairing, "commutation_residual": comm, "mean": mean},
-        detail="mean pairs to 1 with the character and commutes with every element",
-    )
+def _mean_witness_checks(report: CheckReport, witnesses: list, tol: float):
+    """Record pairing-equals-one and commutation residuals for each (algebra, claim, mean,
+    character) witness: one pairing and one commutator system per algebra for all of its."""
+    for alg in {id(w[0]): w[0] for w in witnesses}.values():
+        _, claims, means, chars = zip(*(w for w in witnesses if w[0] is alg))
+        means = np.array(means)
+        pairings, comms = np.sum(means * np.array(chars), axis=1), commutation_residual(alg, means)
+        for claim, mean, pairing, comm in zip(claims, means, pairings.tolist(), comms.tolist()):
+            ok = abs(pairing - 1.0) <= 10 * tol and comm <= 10 * tol
+            report.add(claim, ok, residual=max(abs(pairing - 1.0), comm),
+                       witness=None if ok else {"pairing": pairing, "commutation_residual": comm, "mean": mean},
+                       detail="mean pairs to 1 with the character and commutes with every element")
 
 
-def _means_agree(report: CheckReport, claim: str, factor_mean, product_mean, detail: str):
+def _means_agree(report: CheckReport, claim: str, factor_has: bool, product_has: bool, detail: str):
     """Record that the factor and the product both have a mean or both lack one."""
-    have = {"factor_amenable": factor_mean is not None, "product_amenable": product_mean is not None}
-    ok = have["factor_amenable"] == have["product_amenable"]
-    report.add(claim, ok, witness=None if ok else have, detail=detail)
+    ok = factor_has == product_has
+    report.add(claim, ok, witness=None if ok else {"factor_amenable": bool(factor_has),
+                                                   "product_amenable": bool(product_has)}, detail=detail)
 
 
 def add_transfer_claim(report: CheckReport, claim: str, verdicts: tuple, detail: str, unknown_detail: str):
@@ -562,7 +609,7 @@ def add_transfer_claim(report: CheckReport, claim: str, verdicts: tuple, detail:
 
 
 def inner_amenability_suite(product: MorphismProduct, tol: float, seed: int = 0,
-                            analyses: tuple[Analysis, Analysis, Analysis] | None = None) -> CheckReport:
+                            analyses: tuple[Analysis, Analysis, ProductAnalysis] | None = None) -> CheckReport:
     """Verify the inner-mean transfer claims between the product and its factors.
 
     Per first-factor character phi (with its lift (phi, phi o T)):
@@ -575,7 +622,7 @@ def inner_amenability_suite(product: MorphismProduct, tol: float, seed: int = 0,
       [e] the product and the second factor are inner amenable together, with
           witnesses (-T''(n), n) and the mean's second block.
     Finally [f]: the product is character inner amenable iff both factors are.
-    ``analyses`` are the run's analyses of (A, B, product), or None for fresh ones.
+    ``analyses`` are the run's ``product_analyses`` of (A, B, product), or None for fresh ones.
     """
     palg = product.algebra
     a_alg, b_alg = product.a, product.b
@@ -585,66 +632,59 @@ def inner_amenability_suite(product: MorphismProduct, tol: float, seed: int = 0,
 
     an_a, an_b, an_p = analyses or product_analyses(product, tol, seed)
     sigma_a, sigma_b = an_a.characters, an_b.characters
-    epi = product.hom_report.surjective
-
-    for idx, ch in enumerate(sigma_a.characters):
-        phi = ch.functional
-        lifted = product.lift_first(phi)
-        _, phi_t = product.split(lifted)
+    epi, na, ka = product.hom_report.surjective, product.dim_a, len(sigma_a)
+    phis, psis, (lifted, pure) = sigma_a.functionals, sigma_b.functionals, an_p.families
+    phi_ts = lifted[:, na:]
+    # every mean the claims ask for, one contraction per algebra: the product's for the lifted and
+    # the pure characters, the second factor's for the pulled-back phi o T and for its own psi
+    a_means, a_ok = an_a.inner_means(phis)
+    p_means, p_ok = an_p.inner_means(np.vstack([lifted, pure]))
+    b_means, b_ok = an_b.inner_means(np.vstack([phi_ts, psis]))
+    n_pairs = np.sum(p_means[:ka, na:] * phi_ts, axis=1)
+    witnesses = []  # (algebra, claim, mean, character)
+    witness = witnesses.append
+    for idx in range(ka):
         label = f"inner/first-factor-character-{idx}"
-        a_mean = an_a.inner_mean(phi)
-        p_mean = an_p.inner_mean(lifted)
-
-        _means_agree(report, f"{label}/equivalence", a_mean, p_mean,
+        _means_agree(report, f"{label}/equivalence", a_ok[idx], p_ok[idx],
                      "the factor has a mean for phi iff the product has one for the lifted character")
-        if a_mean is not None:
-            _mean_witness_checks(report, f"{label}/witness-embedded-factor-mean", palg, product.embed_a(a_mean),
-                                 lifted, tol)
+        if a_ok[idx]:
+            witness((palg, f"{label}/witness-embedded-factor-mean", product.embed_a(a_means[idx]), lifted[idx]))
         else:
             report.skip(f"{label}/witness-embedded-factor-mean", detail="factor has no mean to embed")
-        if p_mean is not None:
-            _, n_blk = product.split(p_mean)
-            _mean_witness_checks(report, f"{label}/witness-combined-blocks", a_alg, product.p1(p_mean), phi, tol)
-            n_pair = complex(np.dot(n_blk, phi_t))
-            if abs(n_pair) > tol * max(1.0, max_abs(phi_t)):
-                _mean_witness_checks(report, f"{label}/witness-normalized-second-block", b_alg, n_blk / n_pair,
-                                     phi_t, tol)
+        if p_ok[idx]:
+            witness((a_alg, f"{label}/witness-combined-blocks", product.p1(p_means[idx]), phis[idx]))
+            if abs(n_pairs[idx]) > tol * max(1.0, max_abs(phi_ts[idx])):
+                witness((b_alg, f"{label}/witness-normalized-second-block", p_means[idx, na:] / n_pairs[idx],
+                         phi_ts[idx]))
             else:
                 report.skip(f"{label}/witness-normalized-second-block",
                             detail="second block annihilates the pulled-back character; claim not applicable")
         else:
             report.skip(f"{label}/witness-combined-blocks", detail="product has no mean to split")
             report.skip(f"{label}/witness-normalized-second-block", detail="product has no mean to split")
-        if epi:
-            b_mean = an_b.inner_mean(phi_t)
-            if b_mean is not None:
-                _mean_witness_checks(report, f"{label}/witness-embedded-second-mean", palg,
-                                     product.join(np.zeros(product.dim_a), b_mean), lifted, tol)
-            else:
-                report.skip(f"{label}/witness-embedded-second-mean",
-                            detail="second factor has no mean for the pulled-back character")
-        else:
+        if not epi:
             report.skip(f"{label}/witness-embedded-second-mean", detail="not applicable: hom is not onto")
+        elif b_ok[idx]:
+            witness((palg, f"{label}/witness-embedded-second-mean", product.join(np.zeros(na), b_means[idx]),
+                     lifted[idx]))
+        else:
+            report.skip(f"{label}/witness-embedded-second-mean",
+                        detail="second factor has no mean for the pulled-back character")
 
-    for idx, ch in enumerate(sigma_b.characters):
-        psi = ch.functional
-        pure = product.lift_second(psi)
-        label = f"inner/second-factor-character-{idx}"
-        b_mean = an_b.inner_mean(psi)
-        p_mean = an_p.inner_mean(pure)
-
-        _means_agree(report, f"{label}/equivalence", b_mean, p_mean,
+    for idx in range(len(sigma_b)):
+        label, row = f"inner/second-factor-character-{idx}", ka + idx
+        _means_agree(report, f"{label}/equivalence", b_ok[row], p_ok[row],
                      "the product has a mean for (0, psi) iff the second factor has one for psi")
-        if b_mean is not None:
-            _mean_witness_checks(report, f"{label}/witness-graph-embedding", palg, product.graph(b_mean), pure, tol)
+        if b_ok[row]:
+            witness((palg, f"{label}/witness-graph-embedding", product.graph(b_means[row]), pure[idx]))
         else:
             report.skip(f"{label}/witness-graph-embedding", detail="second factor has no mean to embed")
-        if p_mean is not None:
-            _, n_blk = product.split(p_mean)
-            _mean_witness_checks(report, f"{label}/witness-second-block", b_alg, n_blk, psi, tol)
+        if p_ok[row]:
+            witness((b_alg, f"{label}/witness-second-block", p_means[row, na:], psis[idx]))
         else:
             report.skip(f"{label}/witness-second-block", detail="product has no mean to split")
 
+    _mean_witness_checks(report, witnesses, tol)
     add_transfer_claim(
         report, "inner/character-inner-amenability-equivalence",
         tuple(an.character_inner_amenability.verdict for an in (an_a, an_b, an_p)),

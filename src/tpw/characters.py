@@ -10,6 +10,12 @@ polynomial-system solving for robustness and determinism.
 Enumeration is certified complete only when every terminal joint eigenspace
 is one-dimensional; otherwise the result is flagged incomplete and callers
 must downgrade any "for every character" verdict to unknown.
+
+Every per-character fact is one stacked numpy call per algebra: the
+candidates of all branches are lifted, verified (``character_defect`` on a
+(k, n) stack) and deduplicated together, and the product decomposition
+compares its families through broadcast distance matrices.  A single
+functional is the one-row case of each stacked function.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import numpy as np
 
 from .core import FiniteAlgebra
 from .errors import CharacterRejected
-from .linalg import max_abs, nullspace, orthonormalize
+from .linalg import nullspace, orthonormalize
 from .product import MorphismProduct
 
 
@@ -42,27 +48,37 @@ class Character:
 
 
 def character_defect(alg: FiniteAlgebra, f) -> tuple[float, tuple[int, int]]:
-    """Max of |f(e_i e_j) - f(e_i) f(e_j)| and the worst basis pair."""
-    f = alg.coerce(f)
-    table = np.einsum("ijk,k->ij", alg.structure, f) - np.outer(f, f)
-    idx = np.unravel_index(np.argmax(np.abs(table)), table.shape)
-    return float(np.abs(table[idx])), (int(idx[0]), int(idx[1]))
+    """Max of |f(e_i e_j) - f(e_i) f(e_j)| and the worst basis pair.
+
+    ``f`` may be a stack of functionals of shape (k, n); the defects and the
+    pairs then come as arrays of shape (k,) and (k, 2), from one contraction.
+    """
+    (fs, single), n = alg.coerce_rows(f), alg.dim
+    table = np.abs((fs @ alg.structure.reshape(n * n, n).T) - (fs[:, :, None] * fs[:, None, :]).reshape(-1, n * n))
+    worst = table.argmax(axis=1)
+    defects, pairs = table[np.arange(len(fs)), worst], np.stack(np.unravel_index(worst, (n, n)), axis=-1)
+    return (float(defects[0]), (int(pairs[0, 0]), int(pairs[0, 1]))) if single else (defects, pairs)
 
 
-def verify_character(alg: FiniteAlgebra, f, tol: float) -> Character:
-    """Accept f as a character or raise CharacterRejected with the witness pair."""
-    f = alg.coerce(f)
-    if max_abs(f) <= tol:
+def verify_character(alg: FiniteAlgebra, f, tol: float) -> Character | tuple[Character, ...]:
+    """Accept f as a character or raise CharacterRejected with the witness pair.
+
+    ``f`` may be a stack of functionals of shape (k, n); the rows that are
+    nonzero and multiplicative to within tol then come back as characters,
+    in order, from one defect contraction, and the other rows are dropped.
+    """
+    fs, single = alg.coerce_rows(f)
+    defects, pairs = character_defect(alg, fs)
+    nonzero = np.max(np.abs(fs), axis=1, initial=0.0) > tol
+    if single and not nonzero[0]:
         raise CharacterRejected(f"zero functional is not a character of {alg.name!r}", residual=0.0)
-    residual, pair = character_defect(alg, f)
-    if residual > tol:
-        raise CharacterRejected(
-            f"functional fails multiplicativity on basis pair {pair} of {alg.name!r} "
-            f"(residual {residual:.3e})",
-            basis_pair=pair,
-            residual=residual,
-        )
-    return Character(algebra=alg, functional=f, residual=residual)
+    if single and defects[0] > tol:
+        pair = (int(pairs[0, 0]), int(pairs[0, 1]))
+        raise CharacterRejected(f"functional fails multiplicativity on basis pair {pair} of {alg.name!r} "
+                                f"(residual {defects[0]:.3e})", basis_pair=pair, residual=float(defects[0]))
+    ok = nonzero & (defects <= tol)
+    accepted = tuple(Character(algebra=alg, functional=g, residual=float(r)) for g, r in zip(fs[ok], defects[ok]))
+    return accepted[0] if single else accepted
 
 
 def commutator_ideal(alg: FiniteAlgebra, tol: float) -> np.ndarray:
@@ -104,10 +120,9 @@ def commutative_quotient(alg: FiniteAlgebra, tol: float) -> CommutativeQuotient:
     m = section.shape[1]
     if m == 0:
         return CommutativeQuotient(quotient=None, section=section, ideal=ideal)
-    # cq[p, q] = section^H (s_p s_q), for the columns s_p of the section
-    # the path that optimize=True picks for every n <= 48 and m <= n, given so no call searches for it
-    path = ["einsum_path", (0, 2), (0, 2), (0, 1)]
-    cq = np.einsum("ip,jq,ijk,kr->pqr", section, section, alg.structure, section.conj(), optimize=path)
+    # cq[p, q] = section^H (s_p s_q), for the columns s_p of the section, as three matrix products
+    n = alg.dim
+    cq = section.T @ ((section.T @ alg.structure.reshape(n, n * n)).reshape(m, n, n) @ section.conj())
     quotient = FiniteAlgebra(
         name=f"{alg.name}.commutative-quotient",
         basis_labels=tuple(f"q{i}" for i in range(m)),
@@ -132,23 +147,9 @@ class CharacterEnumeration:
         return np.array([ch.functional for ch in self.characters], dtype=complex).reshape(-1, self.algebra.dim)
 
 
-def _nullspace_abs(a: np.ndarray, cutoff: float) -> np.ndarray:
-    u, s, vh = np.linalg.svd(a, full_matrices=True)
-    r = int(np.sum(s > cutoff))
-    return vh[r:].conj().T
-
-
-def _cluster(values: np.ndarray, tol: float) -> list[complex]:
-    """Greedy chain clustering of complex values; returns cluster means."""
-    order = np.lexsort((values.imag, values.real))
-    ordered = values[order]
-    groups: list[list[complex]] = []
-    for v in ordered:
-        if groups and abs(v - groups[-1][-1]) <= tol:
-            groups[-1].append(v)
-        else:
-            groups.append([v])
-    return [complex(np.mean(g)) for g in groups]
+def _distances(fs: np.ndarray, gs: np.ndarray) -> np.ndarray:
+    """Max-norm distance of every row of ``fs`` to every row of ``gs``, shape (len(fs), len(gs))."""
+    return np.max(np.abs(fs[:, None, :] - gs[None, :, :]), axis=2, initial=0.0)
 
 
 def _joint_eigenvalue_branches(operators: list[np.ndarray], dim: int, cluster_tol: float):
@@ -157,28 +158,38 @@ def _joint_eigenvalue_branches(operators: list[np.ndarray], dim: int, cluster_to
     Returns (basis, eigenvalue tuple) per terminal branch.  Only strict
     eigenspaces are kept: defective directions carry no characters.  Operators
     labeled None are splitters whose eigenvalues are not recorded.  A branch
-    of dimension 1 cannot split: its eigenvalue is the 1 x 1 restriction
-    b^H op b itself, which is what the eigensolve, the clustering and the
-    nullspace would return for it, so they are skipped and the branch keeps
-    its basis.  Once a splitter has separated every joint eigenspace, the
-    remaining operators cost one small product per branch.
+    splits at the means of its eigenvalue clusters, with the nullspaces of
+    all its shifted restrictions from one stacked SVD.  A branch of dimension
+    1 cannot split: its eigenvalue is the 1 x 1 restriction b^H op b itself,
+    which is what the eigensolve, the clustering and the nullspace would
+    return for it.  So once every branch is a line, which a splitter brings
+    about unless eigenvalues coincide, one contraction reads the eigenvalues
+    of all remaining operators on all branches.
     """
     branches = [(np.eye(dim, dtype=complex), ())]
-    for label, op in operators:
+    for step, (label, op) in enumerate(operators):
+        if all(basis.shape[1] == 1 for basis, _ in branches):
+            lines = np.hstack([basis for basis, _ in branches])
+            rest = np.array([op for label, op in operators[step:] if label is not None]).reshape(-1, dim, dim)
+            read = np.sum(lines.conj() * (rest @ lines), axis=1).T  # [b, j] = b^H op_j b
+            return [(basis, values + tuple(row)) for (basis, values), row in zip(branches, read)]
         refined = []
         for basis, values in branches:
             restricted = basis.conj().T @ op @ basis
-            if restricted.shape[0] == 1:
+            d = restricted.shape[0]
+            if d == 1:
                 refined.append((basis, values + (complex(restricted[0, 0]),) if label is not None else values))
                 continue
             eigs = np.linalg.eigvals(restricted)
-            scale = max(1.0, float(np.max(np.abs(eigs))) if eigs.size else 1.0)
-            for mu in _cluster(eigs, cluster_tol * scale):
-                eigvecs = _nullspace_abs(restricted - mu * np.eye(restricted.shape[0]), cluster_tol * scale)
-                if eigvecs.shape[1] == 0:
-                    continue
-                new_values = values + (mu,) if label is not None else values
-                refined.append((basis @ eigvecs, new_values))
+            cutoff = cluster_tol * max(1.0, float(np.max(np.abs(eigs))))
+            # chain clustering in (real, imag) order: a value within cutoff of the one before joins its cluster
+            ordered = eigs[np.lexsort((eigs.imag, eigs.real))]
+            starts = np.flatnonzero(np.r_[True, np.abs(np.diff(ordered)) > cutoff])
+            mus = np.add.reduceat(ordered, starts) / np.diff(np.r_[starts, len(ordered)])
+            _, s, vh = np.linalg.svd(restricted - mus[:, None, None] * np.eye(d))
+            for mu, r, v in zip(mus, np.sum(s > cutoff, axis=1), vh):
+                if r < d:
+                    refined.append((basis @ v[r:].conj().T, values + (mu,) if label is not None else values))
         branches = refined
     return branches
 
@@ -187,15 +198,15 @@ def enumerate_characters(alg: FiniteAlgebra, tol: float, seed: int = 0) -> Chara
     """All characters of the algebra, via the commutative quotient.
 
     A seeded random splitting element separates joint eigenspaces before the
-    basis operators refine them; candidates are lifted back, verified,
-    deduplicated at max-norm distance 10*tol, and merged with any declared
-    characters the algebra carries.
+    basis operators refine them.  The candidates of all branches are lifted
+    back in one product, merged with any declared characters the algebra
+    carries, verified in one stacked defect contraction and deduplicated by
+    one pairwise-distance matrix: a candidate within max-norm distance
+    10*tol of an earlier verified one is dropped.
     """
     cq = commutative_quotient(alg, tol)
     notes: list[str] = []
-    found: list[np.ndarray] = []
-    complete = True
-
+    found = np.zeros((0, alg.dim), dtype=complex)
     if cq.quotient is not None:
         q = cq.quotient
         m = q.dim
@@ -204,36 +215,19 @@ def enumerate_characters(alg: FiniteAlgebra, tol: float, seed: int = 0) -> Chara
         # the transposed left-multiplication operator of a is sum_i a_i structure[i]
         ops: list[tuple[int | None, np.ndarray]] = [(None, np.einsum("i,ijk->jk", splitter, q.structure))]
         ops += [(j, q.structure[j]) for j in range(m)]
-        cluster_tol = max(np.sqrt(tol), 100 * tol)
-        branches = _joint_eigenvalue_branches(ops, m, cluster_tol)
-        for basis, values in branches:
-            if basis.shape[1] != 1:
-                complete = False
-                notes.append(
-                    f"joint eigenspace of dimension {basis.shape[1]} could not be split further; "
-                    "enumeration incomplete"
-                )
-            lam = np.array(values, dtype=complex)
-            # lift chi(pi(x)) back: the functional e_i -> lam . (section^H e_i)
-            found.append(cq.section.conj() @ lam)
+        branches = _joint_eigenvalue_branches(ops, m, max(np.sqrt(tol), 100 * tol))
+        notes = [f"joint eigenspace of dimension {basis.shape[1]} could not be split further; enumeration incomplete"
+                 for basis, _ in branches if basis.shape[1] != 1]
+        # lift chi(pi(x)) back: the functional e_i -> lam . (section^H e_i), for every branch at once
+        found = np.array([values for _, values in branches], dtype=complex).reshape(-1, m) @ cq.section.conj().T
 
-    candidates = found + [np.array(f) for f in alg.declared_characters]
-    accepted: list[Character] = []
-    for f in candidates:
-        if max_abs(f) <= tol:
-            continue
-        try:
-            ch = verify_character(alg, f, tol)
-        except CharacterRejected:
-            continue
-        if any(max_abs(ch.functional - other.functional) <= 10 * tol for other in accepted):
-            continue
-        accepted.append(ch)
-
-    accepted.sort(key=lambda ch: tuple((round(z.real, 9), round(z.imag, 9)) for z in ch.functional))
-    return CharacterEnumeration(
-        algebra=alg, characters=tuple(accepted), complete=complete, notes=tuple(notes)
-    )
+    accepted = verify_character(alg, np.vstack([found, *alg.declared_characters]), tol)
+    fs = np.array([ch.functional for ch in accepted], dtype=complex).reshape(-1, alg.dim)
+    kept = ~np.tril(_distances(fs, fs) <= 10 * tol, -1).any(axis=1)
+    # sorted by the functionals' coordinates rounded to 9 digits, real part before imaginary
+    keys = np.round(np.stack([fs.real, fs.imag], axis=2).reshape(len(fs), 2 * alg.dim), 9)
+    order = [i for i in np.lexsort(keys.T[::-1]) if kept[i]]
+    return CharacterEnumeration(alg, tuple(accepted[i] for i in order), complete=not notes, notes=tuple(notes))
 
 
 @dataclass
@@ -272,37 +266,20 @@ def character_decomposition(product: MorphismProduct, sigma_a: CharacterEnumerat
     incomplete; membership of the constructed families is still checked.
     """
     palg = product.algebra
-
-    def member(f):
-        # recorded with its defect, not verified: a wrong product fails the claim instead of raising
-        return Character(palg, f, character_defect(palg, f)[0])
-
-    lifted = [member(product.lift_first(ch.functional)) for ch in sigma_a.characters]
-    pure_b = [member(product.lift_second(ch.functional)) for ch in sigma_b.characters]
-
-    combined = [c.functional for c in lifted] + [c.functional for c in pure_b]
-    disjoint = all(
-        max_abs(c1.functional - c2.functional) > 10 * tol for c1 in lifted for c2 in pure_b
-    )
-
-    def unmatched(fs, gs):
-        return next((f for f in fs if not any(max_abs(f - g) <= 10 * tol for g in gs)), None)
+    lifted, pure_b = product.lift_first(sigma_a.functionals), product.lift_second(sigma_b.functionals)
+    combined = np.vstack([lifted, pure_b])
+    # recorded with their defects, not verified: a wrong product fails the claim instead of raising
+    members = tuple(Character(palg, f, float(r)) for f, r in zip(combined, character_defect(palg, combined)[0]))
+    disjoint = bool(np.all(_distances(lifted, pure_b) > 10 * tol))
 
     mismatch = decomposition_ok = None
     if sigma_a.complete and sigma_b.complete and enumerated.complete:
-        found = [ch.functional for ch in enumerated.characters]
-        mismatch = unmatched(found, combined)
-        if mismatch is None:
-            mismatch = unmatched(combined, found)
+        found = enumerated.functionals
+        close = _distances(found, combined) <= 10 * tol
+        # the first enumerated character no member matches, else the first member no enumerated one matches
+        unmatched = [*found[~close.any(axis=1)], *combined[~close.any(axis=0)]]
+        mismatch = unmatched[0] if unmatched else None
         decomposition_ok = mismatch is None and disjoint
 
-    return ProductCharacterReport(
-        lifted=tuple(lifted),
-        pure_b=tuple(pure_b),
-        enumerated=enumerated,
-        sigma_a=sigma_a,
-        sigma_b=sigma_b,
-        decomposition_ok=decomposition_ok,
-        disjoint=disjoint,
-        mismatch=mismatch,
-    )
+    return ProductCharacterReport(members[: len(lifted)], members[len(lifted) :], enumerated, sigma_a, sigma_b,
+                                  decomposition_ok, disjoint, mismatch)

@@ -92,6 +92,15 @@ class FiniteAlgebra:
             raise ShapeError(f"coordinate vector of length {x.shape[0]} for algebra {self.name!r} of dim {self.dim}")
         return x
 
+    def coerce_rows(self, coords) -> tuple[np.ndarray, bool]:
+        """coords as a (k, dim) stack of rows, and whether it was one vector (then k = 1)."""
+        x = as_complex(coords)
+        if x.ndim < 2:
+            return self.coerce(x)[None], True
+        if x.shape[1:] != (self.dim,):
+            raise ShapeError(f"stack of shape {x.shape} for algebra {self.name!r} of dim {self.dim}")
+        return x, False
+
     def multiply(self, x, y) -> np.ndarray:
         """Coordinates of the product: (xy)_k = sum_ij x_i y_j c[i,j,k]."""
         return np.einsum("i,j,ijk->k", self.coerce(x), self.coerce(y), self.structure)

@@ -99,19 +99,27 @@ def nullspace(a, tol: float, scale: float = 0.0) -> np.ndarray:
     return vh[r:].conj().T
 
 
-def nullspaces(stack, tol: float, scales) -> list[np.ndarray]:
+def nullspaces(stack, tol: float, scales) -> tuple[np.ndarray, np.ndarray]:
     """``nullspace`` of each matrix in a stack of shape (k, rows, cols).
 
     The stack is solved as a whole: one stacked QR (R factor only, for tall
-    matrices) and one stacked SVD, then the cutoff of each matrix is taken
-    with its own floor from ``scales``, exactly as ``nullspace`` would.
+    matrices) and one stacked SVD, then the cutoffs and ranks as arrays, each
+    matrix's cutoff with its own floor from ``scales``, exactly as
+    ``nullspace`` would.  Returns the bases as one (k, cols, w) array, w the
+    widest nullity, with matrix i's basis in its first ``dims[i]`` columns
+    and zero columns after them, and the nullities ``dims``.
     """
     stack = as_complex(stack)
-    _, rows, cols = stack.shape
+    k, rows, cols = stack.shape
     r_factors = np.linalg.qr(stack, mode="r") if rows > cols else stack
     _, s, vh = np.linalg.svd(r_factors, full_matrices=True)
-    return [v[int(np.sum(sv > svd_cutoff(sv, (rows, cols), tol, scale))):].conj().T
-            for sv, v, scale in zip(s, vh, scales)]
+    s_max = s[:, 0] if s.shape[1] else np.zeros(k)
+    ranks = np.sum(s > (tol * np.maximum(s_max, scales) * max(rows, cols, 1))[:, None], axis=1)
+    dims = cols - ranks
+    # column t of basis i is row ranks[i] + t of vh[i], where that row exists
+    picked = ranks[:, None] + np.arange(int(dims.max(initial=0)))
+    bases = np.take_along_axis(vh, np.minimum(picked, cols - 1)[:, :, None], axis=1)
+    return np.where((picked < cols)[:, :, None], bases, 0).conj().transpose(0, 2, 1), dims
 
 
 def column_space(a, tol: float, scale: float = 0.0) -> np.ndarray:
@@ -135,7 +143,7 @@ def orthonormalize(vectors, tol: float, scale: float = 0.0) -> np.ndarray:
 def projector(basis: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the span of orthonormal columns."""
     basis = as_complex(basis)
-    return basis @ basis.conj().T
+    return basis @ basis.conj().swapaxes(-1, -2)
 
 
 def subspace_contains(basis: np.ndarray, vectors, tol: float) -> tuple[bool, float]:
@@ -143,17 +151,17 @@ def subspace_contains(basis: np.ndarray, vectors, tol: float) -> tuple[bool, flo
 
     Returns (verdict, max residual), residuals measured in max-norm after
     projecting out the subspace, each column divided by max(1, its max-norm).
+    ``basis`` and ``vectors`` may be stacks of shape (k, n, .), padded with
+    zero columns, which add nothing to a projector or a residual; the
+    verdicts and residuals then come as arrays of k.
     """
     v = as_complex(vectors)
     if v.ndim == 1:
         v = v.reshape(-1, 1)
-    if v.shape[1] == 0:
-        return True, 0.0
-    p = projector(basis)
-    resid = v - p @ v
-    scale = np.maximum(1.0, np.max(np.abs(v), axis=0, initial=0.0))
-    worst = float(np.max(np.max(np.abs(resid), axis=0, initial=0.0) / scale))
-    return worst <= tol, worst
+    resid = v - projector(basis) @ v
+    scale = np.maximum(1.0, np.max(np.abs(v), axis=-2, initial=0.0))
+    worst = np.max(np.max(np.abs(resid), axis=-2, initial=0.0) / scale, axis=-1, initial=0.0)
+    return (bool(worst <= tol), float(worst)) if worst.ndim == 0 else (worst <= tol, worst)
 
 
 def subspaces_equal(basis_a: np.ndarray, basis_b: np.ndarray, tol: float) -> tuple[bool, float]:

@@ -180,13 +180,18 @@ class MorphismProduct:
         return a + self.hom.matrix @ b
 
     def lift_first(self, phi) -> np.ndarray:
-        """phi o p1 = (phi, phi o T), the product functional of a first-factor functional."""
-        phi = self.a.coerce(phi)
-        return np.concatenate([phi, self.hom.matrix.T @ phi])
+        """phi o p1 = (phi, phi o T), the product functional of a first-factor functional;
+        phi may be a stack of rows."""
+        phi, single = self.a.coerce_rows(phi)
+        lifted = np.concatenate([phi, (self.hom.matrix.T @ phi.T).T], axis=1)
+        return lifted[0] if single else lifted
 
     def lift_second(self, psi) -> np.ndarray:
-        """psi o p2 = (0, psi), the product functional of a second-factor functional."""
-        return self.join(np.zeros(self.dim_a), psi)
+        """psi o p2 = (0, psi), the product functional of a second-factor functional;
+        psi may be a stack of rows."""
+        psi, single = self.b.coerce_rows(psi)
+        lifted = np.concatenate([np.zeros((len(psi), self.dim_a)), psi], axis=1)
+        return lifted[0] if single else lifted
 
     def graph(self, big_psi) -> np.ndarray:
         """S^-1(0, Psi) = (-T''(Psi), Psi); Psi may be a stack of columns."""

@@ -7,8 +7,8 @@ emitted as two-element [re, im] arrays.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -112,62 +112,46 @@ class CheckReport:
         return "\n".join(lines)
 
 
-def _jsonable(value):
-    """Normalize numbers, numpy types, and dataclasses into plain JSON data."""
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    if isinstance(value, (complex, np.complexfloating)):
-        return [float(value.real), float(value.imag)]
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if hasattr(value, "to_dict"):
-        return _jsonable(value.to_dict())
-    return str(value)
-
-
 def _emit(value, out: list):
+    """Append the JSON text of value: numbers, numpy types and objects with ``to_dict``
+    are normalized on the way, strings escaped as ``json.dumps`` escapes them."""
     if value is None:
         out.append("null")
     elif value is True:
         out.append("true")
     elif value is False:
         out.append("false")
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, float):
-        out.append(format(value, ".12e"))
+    elif isinstance(value, (int, np.integer)):
+        out.append(str(int(value)))
     elif isinstance(value, str):
-        out.append(json.dumps(value))
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, (float, np.floating)):
+        out.append(format(float(value), ".12e"))
+    elif isinstance(value, (complex, np.complexfloating)):
+        _emit([float(value.real), float(value.imag)], out)
+    elif isinstance(value, np.ndarray):
+        _emit(value.tolist(), out)
     elif isinstance(value, dict):
         out.append("{")
-        for i, key in enumerate(sorted(value)):
-            if i:
-                out.append(",")
-            out.append(json.dumps(str(key)))
-            out.append(":")
+        for i, key in enumerate(sorted(value, key=str)):
+            out.append(("," if i else "") + encode_basestring_ascii(str(key)) + ":")
             _emit(value[key], out)
         out.append("}")
-    elif isinstance(value, list):
+    elif isinstance(value, (list, tuple)):
         out.append("[")
         for i, item in enumerate(value):
             if i:
                 out.append(",")
             _emit(item, out)
         out.append("]")
-    else:  # pragma: no cover - _jsonable leaves only the types above
-        out.append(json.dumps(str(value)))
+    elif hasattr(value, "to_dict"):
+        _emit(value.to_dict(), out)
+    else:
+        out.append(encode_basestring_ascii(str(value)))
 
 
 def dump_json(data) -> str:
-    """Deterministic JSON text: sorted keys, fixed 12-digit float formatting."""
+    """Deterministic JSON text: sorted keys, fixed 12-digit float formatting, in one pass."""
     out: list[str] = []
-    _emit(_jsonable(data), out)
+    _emit(data, out)
     return "".join(out)

@@ -131,3 +131,29 @@ def cross_term_triple(image="E02"):
     m = np.zeros((3, 1))
     m[n3.basis_labels.index(image), 0] = 1.0
     return n3, null1, AlgebraHom(source=null1, target=n3, matrix=m)
+
+
+def direct_sum(x, y):
+    """X + Y with the block-diagonal multiplication."""
+    n, c = x.dim, np.zeros((x.dim + y.dim,) * 3, dtype=complex)
+    c[:n, :n, :n], c[n:, n:, n:] = x.structure, y.structure
+    return FiniteAlgebra(name=f"{x.name}+{y.name}", basis_labels=tuple(f"s{i}" for i in range(c.shape[0])), structure=c)
+
+
+def stacking_triples(corpus):
+    """(label, A, B, T) for the stacked-versus-loop reference tests: every corpus entry and a
+    rebased copy, both cross-term triples, C + UT2 as either factor with C and the zero hom
+    (its characters' invariant elements have dimensions 2, 0 and 1 on the left), each plain
+    and rebased, and Z2 and Z3 (whose enumerations are incomplete) as a factor of C2 and of C
+    with the zero hom."""
+    rng = np.random.default_rng(11)
+    triples = [(e.entry_id, e.algebra_a, e.algebra_b, e.hom) for e in corpus]
+    triples += [(f"cross-{image}", *cross_term_triple(image)) for image in ("E02", "E01")]
+    c, mixed = algebra_c(), direct_sum(algebra_c(), algebra_ut2())
+    triples.append(("mixed-c-zero", mixed, c, AlgebraHom(source=c, target=mixed, matrix=np.zeros((mixed.dim, 1)))))
+    triples.append(("c-mixed-zero", c, mixed, AlgebraHom(source=mixed, target=c, matrix=np.zeros((1, mixed.dim)))))
+    triples += [(f"{label}-rebased", *rebased_triple(a, b, hom, rng)) for label, a, b, hom in list(triples)]
+    c2, z2, z3 = algebra_c2(), zero_product_algebra(2), zero_product_algebra(3)
+    triples.append(("c2-z2-zero", c2, z2, AlgebraHom(source=z2, target=c2, matrix=np.zeros((2, 2)))))
+    triples.append(("z3-c-zero", z3, c, AlgebraHom(source=c, target=z3, matrix=np.zeros((3, 1)))))
+    return triples

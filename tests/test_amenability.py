@@ -21,10 +21,13 @@ from tpw.amenability import (
     solve_tli,
     tli_product_characterization,
 )
+from tpw.characters import enumerate_characters
+from tpw.core import center
 from tpw.corpus import algebra_null1, algebra_row2, algebra_ut2, hom_identity, hom_scaled_character, hom_zero
 from tpw.errors import NotADerivation
-from tpw.linalg import max_abs, orthonormalize, subspaces_equal
+from tpw.linalg import max_abs, nullspace, orthonormalize, subspaces_equal
 from tpw.product import build_product
+from tpw.suite import RunConfig, verify_theorems
 
 from conftest import (
     TOL,
@@ -32,6 +35,7 @@ from conftest import (
     matrix_unit_algebra,
     random_element,
     rebased_triple,
+    stacking_triples,
     zero_product_algebra,
 )
 
@@ -299,8 +303,6 @@ def test_tli_characterization_zero_hom(alg_c2, alg_c):
 
 
 def test_tli_characterization_corpus_wide(corpus):
-    from tpw.characters import enumerate_characters
-
     for entry in corpus:
         product = build_product(entry.algebra_a, entry.algebra_b, entry.hom, TOL)
         for side in ("left", "right"):
@@ -412,9 +414,9 @@ def test_run_solves_each_fact_once_per_algebra(monkeypatch, capsys, corpus):
     spaces are solved for the distinct factor objects only: every product
     passes its shear claim, so its space is carried from its factors'.  A
     ladder-shaped rung (C5 x C5, one object, identity hom) solves the
-    invariant-element systems in 8 stacks: one per side for the factor and
-    for the product, and one per side for the lifted and for the pure
-    product characters.
+    invariant-element systems in 4 stacks: one per side for the factor, and
+    one per side for the product, whose stack holds its enumerated
+    characters, the lifted family and the pure family together.
     """
     import sys
 
@@ -424,7 +426,6 @@ def test_run_solves_each_fact_once_per_algebra(monkeypatch, capsys, corpus):
     import tpw.product
     from tpw.cli import main
     from tpw.product import AlgebraHom
-    from tpw.suite import RunConfig, verify_theorems
 
     from conftest import random_unitary, rebased
 
@@ -464,7 +465,7 @@ def test_run_solves_each_fact_once_per_algebra(monkeypatch, capsys, corpus):
     calls.clear()
     verify_theorems(c5, c5, AlgebraHom(source=c5, target=c5, matrix=np.eye(5)), RunConfig())
     assert (calls["enumerate_characters"], calls["center"], calls["derivation_space"]) == (2, 2, 1)
-    assert calls["solve_tli"] == 8
+    assert calls["solve_tli"] == 4
 
     monkeypatch.delenv("TPW_CORPUS_DIR", raising=False)
     calls.clear()
@@ -474,3 +475,87 @@ def test_run_solves_each_fact_once_per_algebra(monkeypatch, capsys, corpus):
     # c-c-id, c-c-zero and c2-c2-swap take one object as both factors
     assert (calls["enumerate_characters"], calls["center"]) == (21, 21)
     assert calls["derivation_space"] == sum(len({id(e.algebra_a), id(e.algebra_b)}) for e in corpus) == 13
+
+
+def reference_characterization(product, chi, kind, side):
+    """Group 07's claims for one character: its own solves, orthonormalization and subspace
+    comparison.  Returns {claim suffix: (status, residual, witness)}."""
+    factor = product.a if kind == "lifted" else product.b
+    tag = "embedded-first-factor" if kind == "lifted" else "second-factor-graph"
+    factor_sol = solve_tli(factor, chi, side, TOL)
+    lift = product.lift_first(chi) if kind == "lifted" else product.lift_second(chi)
+    prod_sol = solve_tli(product.algebra, lift, side, TOL)
+    claimed = product.embed_a(factor_sol.basis) if kind == "lifted" else product.graph(factor_sol.basis)
+    claimed = orthonormalize(claimed, TOL) if claimed.size else claimed
+    nv_p, nv_f = prod_sol.exists_nonvanishing, factor_sol.exists_nonvanishing
+    out = {f"tli/{side}/{tag}/nonvanishing-agreement":
+           ("pass" if nv_p == nv_f else "fail", None, None if nv_p == nv_f else {"product": nv_p, "factor": nv_f})}
+    equality = f"tli/{side}/{tag}/solution-space-equality"
+    if nv_p or nv_f:
+        equal, residual = subspaces_equal(prod_sol.basis, claimed, 100 * TOL)
+        witness = None if equal else {"product_dim": prod_sol.dim, "claimed_dim": int(claimed.shape[1])}
+        out[equality] = ("pass" if equal else "fail", residual, witness)
+    else:
+        out[equality] = ("skip", None, None)
+    return out
+
+
+def test_group_07_matches_per_character_loop(corpus):
+    """Group 07 of a run, solved from the product's one stack per side and checked as one
+    stack per family, gives each character's verdicts, witnesses and residuals (to 1e-12)
+    as solving and checking that character alone does."""
+    for label, a, b, hom in stacking_triples(corpus):
+        product = build_product(a, b, hom, TOL)
+        report = verify_theorems(a, b, hom, RunConfig())
+        got = {v.claim: v for v in report.verdicts if v.claim.startswith("07-invariant-elements/")
+               and not v.claim.endswith("character-coverage")}
+        want = {}
+        for alg, kind, prefix in ((a, "lifted", "first-factor"), (b, "pure", "second-factor")):
+            for idx, ch in enumerate(enumerate_characters(alg, TOL).characters):
+                for side in ("left", "right"):
+                    for claim, verdict in reference_characterization(product, ch.functional, kind, side).items():
+                        want[f"07-invariant-elements/{prefix}-{idx}/{claim}"] = verdict
+        assert got.keys() == want.keys(), label
+        for claim, (status, residual, witness) in want.items():
+            v = got[claim]
+            assert (v.status, v.witness) == (status, witness), (label, claim)
+            assert (v.residual is None) == (residual is None), (label, claim)
+            assert residual is None or residual == v.residual or abs(residual - v.residual) <= 1e-12, (label, claim)
+
+
+def reference_inner_mean(alg, phi):
+    """The minimal-norm central mean of one functional, or None."""
+    z = center(alg, TOL)
+    pair_row = phi @ z
+    if z.shape[1] == 0 or max_abs(pair_row) <= TOL * max(1.0, max_abs(phi)):
+        return None
+    return z @ (pair_row.conj() / np.real(pair_row @ pair_row.conj()))
+
+
+def test_inner_means_match_per_character_loop(corpus):
+    """One contraction with the centre gives each functional's mean, and one product with the
+    commutator system each mean's commutation residual, as one functional at a time does:
+    for every character of each stacking algebra, the zero functional, random ones, and a
+    large one that pairs to 1e-5 with the centre, infeasible at a bound relative to its size."""
+    rng = np.random.default_rng(8)
+    for _, a, b, hom in stacking_triples(corpus):
+        for alg in (a, b, build_product(a, b, hom, TOL).algebra):
+            an = Analysis(alg, TOL)
+            z, phis = an.center, [random_element(rng, alg.dim) for _ in range(2)]
+            if z.shape[1]:
+                phis.append(1e6 * nullspace(z.T, TOL) @ random_element(rng, alg.dim - z.shape[1]) + 1e-5 * z[:, 0].conj())
+            phis = np.vstack([an.characters.functionals, np.zeros(alg.dim), *phis])
+            means = an.inner_mean(phis)
+            assert len(means) == len(phis)
+            found = []
+            for phi, mean in zip(phis, means):
+                want = reference_inner_mean(alg, phi)
+                assert (mean is None) == (want is None), alg.name
+                assert want is None or max_abs(mean - want) <= 1e-12, alg.name
+                if mean is not None:
+                    found.append(mean)
+                    assert an.inner_mean(phi) is not None
+            if found:
+                residuals = commutation_residual(alg, np.array(found))
+                for mean, residual in zip(found, residuals):
+                    assert abs(residual - commutation_residual(alg, mean)) <= 1e-12, alg.name

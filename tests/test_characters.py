@@ -1,10 +1,15 @@
 """Character verification, enumeration, and the product decomposition."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import tpw.characters
 from tpw.characters import (
+    CharacterEnumeration,
+    character_decomposition,
+    character_defect,
     commutative_quotient,
     commutator_ideal,
     enumerate_characters,
@@ -17,7 +22,7 @@ from tpw.errors import CharacterRejected
 from tpw.linalg import max_abs, orthonormalize, subspaces_equal
 from tpw.product import AlgebraHom, build_product
 
-from conftest import TOL, matrix_unit_algebra, random_unitary, rebased
+from conftest import TOL, matrix_unit_algebra, random_unitary, rebased, stacking_triples
 
 
 def oracle_cn_characters(n):
@@ -244,8 +249,6 @@ def test_product_decomposition_corpus_wide(corpus):
 
 
 def test_pullback_lands_in_spectrum_or_zero(corpus):
-    from tpw.characters import character_defect
-
     for entry in corpus:
         m = entry.hom.matrix
         for ch in enumerate_characters(entry.algebra_a, TOL, seed=0).characters:
@@ -254,6 +257,24 @@ def test_pullback_lands_in_spectrum_or_zero(corpus):
                 continue
             defect, _ = character_defect(entry.algebra_b, pullback)
             assert defect <= 10 * TOL
+
+
+def reference_cluster(values, tol):
+    """Greedy chain clustering, one value at a time; returns the cluster means."""
+    order = np.lexsort((values.imag, values.real))
+    groups = []
+    for v in values[order]:
+        if groups and abs(v - groups[-1][-1]) <= tol:
+            groups[-1].append(v)
+        else:
+            groups.append([v])
+    return [complex(np.mean(g)) for g in groups]
+
+
+def reference_nullspace_abs(a, cutoff):
+    """Nullspace of one matrix with an absolute singular-value cutoff."""
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    return vh[int(np.sum(s > cutoff)):].conj().T
 
 
 def reference_branches(operators, dim, cluster_tol):
@@ -266,9 +287,9 @@ def reference_branches(operators, dim, cluster_tol):
             restricted = basis.conj().T @ op @ basis
             eigs = np.linalg.eigvals(restricted)
             scale = max(1.0, float(np.max(np.abs(eigs))) if eigs.size else 1.0)
-            for mu in tpw.characters._cluster(eigs, cluster_tol * scale):
+            for mu in reference_cluster(eigs, cluster_tol * scale):
                 shifted = restricted - mu * np.eye(restricted.shape[0])
-                eigvecs = tpw.characters._nullspace_abs(shifted, cluster_tol * scale)
+                eigvecs = reference_nullspace_abs(shifted, cluster_tol * scale)
                 if eigvecs.shape[1] == 0:
                     continue
                 refined.append((basis @ eigvecs, values + (mu,) if label is not None else values))
@@ -324,3 +345,99 @@ def test_one_eigensolve_per_enumeration_with_a_complete_splitter(monkeypatch):
         enum = enumerate_characters(alg, TOL)
         assert enum.complete and len(enum) == count
         assert calls == [(count, count)]
+
+
+def reference_enumeration(alg, tol, seed):
+    """Enumeration one branch, one candidate and one character at a time: the eigensolve
+    refinement on every branch, one verification per candidate, deduplication against the
+    characters accepted so far, and a sort key built coordinate by coordinate."""
+    cq = commutative_quotient(alg, tol)
+    found, notes = [], []
+    if cq.quotient is not None:
+        q = cq.quotient
+        rng = np.random.default_rng(seed)
+        splitter = rng.standard_normal(q.dim) + 1j * rng.standard_normal(q.dim)
+        ops = [(None, np.einsum("i,ijk->jk", splitter, q.structure))] + [(j, q.structure[j]) for j in range(q.dim)]
+        for basis, values in reference_branches(ops, q.dim, max(np.sqrt(tol), 100 * tol)):
+            if basis.shape[1] != 1:
+                notes.append(f"joint eigenspace of dimension {basis.shape[1]} could not be split further; "
+                             "enumeration incomplete")
+            found.append(cq.section.conj() @ np.array(values, dtype=complex))
+    accepted = []
+    for f in found + list(alg.declared_characters):
+        try:
+            ch = verify_character(alg, f, tol)
+        except CharacterRejected:
+            continue
+        if not any(max_abs(ch.functional - other.functional) <= 10 * tol for other in accepted):
+            accepted.append(ch)
+    accepted.sort(key=lambda ch: tuple((round(z.real, 9), round(z.imag, 9)) for z in ch.functional))
+    return accepted, not notes, tuple(notes)
+
+
+def stacking_algebras(corpus):
+    """Both factors and the product of every stacking triple, the contraction algebras,
+    and C2 declaring its two characters, one of them twice with a perturbation."""
+    for _, a, b, hom in stacking_triples(corpus):
+        yield from (a, b, build_product(a, b, hom, TOL).algebra)
+    yield from contraction_algebras(corpus)
+    c2 = matrix_unit_algebra("C", 2)
+    yield FiniteAlgebra(name="C2-declared", basis_labels=c2.basis_labels, structure=c2.structure,
+                        declared_characters=([0.0, 1.0], [1.0, 0.0], [1.0 + 1e-11, 0.0]))
+
+
+def test_enumeration_matches_per_candidate_loop(corpus):
+    """The stacked enumeration gives the loop reference's characters to 1e-12, in the
+    same order, with the same completeness and notes, on every stacking algebra."""
+    for alg in stacking_algebras(corpus):
+        for seed in (0, 3):
+            enum = enumerate_characters(alg, TOL, seed)
+            ref, complete, notes = reference_enumeration(alg, TOL, seed)
+            assert (enum.complete, enum.notes, len(enum)) == (complete, notes, len(ref)), alg.name
+            for ch, want in zip(enum.characters, ref):
+                assert max_abs(ch.functional - want.functional) <= 1e-12, alg.name
+                assert abs(ch.residual - want.residual) <= 1e-12, alg.name
+
+
+def reference_decomposition(product, sigma_a, sigma_b, enumerated, tol):
+    """The decomposition one member and one pair at a time."""
+    members = [product.lift_first(ch.functional) for ch in sigma_a.characters]
+    pure = [product.lift_second(ch.functional) for ch in sigma_b.characters]
+    disjoint = all(max_abs(f - g) > 10 * tol for f in members for g in pure)
+    members += pure
+
+    def unmatched(fs, gs):
+        return next((f for f in fs if not any(max_abs(f - g) <= 10 * tol for g in gs)), None)
+
+    mismatch = ok = None
+    if sigma_a.complete and sigma_b.complete and enumerated.complete:
+        found = [ch.functional for ch in enumerated.characters]
+        mismatch = unmatched(found, members)
+        mismatch = unmatched(members, found) if mismatch is None else mismatch
+        ok = mismatch is None and disjoint
+    return members, [character_defect(product.algebra, f)[0] for f in members], disjoint, ok, mismatch
+
+
+def test_decomposition_matches_per_pair_loop(corpus):
+    """The stacked decomposition against the loop reference on every stacking triple, also
+    with an enumeration of the product that misses its first character, so that a mismatch
+    is found."""
+    for label, a, b, hom in stacking_triples(corpus):
+        product = build_product(a, b, hom, TOL)
+        sigmas = [enumerate_characters(alg, TOL) for alg in (a, b, product.algebra)]
+        found = sigmas[2].characters
+        short = CharacterEnumeration(product.algebra, found[1:], sigmas[2].complete)
+        # a first character moved off the family: unmatched on both sides, the enumerated one reported
+        moved = replace(short, characters=tuple(replace(ch, functional=ch.functional + 1e-3) for ch in found[:1]) + found[1:])
+        for enumerated in (sigmas[2], short, moved):
+            pc = character_decomposition(product, *sigmas[:2], enumerated, TOL)
+            members, defects, disjoint, ok, mismatch = reference_decomposition(product, *sigmas[:2], enumerated, TOL)
+            got = pc.lifted + pc.pure_b
+            assert len(got) == len(members) and len(pc.lifted) == len(sigmas[0]), label
+            for ch, f, defect in zip(got, members, defects):
+                assert max_abs(ch.functional - f) <= 1e-12 and abs(ch.residual - defect) <= 1e-12, label
+            assert (pc.disjoint, pc.decomposition_ok) == (disjoint, ok), label
+            assert (pc.mismatch is None) == (mismatch is None), label
+            assert mismatch is None or max_abs(pc.mismatch - mismatch) <= 1e-12, label
+            if enumerated is not sigmas[2] and enumerated.complete and found:
+                assert ok is False, label

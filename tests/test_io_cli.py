@@ -365,3 +365,89 @@ def test_complex_array_keeps_signed_zeros_infinities_and_large_integers():
     floats = [[[1.5, -0.0], [0, 2]], [[-3, 4.25], [-0.0, -0.0]]]
     out = _parse_complex_array(floats, (2, 2), "x")
     assert out.tobytes() == np.array([[complex(*p) for p in row] for row in floats]).tobytes()
+
+
+def reference_jsonable(value):
+    """The first pass of the two-pass emitter: numbers, numpy types and dataclasses as plain data."""
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    if isinstance(value, (float, np.floating)):
+        return float(value)
+    if isinstance(value, (complex, np.complexfloating)):
+        return [float(value.real), float(value.imag)]
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.ndarray):
+        return [reference_jsonable(v) for v in value.tolist()]
+    if isinstance(value, dict):
+        return {str(k): reference_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [reference_jsonable(v) for v in value]
+    if hasattr(value, "to_dict"):
+        return reference_jsonable(value.to_dict())
+    return str(value)
+
+
+def reference_emit(value, out):
+    """The second pass of the two-pass emitter, over plain data."""
+    if value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(str(value))
+    elif isinstance(value, float):
+        out.append(format(value, ".12e"))
+    elif isinstance(value, str):
+        out.append(json.dumps(value))
+    elif isinstance(value, dict):
+        out.append("{")
+        for i, key in enumerate(sorted(value)):
+            out.append("," if i else "")
+            out.append(json.dumps(str(key)) + ":")
+            reference_emit(value[key], out)
+        out.append("}")
+    else:
+        out.append("[")
+        for i, item in enumerate(value):
+            out.append("," if i else "")
+            reference_emit(item, out)
+        out.append("]")
+
+
+def reference_dump_json(data):
+    out = []
+    reference_emit(reference_jsonable(data), out)
+    return "".join(out)
+
+
+def test_one_pass_emitter_matches_two_pass_reference(monkeypatch, capsys):
+    """``dump_json`` gives, byte for byte, what the two-pass emitter gave, on a built-in
+    ``corpus run``, a ladder-shaped report and values of every kind a report can hold."""
+    import tpw.cli
+    from tpw.product import AlgebraHom
+    from tpw.suite import RunConfig, verify_theorems
+
+    from conftest import matrix_unit_algebra, random_unitary, rebased
+
+    payloads = []
+
+    def capture(payload):
+        payloads.append(payload)
+        return dump_json(payload)
+
+    monkeypatch.setattr(tpw.cli, "dump_json", capture)
+    monkeypatch.delenv("TPW_CORPUS_DIR", raising=False)
+    assert main(["corpus", "run", "--format", "json"]) == 0
+    capsys.readouterr()
+    c5 = rebased(matrix_unit_algebra("C", 5), random_unitary(np.random.default_rng(3), 5), "C5")
+    payloads.append(verify_theorems(c5, c5, AlgebraHom(source=c5, target=c5, matrix=np.eye(5)), RunConfig()).to_dict())
+    payloads.append({
+        2: [np.bool_(True), np.int64(-7), np.float32(0.1), np.complex128(1 - 2j), 3 + 0j, (None, False)],
+        "café \"q\"\n": {"nested": np.arange(4, dtype=complex).reshape(2, 2), "i": np.arange(3)},
+        "b": [float("inf"), -0.0, 10**30, ValueError("not a number")],
+    })
+    for payload in payloads:
+        assert dump_json(payload) == reference_dump_json(payload)
