@@ -19,7 +19,6 @@ from .arens import (
     arens_tables,
     dual_actions,
     hom_adjoints,
-    product_dual_action_tables,
     product_dual_actions,
     topological_center,
     topological_center_membership,
@@ -98,7 +97,6 @@ __all__ = [
     "load_algebra",
     "load_hom",
     "product_characters",
-    "product_dual_action_tables",
     "product_dual_actions",
     "save_algebra",
     "save_hom",

@@ -38,7 +38,7 @@ from .arens import arens_tables, stacked_side_system
 from .characters import CharacterEnumeration, enumerate_characters
 from .core import FiniteAlgebra, center, find_left_identity, find_right_identity
 from .errors import NotADerivation
-from .linalg import as_complex, column_space, max_abs, nullspace, nullspaces, subspace_contains
+from .linalg import as_complex, column_space, column_spaces, max_abs, nullspace, nullspaces, subspace_contains
 from .product import MorphismProduct
 from .report import CheckReport
 
@@ -327,8 +327,7 @@ def tli_product_characterization(product: MorphismProduct, factor_character, kin
     solutions, which gives one report per row, checked as one stack: the
     solution spaces are padded to the widest with zero columns, which add
     nothing to a projector and fall below every cutoff, and each claimed
-    family is orthonormalized with the cutoff of its own (n, dim) shape, as
-    ``orthonormalize`` would.
+    family is orthonormalized at floor 0 by ``linalg.column_spaces``.
     """
     palg, n = product.algebra, product.algebra.dim
     tag = "embedded-first-factor" if kind == "lifted" else "second-factor-graph"
@@ -346,13 +345,8 @@ def tli_product_characterization(product: MorphismProduct, factor_character, kin
     # every claimed family as columns of one matrix: the embedded (x, 0) or the graphs (-T''(x), x)
     columns = f_bases.transpose(1, 0, 2).reshape(factor.dim, k * w)
     claimed = (product.embed_a(columns) if kind == "lifted" else product.graph(columns)).reshape(n, k, w)
-    claimed = claimed.transpose(1, 0, 2)
-    ranks = np.zeros(k, dtype=int)
-    if w:
-        u, s, _ = np.linalg.svd(claimed, full_matrices=False)
-        # each family's own shape is (n, dim) with dim < n, so its cutoff is tol * s_max * n
-        ranks = np.sum(s > (tol * s[:, 0] * n)[:, None], axis=1)
-        claimed = u * (np.arange(u.shape[2]) < ranks[:, None])[:, None, :]
+    # each family's own shape is (n, dim) with dim < n, so the stack's (n, w) shape gives its cutoff
+    claimed, ranks = column_spaces(claimed.transpose(1, 0, 2), tol, 0.0)
     claimed_ok, to_claimed = subspace_contains(claimed, p_bases, 100 * tol)
     prod_ok, to_prod = subspace_contains(p_bases, claimed, 100 * tol)
     same_dim = p_dims == ranks

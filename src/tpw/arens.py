@@ -188,37 +188,27 @@ def _block_table(product: MorphismProduct, table_a: np.ndarray, table_b: np.ndar
     return block
 
 
-def product_dual_action_tables(product: MorphismProduct) -> ProductDualActions:
-    """Both actions of every basis element on every basis functional, computed two ways.
+def product_dual_actions(product: MorphismProduct, f, g, a, b) -> ProductDualActions:
+    """Both actions of (a, b) on (f, g), computed two ways.
 
-    Entry [i, j] is e_j acting on e_i.  (f.a)(x) = f(a x) reads entry [a, x, f]
-    of the multiplication table and (a.f)(x) = f(x a) entry [x, a, f], so both
-    ways are transposes of a table: the direct one of the product algebra's own
-    structure tensor, the block one of the table that the factor structures and
-    the hom give, which is what the factor-level formulas
+    (f.a)(x) = f(a x) reads entry [a, x, f] of the multiplication table and
+    (a.f)(x) = f(x a) entry [x, a, f], so each way is a contraction of a
+    table: the direct one of the product algebra's own structure tensor, the
+    block one of the table that the factor structures and the hom give, which
+    is what the factor-level formulas
 
         (f, g) . (a, b) = (f.a + f.T(b),  f o (L_a T) + g.b)
         (a, b) . (f, g) = (a.f + T(b).f,  f o (R_a T) + b.g)
 
-    read on basis pairs.  The two must agree.
+    read.  The two must agree.
     """
+    fg, ab, n = product.join(f, g), product.join(a, b), product.algebra.dim
     c = product.algebra.structure
     block = _block_table(product, product.a.structure, product.b.structure)
-    return ProductDualActions(
-        right_direct=c.transpose(2, 0, 1),
-        right_block=block.transpose(2, 0, 1),
-        left_direct=c.transpose(2, 1, 0),
-        left_block=block.transpose(2, 1, 0),
-    )
-
-
-def product_dual_actions(product: MorphismProduct, f, g, a, b) -> ProductDualActions:
-    """Both actions of (a, b) on (f, g), direct and by the block formulas of
-    ``product_dual_action_tables``, contracted from those tables."""
-    fg, ab, n = product.join(f, g), product.join(a, b), product.algebra.dim
-    tables = product_dual_action_tables(product)
+    tables = {"right_direct": c.transpose(2, 0, 1), "right_block": block.transpose(2, 0, 1),
+              "left_direct": c.transpose(2, 1, 0), "left_block": block.transpose(2, 1, 0)}
     return ProductDualActions(**{
-        name: ab @ (fg @ table.reshape(n, n * n)).reshape(n, n) for name, table in vars(tables).items()
+        name: ab @ (fg @ table.reshape(n, n * n)).reshape(n, n) for name, table in tables.items()
     })
 
 

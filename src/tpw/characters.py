@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import FiniteAlgebra
 from .errors import CharacterRejected
-from .linalg import nullspace, orthonormalize
+from .linalg import column_space, nullspace
 from .product import MorphismProduct
 
 
@@ -86,13 +86,13 @@ def commutator_ideal(alg: FiniteAlgebra, tol: float) -> np.ndarray:
     c = alg.structure
     commutators = (c - c.transpose(1, 0, 2)).reshape(-1, alg.dim).T
     scale = alg.cutoff_scale
-    basis = orthonormalize(commutators, tol, scale)
+    basis = column_space(commutators, tol, scale)
     n = alg.dim
     while basis.shape[1] > 0:
         # left products suffice: [x, z] y = [xy, z] - x [y, z], so the left ideal
         # the commutators generate is two-sided; columns [B, e_0 B, e_1 B, ...]
         grown = np.einsum("kjm,jb->mkb", c, basis)
-        new_basis = orthonormalize(np.hstack([basis, grown.reshape(n, -1)]), tol, scale)
+        new_basis = column_space(np.hstack([basis, grown.reshape(n, -1)]), tol, scale)
         if new_basis.shape[1] == basis.shape[1]:
             break
         basis = new_basis

@@ -1,8 +1,14 @@
 """Complex linear algebra helpers: thresholded ranks, nullspaces, subspaces.
 
-Every rank decision in the workbench goes through the same singular-value
-cutoff: tol * (largest singular value) * max(matrix dimension, 1), the rule of
-``numpy.linalg.matrix_rank``.  ``nullspace`` reduces a tall system to its
+Only this module turns singular values into a rank, by one rule: a singular
+value counts when it exceeds tol * max(largest singular value, scale) *
+max(matrix dimension, 1), the rule of ``numpy.linalg.matrix_rank`` with a
+floor, stated by ``svd_cutoff`` and counted by ``_rank``.  Two decisions
+elsewhere are not ranks and keep their own rules:
+``characters._joint_eigenvalue_branches`` clusters eigenvalues, and
+``corpus._structure_from_matrices`` fits the built-in tensors by lstsq.
+
+``nullspace`` reduces a tall system to its
 triangular QR factor R before the SVD, so no rows x rows factor is ever
 formed; the cutoff still uses the original matrix's shape.  A system too
 large to hold can be given to ``nullspace`` as a stream of row blocks, which
@@ -33,23 +39,30 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(a)))
 
 
-def svd_cutoff(singular_values: np.ndarray, shape, tol: float, scale: float = 0.0) -> float:
+def svd_cutoff(singular_values: np.ndarray, shape, tol: float, scale=0.0) -> float | np.ndarray:
     """Cutoff tol * max(s_max, scale) * max(dim, 1).
 
     ``scale`` is an absolute floor for systems whose matrix is a difference
     of same-scale quantities and may be numerically zero: without the floor,
-    pure rounding noise would register as full rank.
+    pure rounding noise would register as full rank.  A stack of spectra of
+    shape (k, m), from k matrices of one ``shape``, gives k cutoffs, with
+    ``scale`` one floor or k.
     """
-    s_max = float(singular_values[0]) if singular_values.size else 0.0
-    return tol * max(s_max, scale) * max(max(shape), 1)
+    s = singular_values
+    s_max = s[..., 0] if s.shape[-1] else np.zeros(s.shape[:-1])
+    return tol * np.maximum(s_max, scale) * max(max(shape), 1)
+
+
+def _rank(singular_values: np.ndarray, shape, tol: float, scale=0.0):
+    """Number of singular values above ``svd_cutoff``, or one such count per spectrum of a (k, m) stack."""
+    return (singular_values.T > svd_cutoff(singular_values, shape, tol, scale)).sum(axis=0)
 
 
 def rank(a, tol: float, scale: float = 0.0) -> int:
     a = as_complex(a)
     if a.size == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    return int(np.sum(s > svd_cutoff(s, a.shape, tol, scale)))
+    return int(_rank(np.linalg.svd(a, compute_uv=False), a.shape, tol, scale))
 
 
 def nullspace(a, tol: float, scale: float = 0.0) -> np.ndarray:
@@ -95,8 +108,7 @@ def nullspace(a, tol: float, scale: float = 0.0) -> np.ndarray:
     if total == 0:
         return np.eye(cols, dtype=complex)
     _, s, vh = np.linalg.svd(stack[:top], full_matrices=True)
-    r = int(np.sum(s > svd_cutoff(s, (total, cols), tol, scale)))
-    return vh[r:].conj().T
+    return vh[_rank(s, (total, cols), tol, scale) :].conj().T
 
 
 def nullspaces(stack, tol: float, scales) -> tuple[np.ndarray, np.ndarray]:
@@ -110,11 +122,10 @@ def nullspaces(stack, tol: float, scales) -> tuple[np.ndarray, np.ndarray]:
     and zero columns after them, and the nullities ``dims``.
     """
     stack = as_complex(stack)
-    k, rows, cols = stack.shape
+    _, rows, cols = stack.shape
     r_factors = np.linalg.qr(stack, mode="r") if rows > cols else stack
     _, s, vh = np.linalg.svd(r_factors, full_matrices=True)
-    s_max = s[:, 0] if s.shape[1] else np.zeros(k)
-    ranks = np.sum(s > (tol * np.maximum(s_max, scales) * max(rows, cols, 1))[:, None], axis=1)
+    ranks = _rank(s, (rows, cols), tol, scales)
     dims = cols - ranks
     # column t of basis i is row ranks[i] + t of vh[i], where that row exists
     picked = ranks[:, None] + np.arange(int(dims.max(initial=0)))
@@ -127,17 +138,18 @@ def column_space(a, tol: float, scale: float = 0.0) -> np.ndarray:
     a = as_complex(a)
     if a.size == 0:
         return np.zeros((a.shape[0], 0), dtype=complex)
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    r = int(np.sum(s > svd_cutoff(s, a.shape, tol, scale)))
-    return u[:, :r]
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    return u[:, : _rank(s, a.shape, tol, scale)]
 
 
-def orthonormalize(vectors, tol: float, scale: float = 0.0) -> np.ndarray:
-    """Orthonormal basis for the span of the given vectors (as columns)."""
-    a = as_complex(vectors)
-    if a.ndim == 1:
-        a = a.reshape(-1, 1)
-    return column_space(a, tol, scale)
+def column_spaces(stack, tol: float, scales) -> tuple[np.ndarray, np.ndarray]:
+    """``column_space`` of each matrix in a stack (k, rows, cols), with the floor ``scales`` (one, or
+    one per matrix), by one stacked SVD: the bases as one (k, rows, min(rows, cols)) array, matrix
+    i's in its first ``ranks[i]`` columns and zero columns after them, and the ranks."""
+    stack = as_complex(stack)
+    u, s, _ = np.linalg.svd(stack, full_matrices=False)
+    ranks = _rank(s, stack.shape[1:], tol, scales)
+    return u * (np.arange(u.shape[2]) < ranks[:, None])[:, None, :], ranks
 
 
 def projector(basis: np.ndarray) -> np.ndarray:

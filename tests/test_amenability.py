@@ -25,7 +25,7 @@ from tpw.characters import enumerate_characters
 from tpw.core import center
 from tpw.corpus import algebra_null1, algebra_row2, algebra_ut2, hom_identity, hom_scaled_character, hom_zero
 from tpw.errors import NotADerivation
-from tpw.linalg import max_abs, nullspace, orthonormalize, subspaces_equal
+from tpw.linalg import column_space, max_abs, nullspace, subspaces_equal
 from tpw.product import build_product
 from tpw.suite import RunConfig, verify_theorems
 
@@ -182,7 +182,7 @@ def shear_oracle_triples(corpus):
 def flat_span(maps, tol):
     """Orthonormal basis of the span of n x n maps, flattened row-major."""
     n = maps[0].shape[0] if maps else 0
-    return orthonormalize(np.array(maps, dtype=complex).reshape(len(maps), n * n).T, tol)
+    return column_space(np.array(maps, dtype=complex).reshape(len(maps), n * n).T, tol)
 
 
 @pytest.mark.parametrize("basis", ["plain", "rebased"])
@@ -486,7 +486,7 @@ def reference_characterization(product, chi, kind, side):
     lift = product.lift_first(chi) if kind == "lifted" else product.lift_second(chi)
     prod_sol = solve_tli(product.algebra, lift, side, TOL)
     claimed = product.embed_a(factor_sol.basis) if kind == "lifted" else product.graph(factor_sol.basis)
-    claimed = orthonormalize(claimed, TOL) if claimed.size else claimed
+    claimed = column_space(claimed, TOL) if claimed.size else claimed
     nv_p, nv_f = prod_sol.exists_nonvanishing, factor_sol.exists_nonvanishing
     out = {f"tli/{side}/{tag}/nonvanishing-agreement":
            ("pass" if nv_p == nv_f else "fail", None, None if nv_p == nv_f else {"product": nv_p, "factor": nv_f})}

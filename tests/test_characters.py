@@ -19,7 +19,7 @@ from tpw.characters import (
 from tpw.core import FiniteAlgebra
 from tpw.corpus import algebra_cn, hom_identity, hom_zero
 from tpw.errors import CharacterRejected
-from tpw.linalg import max_abs, orthonormalize, subspaces_equal
+from tpw.linalg import column_space, max_abs, subspaces_equal
 from tpw.product import AlgebraHom, build_product
 
 from conftest import TOL, matrix_unit_algebra, random_unitary, rebased, stacking_triples
@@ -73,14 +73,14 @@ def reference_commutator_ideal(alg, tol):
     """The ideal grown one basis vector at a time from the multiplication operators."""
     c = alg.structure
     scale = max(1.0, max_abs(c))
-    basis = orthonormalize((c - c.transpose(1, 0, 2)).reshape(-1, alg.dim).T, tol, scale)
+    basis = column_space((c - c.transpose(1, 0, 2)).reshape(-1, alg.dim).T, tol, scale)
     while basis.shape[1] > 0:
         grown = [basis]
         for k in range(alg.dim):
             e = alg.basis_vector(k)
             grown.append(alg.left_mult_operator(e) @ basis)
             grown.append(alg.right_mult_operator(e) @ basis)
-        new_basis = orthonormalize(np.hstack(grown), tol, scale)
+        new_basis = column_space(np.hstack(grown), tol, scale)
         if new_basis.shape[1] == basis.shape[1]:
             break
         basis = new_basis

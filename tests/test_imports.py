@@ -1,5 +1,7 @@
-"""Every name a ``tpw`` module imports is used in that module, and every
-module-level private function or class is used somewhere in the package.
+"""Every name a ``tpw`` module imports is used in that module, every
+module-level private function or class is used somewhere in the package, and
+no module but ``linalg`` calls ``np.linalg``, apart from two named functions
+whose decisions are not ranks.
 
 ``__init__.py`` re-exports by design, and ``from __future__`` imports are
 compiler directives, so both are left out of the import check.  A private
@@ -73,3 +75,34 @@ def test_checker_flags_an_unreferenced_private_name():
 def test_every_private_name_is_referenced():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_private_names(sources) == []
+
+
+# np.linalg calls that decide something other than a rank, by the function that makes them
+LINALG_EXCEPTIONS = {"characters.py:_joint_eigenvalue_branches", "corpus.py:_structure_from_matrices"}
+
+
+def linalg_uses(module: str, source: str) -> list[str]:
+    """``module:function`` for every ``np.linalg`` or ``numpy.linalg`` reference in a module,
+    named by the top-level function or class around it (``<module>`` at top level)."""
+    found = []
+    for statement in ast.parse(source).body:
+        where = f"{module}:{getattr(statement, 'name', '<module>')}"
+        for node in ast.walk(statement):
+            if ((isinstance(node, ast.Attribute) and node.attr == "linalg"
+                 and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+                    or (isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.linalg"))
+                    or (isinstance(node, ast.Import) and any(a.name.startswith("numpy.linalg") for a in node.names))):
+                found.append(where)
+    return found
+
+
+def test_checker_finds_linalg_uses():
+    source = ("import numpy as np\nfrom numpy.linalg import qr\n\n"
+              "def f(a):\n    return np.linalg.svd(a)\n\nclass C:\n    def g(self):\n        return np.linalg.eigvals\n")
+    assert linalg_uses("m.py", source) == ["m.py:<module>", "m.py:f", "m.py:C"]
+
+
+def test_rank_decisions_only_in_linalg():
+    """Every singular value that becomes a rank goes through ``linalg``'s one cutoff rule."""
+    found = {use for p in MODULES if p.name != "linalg.py" for use in linalg_uses(p.name, p.read_text(encoding="utf-8"))}
+    assert found <= LINALG_EXCEPTIONS, sorted(found - LINALG_EXCEPTIONS)

@@ -14,7 +14,7 @@ import pytest
 
 from tpw.amenability import derivation_space
 from tpw.errors import ShapeError
-from tpw.linalg import nullspace, subspaces_equal, svd_cutoff
+from tpw.linalg import column_space, column_spaces, nullspace, subspaces_equal, svd_cutoff
 
 from conftest import TOL, matrix_unit_algebra, random_unitary, rebased
 
@@ -169,3 +169,33 @@ def test_derivation_dims_closed_form_rebased_m5():
     m5 = matrix_unit_algebra("M", 5)
     space = derivation_space(rebased(m5, random_unitary(np.random.default_rng(5), m5.dim)), TOL)
     assert space.dim_der == space.dim_inner == 24
+
+
+def test_stacked_svd_cutoff_matches_scalar(rng):
+    """A (k, m) stack of spectra gets each spectrum's scalar cutoff, with its own floor."""
+    s = -np.sort(-np.abs(rng.standard_normal((4, 5))), axis=1)
+    s[2] = 0.0
+    scales = np.array([0.0, 10.0, 1.0, 0.0])
+    cutoffs = svd_cutoff(s, (9, 5), TOL, scales)
+    assert cutoffs.shape == (4,)
+    assert cutoffs.tolist() == [svd_cutoff(row, (9, 5), TOL, scale) for row, scale in zip(s, scales)]
+    assert svd_cutoff(np.zeros((3, 0)), (4, 0), TOL, 1.0).tolist() == [svd_cutoff(np.zeros(0), (4, 0), TOL, 1.0)] * 3
+
+
+def test_column_spaces_match_per_matrix(rng):
+    """Full rank, rank deficient, zero, and one tiny matrix at two floors: floor 1 cuts it to rank 0.
+    The bases are padded with zero columns to min(rows, cols)."""
+    tiny = 1e-12 * gaussian(rng, 7, 4)
+    stack = np.stack([gaussian(rng, 7, 4), gaussian(rng, 7, 2) @ gaussian(rng, 2, 4), np.zeros((7, 4)), tiny, tiny])
+    scales = np.array([0.0, 1.0, 0.0, 1.0, 0.0])
+    bases, ranks = column_spaces(stack, TOL, scales)
+    assert ranks.tolist() == [4, 2, 0, 0, 4]
+    assert bases.shape == (5, 7, 4)
+    for basis, r, a, scale in zip(bases, ranks, stack, scales):
+        want = column_space(a, TOL, scale)
+        assert r == want.shape[1] and not basis[:, r:].any()
+        assert subspaces_equal(basis[:, :r], want, 1e-10)[0]
+    bases, ranks = column_spaces(np.zeros((3, 5, 0)), TOL, np.zeros(3))
+    assert bases.shape == (3, 5, 0) and ranks.tolist() == [0, 0, 0]
+    assert column_space(np.zeros((5, 0)), TOL).shape == (5, 0)
+

@@ -11,7 +11,7 @@ from tpw.corpus import (
     hom_scaled_character,
     hom_zero,
 )
-from tpw.errors import HomInvalid
+from tpw.errors import HomInvalid, ValidationError
 from tpw.linalg import max_abs
 from tpw.product import AlgebraHom, build_product, check_hom, ideal_and_quotient
 
@@ -41,11 +41,6 @@ def test_check_hom_lau_is_multiplicative(alg_c, alg_c2):
     assert report.op_norm == 2.0  # unit weights make the unit have norm 2
     assert report.warnings  # non-contractive, warn-only
     assert report.valid
-
-
-def test_check_hom_strict_norm_rejects(alg_c, alg_c2):
-    hom = hom_scaled_character(alg_c, alg_c2, np.array([1.0 + 0j]), np.array([1.0, 1.0]))
-    assert not check_hom(hom, TOL, strict_norm=True).valid
 
 
 def test_non_multiplicative_map_detected(alg_c2):
@@ -103,6 +98,19 @@ def test_build_product_rejects_bad_hom(alg_c2):
     bad = AlgebraHom(source=alg_c2, target=alg_c2, matrix=np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(HomInvalid):
         build_product(alg_c2, alg_c2, bad, TOL)
+
+
+def test_build_product_rejects_non_associative_factor(alg_c):
+    """e0 e0 = e1 and e1 e0 = e0, so (e0 e0) e0 = e0 while e0 (e0 e0) = e0 e1 = 0."""
+    c = np.zeros((2, 2, 2))
+    c[0, 0, 1] = c[1, 0, 0] = 1.0
+    bad = FiniteAlgebra(name="NA2", basis_labels=("e0", "e1"), structure=c)
+    with pytest.raises(ValidationError, match="factor 'NA2' fails associativity"):
+        build_product(bad, alg_c, hom_zero(alg_c, bad), TOL)
+    with pytest.raises(ValidationError, match="factor 'NA2' fails associativity"):
+        build_product(alg_c, bad, hom_zero(bad, alg_c), TOL)
+    with pytest.raises(ValidationError, match="factor 'NA2' fails associativity"):
+        build_product(bad, bad, hom_zero(bad, bad), TOL)
 
 
 def test_build_product_matches_hom_endpoints_by_content(alg_ut2, alg_c2):
