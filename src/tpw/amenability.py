@@ -247,9 +247,6 @@ def lift_derivation(d: np.ndarray, which: str, product: MorphismProduct, tol: fl
 class TliSolution:
     """Solution space of the invariant-element system for one character."""
 
-    algebra: FiniteAlgebra
-    phi: np.ndarray
-    side: str
     basis: np.ndarray  # n x k orthonormal columns
     exists_nonvanishing: bool
 
@@ -294,8 +291,8 @@ def solve_tli(alg: FiniteAlgebra, phi, side: str, tol: float) -> TliSolution | t
         bases, dims = nullspaces(_tli_system(alg, phis[part], side), tol, scales[part])
         # the padding columns of ``bases`` pair to zero with every functional
         pairing = np.max(np.abs((phis[part, None, :] @ bases)[:, 0]), axis=1, initial=0.0)
-        solutions += [TliSolution(algebra=alg, phi=f, side=side, basis=basis[:, :d], exists_nonvanishing=bool(nv))
-                      for f, basis, d, nv in zip(phis[part], bases, dims, pairing > tol * np.maximum(1.0, size[part]))]
+        solutions += [TliSolution(basis=basis[:, :d], exists_nonvanishing=bool(nv))
+                      for basis, d, nv in zip(bases, dims, pairing > tol * np.maximum(1.0, size[part]))]
     return solutions[0] if single else tuple(solutions)
 
 
@@ -391,7 +388,6 @@ class CharacterInnerAmenability:
     verdict: bool | None
     enumeration: CharacterEnumeration
     center: np.ndarray
-    means: tuple[np.ndarray | None, ...]
     failing_character: np.ndarray | None
     caveats: tuple[str, ...]
 
@@ -492,8 +488,7 @@ class Analysis:
         enum = self.characters
         means = self.inner_mean(enum.functionals)
         verdict, failing = _for_every_character(enum, (m is not None for m in means))
-        return CharacterInnerAmenability(self.algebra, verdict, enum, self.center, means, failing,
-                                         (CENTER_REDUCTION_CAVEAT,))
+        return CharacterInnerAmenability(self.algebra, verdict, enum, self.center, failing, (CENTER_REDUCTION_CAVEAT,))
 
 
 class ProductAnalysis(Analysis):

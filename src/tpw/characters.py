@@ -105,7 +105,6 @@ class CommutativeQuotient:
 
     quotient: FiniteAlgebra | None  # None when the ideal is everything
     section: np.ndarray  # n x m orthonormal complement basis
-    ideal: np.ndarray  # n x (n - m) orthonormal ideal basis
 
 
 def commutative_quotient(alg: FiniteAlgebra, tol: float) -> CommutativeQuotient:
@@ -119,7 +118,7 @@ def commutative_quotient(alg: FiniteAlgebra, tol: float) -> CommutativeQuotient:
     section = nullspace(ideal.conj().T, tol) if ideal.shape[1] else np.eye(alg.dim, dtype=complex)
     m = section.shape[1]
     if m == 0:
-        return CommutativeQuotient(quotient=None, section=section, ideal=ideal)
+        return CommutativeQuotient(quotient=None, section=section)
     # cq[p, q] = section^H (s_p s_q), for the columns s_p of the section, as three matrix products
     n = alg.dim
     cq = section.T @ ((section.T @ alg.structure.reshape(n, n * n)).reshape(m, n, n) @ section.conj())
@@ -128,7 +127,7 @@ def commutative_quotient(alg: FiniteAlgebra, tol: float) -> CommutativeQuotient:
         basis_labels=tuple(f"q{i}" for i in range(m)),
         structure=cq,
     )
-    return CommutativeQuotient(quotient=quotient, section=section, ideal=ideal)
+    return CommutativeQuotient(quotient=quotient, section=section)
 
 
 @dataclass

@@ -168,7 +168,6 @@ class AlgebraValidationReport:
     associativity_residual: float
     associative: bool
     submultiplicative: bool
-    submultiplicativity_excess: float
     identity: np.ndarray | None
     left_identity: np.ndarray | None
     right_identity: np.ndarray | None
@@ -216,7 +215,6 @@ def validate_algebra(alg: FiniteAlgebra, tol: float) -> AlgebraValidationReport:
         associativity_residual=residual,
         associative=associative,
         submultiplicative=submult,
-        submultiplicativity_excess=excess,
         identity=identity,
         left_identity=left,
         right_identity=right,

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FiniteAlgebra
-from .errors import ParseError, ValidationError
+from .errors import ParseError
 from .io import _load_json, _registry, algebra_from_dict, hom_from_dict
-from .linalg import max_abs
 from .product import AlgebraHom
 
 VERDICT_TAGS = {
@@ -47,29 +46,17 @@ class CorpusEntry:
         return out
 
 
-def _structure_from_matrices(mats: list[np.ndarray]) -> np.ndarray:
-    """Structure constants of a matrix algebra spanned by the given basis.
+def _matrix_units(name: str, labels: tuple[str, ...]) -> FiniteAlgebra:
+    """The span of the matrix units ``Eij`` named by ``labels``, exactly: E_ij E_jl = E_il.
 
-    Each basis product is decomposed against the (independent) basis; a
-    residual means the span is not closed and is a construction bug.
+    The span must be closed, that is hold E_il whenever it holds E_ij and E_jl.
     """
-    n = len(mats)
-    flat = np.column_stack([m.reshape(-1) for m in mats]).astype(complex)
-    c = np.empty((n, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            prod = (mats[i] @ mats[j]).reshape(-1)
-            coeffs, *_ = np.linalg.lstsq(flat, prod, rcond=None)
-            if max_abs(flat @ coeffs - prod) > 1e-12:
-                raise ValidationError("basis matrices do not span a closed algebra")
-            c[i, j, :] = coeffs
-    return c
-
-
-def _unit_matrix(i: int, j: int, size: int = 2) -> np.ndarray:
-    m = np.zeros((size, size))
-    m[i, j] = 1.0
-    return m
+    c = np.zeros((len(labels),) * 3)
+    for p, (_, i, j) in enumerate(labels):  # "Eij" unpacks to "E", i, j
+        for q, (_, j2, l) in enumerate(labels):
+            if j == j2:
+                c[p, q, labels.index(f"E{i}{l}")] = 1.0
+    return FiniteAlgebra(name=name, basis_labels=labels, structure=c)
 
 
 def algebra_c() -> FiniteAlgebra:
@@ -91,26 +78,18 @@ def algebra_c2() -> FiniteAlgebra:
 
 def algebra_m2() -> FiniteAlgebra:
     """Full 2x2 matrix algebra on the unit-matrix basis."""
-    mats = [_unit_matrix(0, 0), _unit_matrix(0, 1), _unit_matrix(1, 0), _unit_matrix(1, 1)]
-    return FiniteAlgebra(
-        name="M2",
-        basis_labels=("E11", "E12", "E21", "E22"),
-        structure=_structure_from_matrices(mats),
-    )
+    return _matrix_units("M2", ("E11", "E12", "E21", "E22"))
 
 
 def algebra_group_z2() -> FiniteAlgebra:
-    """Group algebra of the two-element group, on the group basis."""
-    mats = [np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])]
-    return FiniteAlgebra(name="C[Z2]", basis_labels=("1", "g"), structure=_structure_from_matrices(mats))
+    """Group algebra of the two-element group, on the group basis: 1 is the unit and g g = 1."""
+    structure = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]])
+    return FiniteAlgebra(name="C[Z2]", basis_labels=("1", "g"), structure=structure)
 
 
 def algebra_ut2() -> FiniteAlgebra:
     """Upper-triangular 2x2 matrices."""
-    mats = [_unit_matrix(0, 0), _unit_matrix(0, 1), _unit_matrix(1, 1)]
-    return FiniteAlgebra(
-        name="UT2", basis_labels=("E11", "E12", "E22"), structure=_structure_from_matrices(mats)
-    )
+    return _matrix_units("UT2", ("E11", "E12", "E22"))
 
 
 def algebra_row2() -> FiniteAlgebra:
@@ -120,8 +99,7 @@ def algebra_row2() -> FiniteAlgebra:
     single character; the workbench's standard negative instance for
     character amenability and for inner means.
     """
-    mats = [_unit_matrix(0, 0), _unit_matrix(0, 1)]
-    return FiniteAlgebra(name="row2", basis_labels=("E11", "E12"), structure=_structure_from_matrices(mats))
+    return _matrix_units("row2", ("E11", "E12"))
 
 
 def algebra_null1() -> FiniteAlgebra:

@@ -3,10 +3,9 @@
 Only this module turns singular values into a rank, by one rule: a singular
 value counts when it exceeds tol * max(largest singular value, scale) *
 max(matrix dimension, 1), the rule of ``numpy.linalg.matrix_rank`` with a
-floor, stated by ``svd_cutoff`` and counted by ``_rank``.  Two decisions
-elsewhere are not ranks and keep their own rules:
-``characters._joint_eigenvalue_branches`` clusters eigenvalues, and
-``corpus._structure_from_matrices`` fits the built-in tensors by lstsq.
+floor, stated by ``svd_cutoff`` and counted by ``_rank``.  One decision
+elsewhere is not a rank and keeps its own rule:
+``characters._joint_eigenvalue_branches`` clusters eigenvalues.
 
 ``nullspace`` reduces a tall system to its
 triangular QR factor R before the SVD, so no rows x rows factor is ever
@@ -134,12 +133,9 @@ def nullspaces(stack, tol: float, scales) -> tuple[np.ndarray, np.ndarray]:
 
 
 def column_space(a, tol: float, scale: float = 0.0) -> np.ndarray:
-    """Orthonormal basis (columns) of the range of a."""
-    a = as_complex(a)
-    if a.size == 0:
-        return np.zeros((a.shape[0], 0), dtype=complex)
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    return u[:, : _rank(s, a.shape, tol, scale)]
+    """Orthonormal basis (columns) of the range of a: the one-matrix case of ``column_spaces``."""
+    bases, ranks = column_spaces(as_complex(a)[None], tol, scale)
+    return bases[0, :, : ranks[0]]
 
 
 def column_spaces(stack, tol: float, scales) -> tuple[np.ndarray, np.ndarray]:

@@ -5,7 +5,10 @@ The product carries the multiplication
     (a1, b1) (a2, b2) = (a1 a2 + a1 T(b2) + T(b1) a2,  b1 b2)
 
 on A + B coordinates (A-block first), with the summed l1 norm.  This is the
-one module that knows the block layout and decides the hom's facts: the
+one module that knows the block layout and decides the hom's facts.  The
+block formula is written once, in ``block_table``: it gives the structure
+tensor (M = T), the direct sum A + B (M = 0) and, from the factors' Arens
+tables, the bidual product's table (M = T'', which has T's matrix).  The
 product keeps the ``check_hom`` report made when it was built, and exposes
 the shear S(a, b) = (a + T b, b), an algebra isomorphism onto the direct sum
 A + B, with its measured distance from one (``shear_gap``) and the block
@@ -81,10 +84,6 @@ class HomValidationReport:
     injective: bool
     warnings: list = field(default_factory=list)
 
-    @property
-    def valid(self) -> bool:
-        return self.multiplicative
-
 
 def check_hom(hom: AlgebraHom, tol: float) -> HomValidationReport:
     """Report multiplicativity, operator norm, and rank facts for a hom.
@@ -105,6 +104,21 @@ def check_hom(hom: AlgebraHom, tol: float) -> HomValidationReport:
         injective=(r == hom.source.dim),
         warnings=warnings,
     )
+
+
+def block_table(table_a: np.ndarray, table_b: np.ndarray, m) -> np.ndarray:
+    """The table (a1, b1) # (a2, b2) = (a1 # a2 + a1 # M(b2) + M(b1) # a2,  b1 # b2) of A x_M B on
+    basis pairs, from ``table[p, q] = e_p # e_q`` on each factor and the matrix ``m`` of M: B -> A
+    (a scalar is broadcast, so 0 gives A + B).  Each cross term, in the A-block, is one
+    two-operand contraction; a pure B-by-B product has no A-component at all."""
+    na, nb = table_a.shape[0], table_b.shape[0]
+    m = np.broadcast_to(m, (na, nb))
+    c = np.zeros((na + nb,) * 3, dtype=complex)
+    c[:na, :na, :na] = table_a
+    c[:na, na:, :na] = np.einsum("qj,iqk->ijk", m, table_a)
+    c[na:, :na, :na] = np.einsum("pi,pjk->ijk", m, table_a)
+    c[na:, na:, na:] = table_b
+    return c
 
 
 class ShearGap(NamedTuple):
@@ -160,10 +174,8 @@ class MorphismProduct:
         """max |S(e_p e_q) - S(e_p) S(e_q)| over the product's basis pairs, the
         right-hand products taken in the direct sum A + B: two n^4
         contractions, made once per product and read by every consumer."""
-        na, n, shear = self.dim_a, self.algebra.dim, self.shear
-        direct_sum = np.zeros((n, n, n), dtype=complex)
-        direct_sum[:na, :na, :na] = self.a.structure
-        direct_sum[na:, na:, na:] = self.b.structure
+        shear = self.shear
+        direct_sum = block_table(self.a.structure, self.b.structure, 0)
         images = self.algebra.structure @ shear.T
         products = np.einsum("pjk,jq->pqk", np.tensordot(shear, direct_sum, axes=(0, 0)), shear)
         gap = np.abs(images - products)
@@ -202,7 +214,7 @@ def build_product(a: FiniteAlgebra, b: FiniteAlgebra, hom: AlgebraHom, tol: floa
     if hom.source is not b and not same_content(hom.source, b):
         raise HomInvalid(f"hom sources {hom.source.name!r}, which is not the algebra {b.name!r}")
     report = check_hom(hom, tol)
-    if not report.valid:
+    if not report.multiplicative:
         raise HomInvalid(
             f"hom {b.name!r} -> {a.name!r} fails multiplicativity (residual {hom.mult_residual:.3e})"
         )
@@ -211,23 +223,12 @@ def build_product(a: FiniteAlgebra, b: FiniteAlgebra, hom: AlgebraHom, tol: floa
         residual = factor.associativity_residual()
         if residual > 10 * tol:
             raise ValidationError(f"factor {factor.name!r} fails associativity (residual {residual:.3e})")
-    na, nb = a.dim, b.dim
-    n = na + nb
-    m = hom.matrix
-    c = np.zeros((n, n, n), dtype=complex)
-    c[:na, :na, :na] = a.structure
-    # cross terms a1 T(b2) and T(b1) a2 land in the A-block; a pure B-by-B
-    # product has no A-component at all
-    c[:na, na:, :na] = np.einsum("qj,iqk->ijk", m, a.structure)
-    c[na:, :na, :na] = np.einsum("pi,pjk->ijk", m, a.structure)
-    c[na:, na:, na:] = b.structure
-
     labels = tuple(f"a:{s}" for s in a.basis_labels) + tuple(f"b:{s}" for s in b.basis_labels)
     weights = np.concatenate([a.norm_weights, b.norm_weights])
     product = FiniteAlgebra(
         name=f"prod({a.name},{b.name})",
         basis_labels=labels,
-        structure=c,
+        structure=block_table(a.structure, b.structure, hom.matrix),
         norm_weights=weights,
     )
     return MorphismProduct(a=a, b=b, hom=hom, algebra=product, hom_report=report)

@@ -13,7 +13,7 @@ from tpw.core import (
 from tpw.errors import ShapeError
 from tpw.linalg import max_abs, subspace_contains
 
-from conftest import TOL, random_element
+from conftest import TOL, matrix_unit_algebra, random_element
 
 
 def matrix_unit(i, j, size=2):
@@ -37,6 +37,21 @@ def oracle_m2_structure():
 
 def test_m2_matches_matrix_product_oracle(alg_m2):
     assert max_abs(alg_m2.structure - oracle_m2_structure()) == 0.0
+
+
+def test_builtin_matrix_unit_algebras_are_exact(alg_m2, alg_ut2, alg_c2):
+    """The built-in M2, UT2 and C2 are the matrix-unit spans in the same basis order, exactly."""
+    for alg, family in ((alg_m2, "M"), (alg_ut2, "T"), (alg_c2, "C")):
+        assert np.array_equal(alg.structure, matrix_unit_algebra(family, 2).structure), alg.name
+
+
+def test_builtin_row2_and_group_z2_tables(alg_row2, alg_z2):
+    row2 = np.zeros((2, 2, 2))
+    row2[0, 0, 0] = row2[0, 1, 1] = 1.0  # E11 E11 = E11, E11 E12 = E12, E12 E11 = E12 E12 = 0
+    z2 = np.zeros((2, 2, 2))
+    z2[0, 0, 0] = z2[0, 1, 1] = z2[1, 0, 1] = z2[1, 1, 0] = 1.0  # 1 is the unit and g g = 1
+    assert np.array_equal(alg_row2.structure, row2)
+    assert np.array_equal(alg_z2.structure, z2)
 
 
 def test_validate_one_dimensional_idempotent(alg_c):

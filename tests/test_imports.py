@@ -78,7 +78,7 @@ def test_every_private_name_is_referenced():
 
 
 # np.linalg calls that decide something other than a rank, by the function that makes them
-LINALG_EXCEPTIONS = {"characters.py:_joint_eigenvalue_branches", "corpus.py:_structure_from_matrices"}
+LINALG_EXCEPTIONS = {"characters.py:_joint_eigenvalue_branches"}
 
 
 def linalg_uses(module: str, source: str) -> list[str]:

@@ -13,22 +13,22 @@ from tpw.corpus import (
 )
 from tpw.errors import HomInvalid, ValidationError
 from tpw.linalg import max_abs
-from tpw.product import AlgebraHom, build_product, check_hom, ideal_and_quotient
+from tpw.product import AlgebraHom, block_table, build_product, check_hom, ideal_and_quotient
 
-from conftest import TOL, random_element, random_unitary, rebased
+from conftest import TOL, direct_sum, random_element, random_unitary, rebased, stacking_triples
 
 
 def test_check_hom_zero(alg_c2, alg_m2):
     hom = hom_zero(alg_c2, alg_m2)
     report = check_hom(hom, TOL)
-    assert report.valid
+    assert report.multiplicative
     assert report.op_norm == 0.0
     assert not report.surjective
 
 
 def test_check_hom_identity(alg_c):
     report = check_hom(hom_identity(alg_c), TOL)
-    assert report.valid
+    assert report.multiplicative
     assert report.op_norm == 1.0
     assert report.surjective and report.injective
 
@@ -40,13 +40,12 @@ def test_check_hom_lau_is_multiplicative(alg_c, alg_c2):
     assert report.multiplicative
     assert report.op_norm == 2.0  # unit weights make the unit have norm 2
     assert report.warnings  # non-contractive, warn-only
-    assert report.valid
 
 
 def test_non_multiplicative_map_detected(alg_c2):
     bad = AlgebraHom(source=alg_c2, target=alg_c2, matrix=np.array([[1.0, 0.5], [0.0, 1.0]]))
     assert bad.mult_residual > TOL
-    assert not check_hom(bad, TOL).valid
+    assert not check_hom(bad, TOL).multiplicative
 
 
 def test_build_product_identity_hom_by_hand(alg_c):
@@ -55,6 +54,19 @@ def test_build_product_identity_hom_by_hand(alg_c):
     a1, b1, a2, b2 = 2.0, 3.0, 5.0, 7.0
     out = product.algebra.multiply([a1, b1], [a2, b2])
     np.testing.assert_allclose(out, [a1 * a2 + a1 * b2 + b1 * a2, b1 * b2])
+
+
+def test_build_product_structure_is_block_table(corpus):
+    """The product's tensor is ``block_table`` of its factors and T's matrix, to the bit, on every
+    corpus triple, a rebased copy of each and both cross-term triples."""
+    for label, a, b, hom in stacking_triples(corpus):
+        structure = build_product(a, b, hom, TOL).algebra.structure
+        assert structure.tobytes() == block_table(a.structure, b.structure, hom.matrix).tobytes(), label
+
+
+def test_block_table_with_zero_map_is_direct_sum(corpus):
+    for label, a, b, _ in stacking_triples(corpus):
+        assert np.array_equal(block_table(a.structure, b.structure, 0), direct_sum(a, b).structure), label
 
 
 def test_build_product_zero_hom_is_block_diagonal(alg_m2, alg_z2):
