@@ -29,6 +29,7 @@ suite's shear claim; otherwise the product's own Leibniz system is solved.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -38,7 +39,8 @@ from .arens import arens_tables, stacked_side_system
 from .characters import CharacterEnumeration, enumerate_characters
 from .core import FiniteAlgebra, center, find_left_identity, find_right_identity
 from .errors import NotADerivation
-from .linalg import as_complex, column_space, column_spaces, max_abs, nullspace, nullspaces, subspace_contains
+from .linalg import (as_complex, column_space, column_spaces, max_abs, nullspace, nullspaces, sketched_nullspace,
+                     subspace_contains)
 from .product import MorphismProduct
 from .report import CheckReport
 
@@ -83,45 +85,65 @@ class DerivationSpace:
         return len(self.inner_basis)
 
 
-# values of i per row block of the Leibniz system: one per block costs 1.3-1.4x
-# the QR time of the whole system, four cost none, and more cost memory
-LEIBNIZ_BLOCK_I = 4
+# random elements per Leibniz sketch: with one, its kernel was up to 3x too large on T_k and M_k
+SKETCH_DRAWS = 2
 
 
-def _leibniz_blocks(alg: FiniteAlgebra):
-    """Row blocks of the Leibniz constraints on a map D: A -> A' (n^2 unknowns).
+def _leibniz_map(c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The Leibniz system applied to maps D: A -> A', one matmul per term.
 
-    Unknowns are D[m, k] (row-major), the m-th dual coordinate of D(e_k).
-    Row (i, j, m) encodes the m-th coordinate of
-    D(e_i e_j) - D(e_i).e_j - e_i.D(e_j) = 0.  Each block holds the rows of
-    LEIBNIZ_BLOCK_I consecutive values of i (the last block may be short).
-    The generator keeps no reference to a block it has yielded, so a consumer
-    that drops the block frees it.
+    ``d`` has shape (..., n, n), with d[m, k] the m-th dual coordinate of D(e_k).
+    Entry (..., i, j, m) of the result is the m-th coordinate of
+    D(e_i e_j) - D(e_i).e_j - e_i.D(e_j).
     """
-    n = alg.dim
-    return (
-        _leibniz_rows(alg.structure, np.arange(start, min(start + LEIBNIZ_BLOCK_I, n)))
-        for start in range(0, n, LEIBNIZ_BLOCK_I)
-    )
-
-
-def _leibniz_rows(c: np.ndarray, i: np.ndarray) -> np.ndarray:
-    """The Leibniz rows (i, j, m) for the given consecutive values of i."""
     n = c.shape[0]
-    d = np.arange(n)
-    # the buffer is the transpose of the (rows, n^2) block, which is thus
-    # column-major, the layout LAPACK's QR reads; it is viewed with axes
-    # (i, j, m, q, k), and each term is a diagonal slice of that view, so no
-    # other block-sized array is formed
-    buffer = np.zeros((n * n, i.size * n * n), dtype=complex)
-    block = buffer.reshape(n, n, i.size, n, n).transpose(2, 3, 4, 0, 1)
-    # D(e_i e_j)_m = sum_k c[i,j,k] D[m,k]: entries q == m
-    block[:, :, d, d, :] = c[i, :, None, :]
-    # (D(e_i).e_j)_m = (L_j^T D(:,i))_m = sum_q c[j,m,q] D[q,i]: entries k == i
-    block[i - i[0], :, :, :, i] -= c
-    # (e_i.D(e_j))_m = (R_i^T D(:,j))_m = sum_q c[m,i,q] D[q,j]: entries k == j
-    block[:, d, :, :, d] -= c.transpose(1, 0, 2)[i]
-    return buffer.T
+    flat, dt, cube = c.reshape(n * n, n), d.swapaxes(-1, -2), d.shape[:-2] + (n, n, n)
+    # D(e_i e_j)_m = sum_k c[i,j,k] D[m,k]
+    out = (flat @ dt).reshape(cube)
+    # (D(e_i).e_j)_m = sum_k c[j,m,k] D[k,i]
+    out -= (dt @ flat.T).reshape(cube)
+    # (e_i.D(e_j))_m = sum_k c[m,i,k] D[k,j], computed with axes (i, m, j)
+    out -= (c.transpose(1, 0, 2).reshape(n * n, n) @ d).reshape(cube).swapaxes(-1, -2)
+    return out
+
+
+def _leibniz_adjoint(c: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of ``_leibniz_map``: a vector y over (i, j, m) to the flat n x n map."""
+    n = c.shape[0]
+    flat, y = c.reshape(n * n, n).conj(), y.reshape(n, n, n)
+    g = y.reshape(n * n, n).T @ flat
+    g -= (y.reshape(n, n * n) @ flat).T
+    g -= flat.T @ y.transpose(2, 0, 1).reshape(n * n, n)
+    return g.reshape(-1)
+
+
+def _leibniz_sketch(c: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """For each row a of ``elements``, the n^2 x n^2 matrix of D -> D(a e_j) - D(a).e_j - a.D(e_j),
+    rows (j, m) and columns (q, k) for D[q, k]: the sum over i of a_i times row block i of the
+    Leibniz system, formed from a.e_j, e_m.a and the structure tensor."""
+    n, r, d = c.shape[0], elements.shape[0], np.arange(c.shape[0])
+    left = (elements @ c.reshape(n, n * n)).reshape(r, n, n)  # [t, j, k]: a.e_j
+    right = (elements @ c.transpose(1, 0, 2).reshape(n, n * n)).reshape(r, n, n)  # [t, m, q]: e_m.a
+    # axes (t, j, m, q, k); D(a).e_j: sum_q c[j,m,q] D[q,k] a_k
+    sketch = -c[None, :, :, :, None] * elements[:, None, None, None, :]
+    # D(a.e_j)_m = sum_k (a.e_j)_k D[m,k]: entries q == m
+    sketch[:, :, d, d, :] += left[:, :, None, :]
+    # (a.D(e_j))_m = sum_q (e_m.a)_q D[q,j]: entries k == j
+    sketch[:, d, :, :, d] -= right[None]
+    return sketch.reshape(r, n * n, n * n)
+
+
+def _unit_elements(n: int, count: int, seed: int) -> np.ndarray:
+    """``count`` standard complex Gaussian elements, scaled to unit norm, drawn from ``seed``.
+
+    The uniforms come from the standard library's generator, which numpy has already
+    loaded, where ``numpy.random`` would be one more import; Box-Muller turns each pair
+    into one complex Gaussian entry.
+    """
+    rng = random.Random(seed)
+    u = np.array([rng.random() for _ in range(2 * count * n)]).reshape(2, count, n)
+    a = np.sqrt(-2.0 * np.log1p(-u[0])) * np.exp(2j * np.pi * u[1])
+    return a / np.sqrt(np.sum(np.abs(a) ** 2, axis=1, keepdims=True))
 
 
 def _inner_map(alg: FiniteAlgebra) -> np.ndarray:
@@ -137,30 +159,38 @@ def leibniz_residual(alg: FiniteAlgebra, d: np.ndarray) -> float:
     Entry (i, j, m) is the m-th coordinate of D(e_i e_j) - D(e_i).e_j - e_i.D(e_j),
     with (D(e_i).e_j)_m = sum_k c[j,m,k] D[k,i] and (e_i.D(e_j))_m = sum_k c[m,i,k] D[k,j].
     ``d`` may be a stack of maps of shape (k, n, n); the result is then the
-    worst over the stack, from one contraction per term.
+    worst over the stack, from one matmul per term.
     """
     n = alg.dim
-    c = alg.structure
     d = as_complex(d)
-    d = d.reshape(n, n) if d.ndim < 3 else d
-    lhs = np.einsum("...mk,ijk->...ijm", d, c)
-    rhs = np.einsum("jmk,...ki->...ijm", c, d) + np.einsum("mik,...kj->...ijm", c, d)
-    return max_abs(lhs - rhs)
+    return max_abs(_leibniz_map(alg.structure, d.reshape(n, n) if d.ndim < 3 else d))
 
 
-def derivation_space(alg: FiniteAlgebra, tol: float) -> DerivationSpace:
-    """Solve the stacked Leibniz system and the inner-derivation image.
+def derivation_space(alg: FiniteAlgebra, tol: float, seed: int = 0) -> DerivationSpace:
+    """Solve the Leibniz system and the inner-derivation image.
 
-    One linear system of n^3 equations in n^2 unknowns, ranks decided by the
-    global singular-value cutoff; this avoids the conditioning problems of
-    matching individual basis derivations.  The system is never formed
-    whole: its row blocks of 4 n^2 rows are folded into one n^2 x n^2
-    triangular factor by ``linalg.nullspace``, which holds about
-    3 * 5 n^4 * 16 B (240 MiB at n = 32) where the whole system and the
-    copies ``numpy.linalg.qr`` makes of it took 3 n^5 * 16 B (1.5 GiB).
+    The Leibniz system has n^3 equations (i, j, m) in the n^2 unknowns D[m, k],
+    one n^2 x n^2 row block per basis element e_i, and its rank is decided by
+    one global singular-value cutoff; this avoids the conditioning problems of
+    matching individual basis derivations.  The system is never formed:
+    ``linalg.sketched_nullspace`` takes the kernel V of the blocks of
+    SKETCH_DRAWS unit random elements drawn from ``seed`` (``_leibniz_sketch``,
+    2 n^2 x n^2), then decides the kernel of the system restricted to V, under
+    the whole system's cutoff.  The system is applied by the matmuls of
+    ``leibniz_residual``.  The space does not depend on the seed; its basis,
+    and the cost, do.  The sketch's QR and SVD cost O(n^6), against O(n^7)
+    for a QR of the whole system, and hold about 5 n^4 complex entries (the
+    sketch, numpy's copy of it and R) besides LAPACK's workspace; the
+    restricted system is n^3 x dim V, as large as the whole n^3 x n^2 system
+    only when nearly every map is a derivation.
     """
-    n = alg.dim
-    der_flat = nullspace(_leibniz_blocks(alg), tol, scale=alg.cutoff_scale)
+    n, c = alg.dim, alg.structure
+    der_flat = sketched_nullspace(
+        _leibniz_sketch(c, _unit_elements(n, SKETCH_DRAWS, seed)),
+        lambda x: _leibniz_map(c, x.T.reshape(-1, n, n)).reshape(x.shape[1], -1).T,
+        lambda y: _leibniz_adjoint(c, y),
+        (n**3, n * n), tol, scale=alg.cutoff_scale,
+    )
     inner_flat = column_space(_inner_map(alg), tol, scale=alg.cutoff_scale)
     der = tuple(der_flat[:, k].reshape(n, n) for k in range(der_flat.shape[1]))
     inner = tuple(inner_flat[:, k].reshape(n, n) for k in range(inner_flat.shape[1]))
@@ -424,7 +454,7 @@ class Analysis:
 
     @cached_property
     def derivations(self) -> DerivationSpace:
-        return derivation_space(self.algebra, self.tol)
+        return derivation_space(self.algebra, self.tol, self.seed)
 
     @cached_property
     def square_annihilator(self) -> np.ndarray:
@@ -526,7 +556,7 @@ class ProductAnalysis(Analysis):
     def derivations(self) -> DerivationSpace:
         if self.product.shear_gap.residual <= 10 * self.tol:
             return transported_derivation_space(self.product, *self.factors)
-        return derivation_space(self.algebra, self.tol)
+        return derivation_space(self.algebra, self.tol, self.seed)
 
 
 def product_analyses(product: MorphismProduct, tol: float, seed: int = 0) -> tuple[Analysis, Analysis, Analysis]:

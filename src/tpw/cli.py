@@ -30,7 +30,7 @@ from .suite import RunConfig, verify_product, verify_theorems
 
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--tol", type=float, default=1e-9, help="numerical tolerance (default 1e-9)")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized splitting (default 0)")
+    parser.add_argument("--seed", type=int, default=0, help="seed for the random splitting and sketching elements (default 0)")
     parser.add_argument("--side", choices=["left", "right", "both"], default="both")
     parser.add_argument("--format", choices=["json", "text"], default="text")
 
@@ -141,7 +141,7 @@ def _cmd_check(args) -> int:
         _emit(args, payload, report.to_text())
         return report.exit_code()
     if args.what == "weak-amen":
-        space = derivation_space(alg, args.tol)
+        space = derivation_space(alg, args.tol, args.seed)
         verdict = space.dim_der == space.dim_inner
         payload = {
             "algebra": alg.name,

@@ -10,20 +10,20 @@ elsewhere is not a rank and keeps its own rule:
 ``nullspace`` reduces a tall system to its
 triangular QR factor R before the SVD, so no rows x rows factor is ever
 formed; the cutoff still uses the original matrix's shape.  A system too
-large to hold can be given to ``nullspace`` as a stream of row blocks, which
-are folded into R one at a time (tall-skinny QR by stacked R factors;
-Demmel, Grigori, Hoemmen and Langou, SIAM J. Sci. Comput. 34, 2012).  The
-Leibniz system of ``amenability.derivation_space``, n^3 x n^2 for an algebra
-of dim n, is solved this way in about 3 * 5 n^4 * 16 B instead of
-3 n^5 * 16 B.  Many small systems of one shape, such as the invariant-element
-systems of every character of an algebra, go to ``nullspaces`` as one stack.
+large to form, such as the n^3 x n^2 Leibniz system of
+``amenability.derivation_space`` for an algebra of dim n, goes to
+``sketched_nullspace`` as a sketch and an operator: the kernel V of a few
+random combinations of its row blocks contains its kernel (a randomized
+range finder; Halko, Martinsson and Tropp, SIAM Review 53, 2011), and the
+system applied to V decides the kernel exactly, under the cutoff of the
+whole system with its largest singular value estimated by power steps.
+Many small systems of one shape, such as the invariant-element systems of
+every character of an algebra, go to ``nullspaces`` as one stack.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .errors import ShapeError
 
 
 def as_complex(a) -> np.ndarray:
@@ -52,9 +52,15 @@ def svd_cutoff(singular_values: np.ndarray, shape, tol: float, scale=0.0) -> flo
     return tol * np.maximum(s_max, scale) * max(max(shape), 1)
 
 
-def _rank(singular_values: np.ndarray, shape, tol: float, scale=0.0):
-    """Number of singular values above ``svd_cutoff``, or one such count per spectrum of a (k, m) stack."""
-    return (singular_values.T > svd_cutoff(singular_values, shape, tol, scale)).sum(axis=0)
+def _rank(singular_values: np.ndarray, shape, tol: float, scale=0.0, top: float | None = None):
+    """Number of singular values above ``svd_cutoff``, or one such count per spectrum of a (k, m) stack.
+
+    ``top`` stands in for the largest singular value when the spectrum is not
+    the whole system's but a sketch's or a restriction's of the system of
+    ``shape``.
+    """
+    lead = singular_values if top is None else np.array([top])
+    return (singular_values.T > svd_cutoff(lead, shape, tol, scale)).sum(axis=0)
 
 
 def rank(a, tol: float, scale: float = 0.0) -> int:
@@ -64,50 +70,72 @@ def rank(a, tol: float, scale: float = 0.0) -> int:
     return int(_rank(np.linalg.svd(a, compute_uv=False), a.shape, tol, scale))
 
 
-def nullspace(a, tol: float, scale: float = 0.0) -> np.ndarray:
-    """Orthonormal basis (columns) of {x : a @ x = 0}.
+def _right_singular(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values and all cols x cols right singular vectors (rows of ``vh``) of a
+    matrix, or of each matrix of a stack.  A tall matrix is first reduced to its triangular
+    QR factor R, which has the same singular values and right singular vectors, so no
+    ``U`` larger than cols x cols is formed."""
+    if a.shape[-2] > a.shape[-1]:
+        # LAPACK's gesdd would take the same QR step internally for tall input
+        a = np.linalg.qr(a, mode="r")
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    return s, vh
 
-    ``a`` is a matrix, or an iterable of row blocks with equal column counts
-    whose vertical stack is the matrix; a matrix is the one-block case.  The
-    blocks are folded into the triangular factor R of the stack one at a
-    time, R = qr([R; block]), with R kept in the top rows of one reused
-    column-major buffer.  R has the singular values and right singular
-    vectors of the stack, so the SVD never forms a ``U`` larger than
-    cols x cols, and the stack is never held whole.  For blocks of b rows the
-    fold holds the (cols + b) x cols buffer and the two copies of it that
-    ``numpy.linalg.qr`` makes; a block that nothing else holds is released
-    before the QR.  The cutoff is taken with the stack's shape
-    (total rows, cols), as if the stack had been factored whole.
+
+def nullspace(a, tol: float, scale: float = 0.0) -> np.ndarray:
+    """Orthonormal basis (columns) of {x : a @ x = 0}, from the SVD of the R factor of a tall ``a``.
+
+    The cutoff is taken with the shape of ``a``, as if ``a`` had been factored whole.
     """
-    top = total = 0  # rows in use at the top of stack; rows folded in so far
-    cols = None
-    for block in (a,) if isinstance(a, np.ndarray) else a:
-        block = as_complex(block)
-        rows, width = block.shape
-        if cols is None:
-            cols = width
-            stack = np.empty((0, cols), dtype=complex, order="F")
-        elif width != cols:
-            raise ShapeError(f"row block has {width} columns, expected {cols}")
-        if top + rows > stack.shape[0]:
-            # top <= cols, so blocks no taller than this one fit from now on
-            grown = np.empty((cols + rows, cols), dtype=complex, order="F")
-            grown[:top] = stack[:top]
-            stack = grown
-        stack[top : top + rows] = block
-        del block  # a block nothing else holds is freed before qr copies the stack
-        top += rows
-        total += rows
-        if top > cols:
-            # LAPACK's gesdd would take the same QR step internally for tall input
-            stack[:cols] = np.linalg.qr(stack[:top], mode="r")
-            top = cols
-    if cols is None:
-        raise ShapeError("nullspace of an empty sequence of row blocks")
-    if total == 0:
-        return np.eye(cols, dtype=complex)
-    _, s, vh = np.linalg.svd(stack[:top], full_matrices=True)
-    return vh[_rank(s, (total, cols), tol, scale) :].conj().T
+    a = as_complex(a)
+    if a.shape[0] == 0:
+        return np.eye(a.shape[1], dtype=complex)
+    s, vh = _right_singular(a)
+    return vh[_rank(s, a.shape, tol, scale) :].conj().T
+
+
+# power steps on L^H L that estimate the largest singular value of a sketched system
+POWER_STEPS = 2
+
+
+def sketched_nullspace(sketch: np.ndarray, apply, adjoint, shape, tol: float, scale: float = 0.0) -> np.ndarray:
+    """Orthonormal basis (columns) of the kernel of a linear map L of ``shape`` (rows, cols),
+    from a sketch of it.
+
+    L is given by ``apply``, x -> L x for the columns of a (cols, k) matrix, and
+    ``adjoint``, y -> L^H y for one vector of length rows.  Its rows fall into
+    blocks, and slice t of ``sketch``, of shape (r, rows per block, cols), is the
+    combination sum_i a_i (block i) for a unit vector a.  Then the stacked sketch
+    S has |S x| <= sqrt(r) |L x|, and its kernel contains L's.  Three steps:
+
+    * the SVD of S (through its R factor) gives V, its right singular vectors
+      under sqrt(r) times L's cutoff, and a start for the power steps;
+    * ``POWER_STEPS`` steps of x -> L^H L x estimate s_max(L) from below, by
+      s = sqrt(|L^H L x|) for a unit x, and L's cutoff is
+      tol * max(s, scale) * max(shape), the rule of ``svd_cutoff``;
+    * the kernel of L V under that cutoff, mapped back by V, is the result.
+
+    The last step decides every direction V keeps, so the kernel does not
+    depend on the draw of the a's; only the size of V, and so the cost, does.
+    A direction with a nonzero singular value under the cutoff is kept in V
+    only approximately, mixed with S's other small directions, so a singular
+    value near the cutoff (within about s_max(L) over S's smallest singular
+    value above its cut) can be decided otherwise than by an SVD of L.
+    """
+    r, _, cols = sketch.shape
+    s_sketch, vh = _right_singular(sketch.reshape(-1, cols))
+    x, top = vh[0].conj(), 0.0
+    for _ in range(POWER_STEPS):
+        z = adjoint(apply(x[:, None])[:, 0])
+        size = np.linalg.norm(z)
+        if size == 0.0:
+            break  # L x = 0: the estimate stays 0, and the cutoff falls to the floor ``scale``
+        top, x = np.sqrt(size), z / size
+    v = vh[_rank(s_sketch, shape, np.sqrt(r) * tol, scale, top) :].conj().T
+    if v.shape[1] == 0:
+        return v
+    s, wh = _right_singular(apply(v))
+    return v @ wh[_rank(s, shape, tol, scale, top) :].conj().T
 
 
 def nullspaces(stack, tol: float, scales) -> tuple[np.ndarray, np.ndarray]:
@@ -122,8 +150,7 @@ def nullspaces(stack, tol: float, scales) -> tuple[np.ndarray, np.ndarray]:
     """
     stack = as_complex(stack)
     _, rows, cols = stack.shape
-    r_factors = np.linalg.qr(stack, mode="r") if rows > cols else stack
-    _, s, vh = np.linalg.svd(r_factors, full_matrices=True)
+    s, vh = _right_singular(stack)
     ranks = _rank(s, (rows, cols), tol, scales)
     dims = cols - ranks
     # column t of basis i is row ranks[i] + t of vh[i], where that row exists

@@ -105,6 +105,23 @@ def matrix_unit_algebra(family, k):
     )
 
 
+def power_estimates(monkeypatch):
+    """The list that each later ``linalg.sketched_nullspace`` appends its estimate of s_max
+    to: the ``top`` it hands to ``linalg._rank``, once for the sketch's cut and once for the
+    restricted system's when the sketch's kernel is not zero."""
+    import tpw.linalg
+
+    tops, rank = [], tpw.linalg._rank
+
+    def spy(singular_values, shape, tol, scale=0.0, top=None):
+        if top is not None:
+            tops.append(top)
+        return rank(singular_values, shape, tol, scale, top)
+
+    monkeypatch.setattr(tpw.linalg, "_rank", spy)
+    return tops
+
+
 def zero_product_algebra(n):
     """Z_n, the n-dimensional algebra in which every product is 0."""
     return FiniteAlgebra(name=f"Z{n}", basis_labels=tuple(f"z{i}" for i in range(n)), structure=np.zeros((n, n, n)))

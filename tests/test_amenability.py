@@ -7,6 +7,9 @@ import pytest
 
 from tpw.amenability import (
     Analysis,
+    _leibniz_adjoint,
+    _leibniz_map,
+    _leibniz_sketch,
     commutation_residual,
     derivation_space,
     inner_amenability_suite,
@@ -25,7 +28,7 @@ from tpw.characters import enumerate_characters
 from tpw.core import center
 from tpw.corpus import algebra_null1, algebra_row2, algebra_ut2, hom_identity, hom_scaled_character, hom_zero
 from tpw.errors import NotADerivation
-from tpw.linalg import column_space, max_abs, nullspace, subspaces_equal
+from tpw.linalg import column_space, max_abs, nullspace, subspaces_equal, svd_cutoff
 from tpw.product import build_product
 from tpw.suite import RunConfig, verify_theorems
 
@@ -33,7 +36,10 @@ from conftest import (
     TOL,
     cross_term_triple,
     matrix_unit_algebra,
+    power_estimates,
     random_element,
+    random_unitary,
+    rebased,
     rebased_triple,
     stacking_triples,
     zero_product_algebra,
@@ -146,6 +152,90 @@ def test_leibniz_residual_flags_identity_on_m2(alg_m2):
     residual = leibniz_residual(alg_m2, identity)
     assert residual == reference_leibniz_residual(alg_m2, identity)
     assert residual >= 1.0
+
+
+def reference_leibniz_matrix(alg):
+    """The whole n^3 x n^2 Leibniz system, one basis pair (i, j) at a time from the
+    multiplication operators: row (i, j, m) and column (q, k), for D[q, k], hold the
+    coefficients of the m-th coordinate of D(e_i e_j) - D(e_i).e_j - e_i.D(e_j)."""
+    n, c = alg.dim, alg.structure
+    rows = np.zeros((n, n, n, n, n), dtype=complex)  # (i, j, m, q, k)
+    for i in range(n):
+        right = alg.right_mult_operator(alg.basis_vector(i)).T
+        for j in range(n):
+            block = rows[i, j]
+            block[np.arange(n), np.arange(n), :] += c[i, j]
+            block[:, :, i] -= alg.left_mult_operator(alg.basis_vector(j)).T
+            block[:, :, j] -= right
+    return rows.reshape(n**3, n * n)
+
+
+def test_leibniz_map_adjoint_and_sketch_are_the_reference_matrix(corpus, rng):
+    """The solver's three views of the Leibniz system, on the corpus algebras and rebased M3:
+    the map of the basis maps is the matrix, the adjoint its conjugate transpose, and the
+    sketch of an element a the sum over i of a_i times row block i."""
+    m3 = matrix_unit_algebra("M", 3)
+    algebras = [alg for e in corpus for alg in (e.algebra_a, e.algebra_b)]
+    for alg in algebras + [rebased(m3, random_unitary(rng, m3.dim))]:
+        n, c, system = alg.dim, alg.structure, reference_leibniz_matrix(alg)
+        units = np.eye(n * n).reshape(n * n, n, n)
+        assert np.allclose(_leibniz_map(c, units).reshape(n * n, -1).T, system, atol=1e-12), alg.name
+        y = random_element(rng, n**3)
+        assert np.allclose(_leibniz_adjoint(c, y), system.conj().T @ y, atol=1e-12), alg.name
+        elements = np.array([random_element(rng, n), random_element(rng, n)])
+        want = np.einsum("ti,irc->trc", elements, system.reshape(n, n * n, n * n))
+        assert np.allclose(_leibniz_sketch(c, elements), want, atol=1e-12), alg.name
+
+
+def leibniz_oracle_algebras(corpus):
+    """(label, algebra): A, B and the product of every stacking triple, then rebased M3, T4, T5 and M4."""
+    algebras = []
+    for label, a, b, hom in stacking_triples(corpus):
+        product = build_product(a, b, hom, TOL).algebra
+        algebras += [(f"{label}/A", a), (f"{label}/B", b), (f"{label}/product", product)]
+    rng = np.random.default_rng(16)
+    for family, k in (("M", 3), ("T", 4), ("T", 5), ("M", 4)):
+        base = matrix_unit_algebra(family, k)
+        algebras.append((f"{family}{k}-rebased", rebased(base, random_unitary(rng, base.dim))))
+    return algebras
+
+
+def test_sketched_derivation_space_matches_the_whole_system(corpus, monkeypatch):
+    """The sketched solve against the SVD of the whole Leibniz system under its own cutoff:
+    the same dimension and span on all 82 algebras, every basis map a derivation, and the
+    power-step estimate of s_max within [0.5, 1] of the exact one."""
+    tops = power_estimates(monkeypatch)
+    algebras = leibniz_oracle_algebras(corpus)
+    assert len(algebras) == 82
+    for label, alg in algebras:
+        tops.clear()
+        space = derivation_space(alg, TOL)
+        system = reference_leibniz_matrix(alg)
+        _, s, vh = np.linalg.svd(system, full_matrices=False)
+        want = vh[int(np.sum(s > svd_cutoff(s, system.shape, TOL, alg.cutoff_scale))) :].conj().T
+        got = np.array(space.der_basis).reshape(-1, alg.dim**2).T
+        assert space.dim_der == want.shape[1], label
+        equal, residual = subspaces_equal(got, want, 1e-10)
+        assert equal, (label, residual)
+        for d in space.der_basis:
+            assert leibniz_residual(alg, d) <= 10 * TOL, label
+        if s[0] == 0.0:
+            assert tops[0] == 0.0, label
+        else:
+            assert 0.5 <= tops[0] / s[0] <= 1.0 + 1e-12, (label, tops[0] / s[0])
+
+
+@pytest.mark.parametrize("family,k", [("M", 4), ("T", 5)])
+def test_derivation_space_is_independent_of_the_seed(family, k):
+    """Seeds 0-4 draw other sketching elements, so other bases, of one derivation space."""
+    base = matrix_unit_algebra(family, k)
+    alg = rebased(base, random_unitary(np.random.default_rng(k), base.dim))
+    bases = [np.array(derivation_space(alg, TOL, seed).der_basis).reshape(-1, alg.dim**2).T for seed in range(5)]
+    assert [basis.shape for basis in bases] == [bases[0].shape] * 5
+    for basis in bases[1:]:
+        assert subspaces_equal(basis, bases[0], 1e-10)[0]
+        assert not np.allclose(basis, bases[0])
+    assert Analysis(alg, TOL, 3).derivations.dim_der == bases[0].shape[1]
 
 
 def test_every_ad_is_a_derivation(corpus, rng):

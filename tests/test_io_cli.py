@@ -1,6 +1,9 @@
 """File formats, loaders, the command-line interface, and its exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +164,33 @@ def test_cli_check_commands(files, capsys):
     assert main(["check", "inner-amen", "--algebra", paths["C2"]]) == 0
     out = capsys.readouterr().out
     assert "weakly amenable = True" in out
+
+
+def test_cli_weak_amen_passes_its_seed(files, monkeypatch, capsys):
+    import tpw.cli
+
+    seeds, solve = [], tpw.cli.derivation_space
+
+    def recorded(alg, tol, seed):
+        seeds.append(seed)
+        return solve(alg, tol, seed)
+
+    monkeypatch.setattr(tpw.cli, "derivation_space", recorded)
+    paths, _ = files
+    assert main(["check", "weak-amen", "--algebra", paths["M2"], "--seed", "3"]) == 0
+    assert seeds == [3] and "weakly amenable = True" in capsys.readouterr().out
+
+
+def test_cli_weak_amen_leaves_numpy_random_unimported(files):
+    """The sketch draws its elements with the standard library's generator: importing
+    ``numpy.random`` would add to the peak RSS of every ``tpw check weak-amen``."""
+    paths, _ = files
+    code = ("import sys; from tpw.cli import main; code = main(['check', 'weak-amen', '--algebra', sys.argv[1]]); "
+            "print(code, 'numpy.random' in sys.modules)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code, paths["M2"]], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.splitlines()[-1] == "0 False", done.stdout
 
 
 def test_cli_verify_theorems_deterministic(files, capsys):

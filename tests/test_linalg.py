@@ -1,9 +1,10 @@
 """linalg.nullspace against a full-SVD reference, and counted guards on its shapes.
 
-``nullspace`` folds a matrix, or a stream of its row blocks, into the R
-factor of its QR before the SVD.  The reference below takes the full SVD of
-the whole matrix, with the same cutoff, and the two must agree on the rank
-and on the subspace, however the rows are split into blocks.
+``nullspace`` reduces a tall matrix to the R factor of its QR before the
+SVD.  The reference below takes the full SVD of the whole matrix, with the
+same cutoff, and the two must agree on the rank and on the subspace.  The
+sketched solve of the Leibniz system is held to the full system in
+``test_amenability``; here its shapes and memory are pinned.
 """
 
 import sys
@@ -13,10 +14,9 @@ import numpy as np
 import pytest
 
 from tpw.amenability import derivation_space
-from tpw.errors import ShapeError
-from tpw.linalg import column_space, column_spaces, nullspace, subspaces_equal, svd_cutoff
+from tpw.linalg import column_space, column_spaces, nullspace, sketched_nullspace, subspaces_equal, svd_cutoff
 
-from conftest import TOL, matrix_unit_algebra, random_unitary, rebased
+from conftest import TOL, matrix_unit_algebra, power_estimates, random_unitary, rebased, zero_product_algebra
 
 
 def reference_nullspace(a, tol, scale=0.0):
@@ -62,58 +62,57 @@ def test_nullspace_matches_full_svd_reference(scale):
         assert np.allclose(got.conj().T @ got, np.eye(got.shape[1]), atol=1e-12), label
 
 
-def row_blocks(a, split):
-    """The rows of ``a`` as a generator of blocks: one block, one row each, or uneven blocks of 5."""
-    if split == "one":
-        yield a
-    else:
-        size = 1 if split == "rows" else 5
-        for start in range(0, a.shape[0], size):
-            yield a[start : start + size]
+def block_systems():
+    """(label, matrix of 6 row blocks of 5 x 12): generic ranks 12, 7 and 1, rounding noise, zero,
+    and a near-cut case."""
+    rng = np.random.default_rng(13)
+    for r in (12, 7, 1):
+        yield f"rank{r}", gaussian(rng, 30, r) @ gaussian(rng, r, 12)
+    yield "noise", 1e-15 * gaussian(rng, 30, 12)
+    yield "zero", np.zeros((30, 12))
+    # |L w| = 20 tol s_max(L) for a unit w: under the cutoff taken with the 30 x 12 shape (at least
+    # 25 tol s_max with an estimate of s_max within 0.85 of it) and over one taken with the 12 columns
+    # (at most 12 tol s_max).  Row 0 of each block holds w's image and rows 1-4 the others', so every
+    # sketch keeps w exactly.
+    q, _ = np.linalg.qr(gaussian(rng, 12, 12))
+    blocks = np.zeros((6, 5, 12), dtype=complex)
+    blocks[:, 1:] = gaussian(rng, 24, 4).reshape(6, 4, 4) @ q[:, 1:5].conj().T
+    s_max = np.linalg.svd(blocks.reshape(30, 12), compute_uv=False)[0]
+    blocks[:, 0] = 20 * TOL * s_max / np.sqrt(6) * q[:, 0].conj()
+    yield "near-cut", blocks.reshape(30, 12)
 
 
-@pytest.mark.parametrize("split", ["one", "rows", "uneven"])
 @pytest.mark.parametrize("scale", [0.0, 1.0])
-def test_block_fed_nullspace_matches_full_svd_reference(split, scale):
-    for label, a in seeded_matrices():
-        got, want = nullspace(row_blocks(a, split), TOL, scale), reference_nullspace(a, TOL, scale)
-        assert got.shape == want.shape, (label, split, scale)
-        equal, residual = subspaces_equal(got, want, 1e-10)
-        assert equal, (label, split, scale, residual)
+def test_sketched_nullspace_matches_full_svd_reference(scale):
+    """Two unit combinations of the row blocks as the sketch, the matrix and its adjoint as
+    the operator: the kernel has the full SVD's rank and span."""
+    rng = np.random.default_rng(17)
+    for label, a in block_systems():
+        elements = gaussian(rng, 2, 6)
+        elements /= np.sqrt(np.sum(np.abs(elements) ** 2, axis=1, keepdims=True))
+        sketch = np.einsum("ti,irc->trc", elements, a.reshape(6, 5, 12))
+        got = sketched_nullspace(sketch, lambda x: a @ x, lambda y: a.conj().T @ y, a.shape, TOL, scale)
+        want = reference_nullspace(a, TOL, scale)
+        assert got.shape == want.shape, (label, scale)
+        assert subspaces_equal(got, want, 1e-10)[0], (label, scale)
         assert np.allclose(got.conj().T @ got, np.eye(got.shape[1]), atol=1e-12), label
 
 
-def test_block_fed_cutoff_uses_the_total_shape():
-    """A singular value of 3e-7 lies under the cutoff of the whole 640 x 16 matrix (6.4e-7)
-    and over the cutoff of any stack the fold factors, at most (16 + 64) x 16 (8e-8)."""
-    rng = np.random.default_rng(5)
-    u, _ = np.linalg.qr(gaussian(rng, 640, 16))
-    v, _ = np.linalg.qr(gaussian(rng, 16, 16))
-    a = (u * np.r_[np.ones(12), 3e-7, np.zeros(3)]) @ v.conj().T
-    for blocks in ([a], (a[start : start + 64] for start in range(0, 640, 64))):
-        got = nullspace(blocks, TOL, 1.0)
-        assert got.shape == (16, 4)
-        assert subspaces_equal(got, reference_nullspace(a, TOL, 1.0), 1e-10)[0]
-
-
-def test_block_fed_nullspace_rejects_ragged_or_empty_input():
-    with pytest.raises(ShapeError):
-        nullspace([np.ones((3, 4)), np.ones((3, 1))], TOL)
-    with pytest.raises(ShapeError):
-        nullspace(iter(()), TOL)
-
-
-def test_derivation_space_folds_blocks_of_at_most_five_n_squared_rows(monkeypatch):
-    """Every QR input holds R and one block of the Leibniz system, and the system is never formed."""
+def test_derivation_space_sketches_at_most_two_n_squared_rows(monkeypatch):
+    """Every QR or SVD input with n^2 columns has at most 2 n^2 rows (the sketch of two
+    elements), the restricted system has dim Der columns, and the n^3 x n^2 system is never formed."""
     shapes = []
-    qr = np.linalg.qr
+    qr, svd = np.linalg.qr, np.linalg.svd
 
-    def counted_qr(a, *args, **kwargs):
-        if sys._getframe(1).f_code.co_name == "nullspace":
-            shapes.append(np.shape(a))
-        return qr(a, *args, **kwargs)
+    def counted(fn, name):
+        def wrapper(a, *args, **kwargs):
+            if sys._getframe(1).f_code.co_name == "_right_singular":
+                shapes.append((name, np.shape(a)))
+            return fn(a, *args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    monkeypatch.setattr(np.linalg, "qr", counted(qr, "qr"))
+    monkeypatch.setattr(np.linalg, "svd", counted(svd, "svd"))
     m4 = matrix_unit_algebra("M", 4)
     alg = rebased(m4, random_unitary(np.random.default_rng(4), m4.dim))
     n = alg.dim
@@ -124,9 +123,10 @@ def test_derivation_space_folds_blocks_of_at_most_five_n_squared_rows(monkeypatc
     finally:
         tracemalloc.stop()
     assert space.dim_der == space.dim_inner == 15
-    # 4 blocks of 4 values of i: the first QR sees one block, the others R on top of one
-    assert shapes == [(4 * n * n, n * n)] + [(5 * n * n, n * n)] * 3
-    assert peak < n**5 * 16, peak  # the whole n^3 x n^2 complex system
+    # the sketch's QR and the SVD of its R factor; then the system restricted to the sketch's kernel
+    assert shapes == [("qr", (2 * n * n, n * n)), ("svd", (n * n, n * n)), ("qr", (n**3, 15)), ("svd", (15, 15))]
+    # the 2 n^4 sketch, numpy's copy of it for the QR and the n^4 factors, against n^5 for the whole system
+    assert peak < 8 * n**4 * 16 < n**5 * 16, peak
 
 
 def test_nullspace_of_zero_rows_is_everything():
@@ -137,32 +137,42 @@ def test_nullspace_of_zero_rows_is_everything():
 
 
 def test_nullspace_never_forms_a_tall_u(monkeypatch):
-    """Every SVD taken inside nullspace sees rows <= cols, so its U has at most cols^2 entries."""
+    """Every SVD that ``nullspace`` and ``derivation_space`` take sees rows <= cols, so its U
+    has at most cols^2 entries."""
     shapes = []
     svd = np.linalg.svd
 
     def counted_svd(a, *args, **kwargs):
-        if sys._getframe(1).f_code.co_name == "nullspace":
+        if sys._getframe(1).f_code.co_name == "_right_singular":
             shapes.append(np.shape(a))
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    tall = gaussian(np.random.default_rng(4), 64, 16)
+    assert nullspace(tall, TOL).shape == (16, 0)
     m4 = matrix_unit_algebra("M", 4)
     space = derivation_space(rebased(m4, random_unitary(np.random.default_rng(4), m4.dim)), TOL)
     assert space.dim_der == space.dim_inner == 15
-    # the Leibniz system is 16^3 x 16^2; its SVD is taken of the 256 x 256 R factor
-    assert shapes == [(256, 256)]
+    # the 64 x 16 matrix's R factor; the sketch's 256 x 256 R factor; the 16^3 x 15 restricted system's R factor
+    assert shapes == [(16, 16), (256, 256), (15, 15)]
     assert all(rows <= cols for rows, cols in shapes)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_derivation_dims_closed_forms(k):
+def test_derivation_dims_closed_forms(k, monkeypatch):
+    """C_k has no derivations, T_k has k(k-1)/2 and M_k has k^2 - 1, all inner; every map of
+    Z_k is a derivation, none inner, and the power steps read its s_max as 0, not NaN."""
+    tops = power_estimates(monkeypatch)
     rng = np.random.default_rng(k)
-    for family, expected in (("M", k * k - 1), ("T", k * (k - 1) // 2)):
-        alg = matrix_unit_algebra(family, k)
+    for family, expected in (("C", (0, 0)), ("M", (k * k - 1,) * 2), ("T", (k * (k - 1) // 2,) * 2), ("Z", (k * k, 0))):
+        alg = zero_product_algebra(k) if family == "Z" else matrix_unit_algebra(family, k)
         for candidate in (alg, rebased(alg, random_unitary(rng, alg.dim))):
+            tops.clear()
             space = derivation_space(candidate, TOL)
-            assert space.dim_der == space.dim_inner == expected, (candidate.name, space.dim_der, space.dim_inner)
+            assert (space.dim_der, space.dim_inner) == expected, (candidate.name, space.dim_der, space.dim_inner)
+            assert tops and np.all(np.isfinite(tops)), candidate.name
+            if family == "Z":
+                assert tops == [0.0, 0.0], candidate.name
 
 
 def test_derivation_dims_closed_form_rebased_m5():

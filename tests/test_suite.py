@@ -67,9 +67,9 @@ def test_direct_sum_fails_the_shear_claim_instead_of_raising(monkeypatch, corpus
 
     solved, derivation_space = [], tpw.amenability.derivation_space
 
-    def counted(alg, tol):
+    def counted(alg, *args):
         solved.append(alg)
-        return derivation_space(alg, tol)
+        return derivation_space(alg, *args)
 
     monkeypatch.setattr(tpw.amenability, "derivation_space", counted)
     config = RunConfig()
