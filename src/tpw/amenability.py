@@ -29,7 +29,6 @@ suite's shear claim; otherwise the product's own Leibniz system is solved.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -39,8 +38,8 @@ from .arens import arens_tables, stacked_side_system
 from .characters import CharacterEnumeration, enumerate_characters
 from .core import FiniteAlgebra, center, find_left_identity, find_right_identity
 from .errors import NotADerivation
-from .linalg import (as_complex, column_space, column_spaces, max_abs, nullspace, nullspaces, sketched_nullspace,
-                     subspace_contains)
+from .linalg import (SKETCH_STREAM, as_complex, column_space, column_spaces, complex_gaussians, max_abs, nullspace,
+                     nullspaces, sketched_nullspace, subspace_contains)
 from .product import MorphismProduct
 from .report import CheckReport
 
@@ -134,15 +133,8 @@ def _leibniz_sketch(c: np.ndarray, elements: np.ndarray) -> np.ndarray:
 
 
 def _unit_elements(n: int, count: int, seed: int) -> np.ndarray:
-    """``count`` standard complex Gaussian elements, scaled to unit norm, drawn from ``seed``.
-
-    The uniforms come from the standard library's generator, which numpy has already
-    loaded, where ``numpy.random`` would be one more import; Box-Muller turns each pair
-    into one complex Gaussian entry.
-    """
-    rng = random.Random(seed)
-    u = np.array([rng.random() for _ in range(2 * count * n)]).reshape(2, count, n)
-    a = np.sqrt(-2.0 * np.log1p(-u[0])) * np.exp(2j * np.pi * u[1])
+    """``count`` standard complex Gaussian elements, scaled to unit norm, drawn from ``seed``."""
+    a = complex_gaussians(seed, SKETCH_STREAM, (count, n))
     return a / np.sqrt(np.sum(np.abs(a) ** 2, axis=1, keepdims=True))
 
 
@@ -179,14 +171,17 @@ def derivation_space(alg: FiniteAlgebra, tol: float, seed: int = 0) -> Derivatio
     the whole system's cutoff.  The system is applied by the matmuls of
     ``leibniz_residual``.  The space does not depend on the seed; its basis,
     and the cost, do.  The sketch's QR and SVD cost O(n^6), against O(n^7)
-    for a QR of the whole system, and hold about 5 n^4 complex entries (the
-    sketch, numpy's copy of it and R) besides LAPACK's workspace; the
-    restricted system is n^3 x dim V, as large as the whole n^3 x n^2 system
-    only when nearly every map is a derivation.
+    for a QR of the whole system.  The sketch is handed over as a builder, so
+    ``sketched_nullspace`` holds its only reference and drops it after the QR:
+    at the peak, the SVD of the sketch's n^2 x n^2 R factor, only R, numpy's
+    copy of it, the SVD's two n^2 x n^2 factors and LAPACK's workspace are
+    alive, and the 2 n^4 entries of the sketch are not.  The restricted system
+    is n^3 x dim V, as large as the whole n^3 x n^2 system only when nearly
+    every map is a derivation.
     """
     n, c = alg.dim, alg.structure
     der_flat = sketched_nullspace(
-        _leibniz_sketch(c, _unit_elements(n, SKETCH_DRAWS, seed)),
+        lambda: _leibniz_sketch(c, _unit_elements(n, SKETCH_DRAWS, seed)),
         lambda x: _leibniz_map(c, x.T.reshape(-1, n, n)).reshape(x.shape[1], -1).T,
         lambda y: _leibniz_adjoint(c, y),
         (n**3, n * n), tol, scale=alg.cutoff_scale,

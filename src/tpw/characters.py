@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import FiniteAlgebra
 from .errors import CharacterRejected
-from .linalg import column_space, nullspace
+from .linalg import SPLITTER_STREAM, column_space, complex_gaussians, nullspace
 from .product import MorphismProduct
 
 
@@ -209,8 +209,7 @@ def enumerate_characters(alg: FiniteAlgebra, tol: float, seed: int = 0) -> Chara
     if cq.quotient is not None:
         q = cq.quotient
         m = q.dim
-        rng = np.random.default_rng(seed)
-        splitter = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        splitter = complex_gaussians(seed, SPLITTER_STREAM, m)
         # the transposed left-multiplication operator of a is sum_i a_i structure[i]
         ops: list[tuple[int | None, np.ndarray]] = [(None, np.einsum("i,ijk->jk", splitter, q.structure))]
         ops += [(j, q.structure[j]) for j in range(m)]

@@ -19,6 +19,9 @@ system applied to V decides the kernel exactly, under the cutoff of the
 whole system with its largest singular value estimated by power steps.
 Many small systems of one shape, such as the invariant-element systems of
 every character of an algebra, go to ``nullspaces`` as one stack.
+
+Every random draw of tpw comes from ``complex_gaussians``, a pure function of
+a seed and a stream, so ``numpy.random`` is never imported.
 """
 
 from __future__ import annotations
@@ -98,18 +101,19 @@ def nullspace(a, tol: float, scale: float = 0.0) -> np.ndarray:
 POWER_STEPS = 2
 
 
-def sketched_nullspace(sketch: np.ndarray, apply, adjoint, shape, tol: float, scale: float = 0.0) -> np.ndarray:
+def sketched_nullspace(build_sketch, apply, adjoint, shape, tol: float, scale: float = 0.0) -> np.ndarray:
     """Orthonormal basis (columns) of the kernel of a linear map L of ``shape`` (rows, cols),
     from a sketch of it.
 
     L is given by ``apply``, x -> L x for the columns of a (cols, k) matrix, and
     ``adjoint``, y -> L^H y for one vector of length rows.  Its rows fall into
-    blocks, and slice t of ``sketch``, of shape (r, rows per block, cols), is the
-    combination sum_i a_i (block i) for a unit vector a.  Then the stacked sketch
-    S has |S x| <= sqrt(r) |L x|, and its kernel contains L's.  Three steps:
+    blocks, and ``build_sketch()`` returns the sketch, of shape (r, rows per
+    block, cols), whose slice t is the combination sum_i a_i (block i) for a
+    unit vector a.  Then the stacked sketch S has |S x| <= sqrt(r) |L x|, and
+    its kernel contains L's.  Three steps:
 
-    * the SVD of S (through its R factor) gives V, its right singular vectors
-      under sqrt(r) times L's cutoff, and a start for the power steps;
+    * the SVD of S's R factor gives V, S's right singular vectors under
+      sqrt(r) times L's cutoff, and a start for the power steps;
     * ``POWER_STEPS`` steps of x -> L^H L x estimate s_max(L) from below, by
       s = sqrt(|L^H L x|) for a unit x, and L's cutoff is
       tol * max(s, scale) * max(shape), the rule of ``svd_cutoff``;
@@ -121,9 +125,18 @@ def sketched_nullspace(sketch: np.ndarray, apply, adjoint, shape, tol: float, sc
     only approximately, mixed with S's other small directions, so a singular
     value near the cutoff (within about s_max(L) over S's smallest singular
     value above its cut) can be decided otherwise than by an SVD of L.
+
+    ``build_sketch`` is called once, and this function holds the only
+    reference to the sketch, which it drops once the QR has reduced S to R.
+    The largest step is the SVD of R, and at its peak only R, numpy's copy of
+    it, the SVD's two cols x cols factors and LAPACK's workspace are alive;
+    S, r times the size of R, and numpy's copy of S live only during the QR.
     """
+    sketch = build_sketch()
     r, _, cols = sketch.shape
-    s_sketch, vh = _right_singular(sketch.reshape(-1, cols))
+    factor = np.linalg.qr(sketch.reshape(-1, cols), mode="r")
+    del sketch  # R has S's singular values and right singular vectors
+    s_sketch, vh = _right_singular(factor)
     x, top = vh[0].conj(), 0.0
     for _ in range(POWER_STEPS):
         z = adjoint(apply(x[:, None])[:, 0])
@@ -136,6 +149,44 @@ def sketched_nullspace(sketch: np.ndarray, apply, adjoint, shape, tol: float, sc
         return v
     s, wh = _right_singular(apply(v))
     return v @ wh[_rank(s, shape, tol, scale, top) :].conj().T
+
+
+# SplitMix64 (Steele, Lea and Flood, OOPSLA 2014): the increment of its counter and its output mix
+_GAMMA = 0x9E3779B97F4A7C15
+_MASK = 2**64 - 1
+
+# the stream of each random use, so that no two uses share draws
+SPLITTER_STREAM, PAIRS_STREAM, SKETCH_STREAM = 1, 2, 3
+
+
+def _mix64(z):
+    """SplitMix64's output function, of a Python int below 2^64 or of a uint64 array."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
+    return z ^ (z >> 31)
+
+
+def complex_gaussians(seed: int, stream: int, shape) -> np.ndarray:
+    """Standard complex Gaussians (real and imaginary parts independent N(0, 1)) of ``shape``,
+    a pure function of ``seed`` and ``stream`` computed with numpy alone.
+
+    The bits are SplitMix64 outputs of a counter, keyed by (seed, stream).  The two
+    32-bit halves of each output are a point of the square [-1, 1)^2, and each point
+    inside the unit disc becomes one entry by Marsaglia's polar method, so a draw is
+    the first entries of one sequence: a smaller draw is a prefix of a larger one.
+    """
+    key = _mix64(_mix64((int(seed) + _GAMMA) & _MASK) ^ (int(stream) & _MASK))
+    parts, start, left = [np.zeros(0, dtype=complex)], 1, int(np.prod(shape))
+    while left > 0:
+        count = left * 4 // 3 + 16  # the disc holds pi/4 of the points: about 5% to spare
+        bits = _mix64(np.arange(start, start + count, dtype=np.uint64) * _GAMMA + key)
+        start += count
+        points = (bits.astype("<u8", copy=False).view("<i4") * 2.0**-31).view(complex)
+        s = points.real**2 + points.imag**2
+        inside = np.flatnonzero((s > 0) & (s < 1))[:left]
+        parts.append(points[inside] * np.sqrt(-2.0 * np.log(s[inside]) / s[inside]))
+        left -= len(inside)
+    return np.concatenate(parts).reshape(shape)
 
 
 def nullspaces(stack, tol: float, scales) -> tuple[np.ndarray, np.ndarray]:

@@ -64,7 +64,7 @@ from .arens import (
 from .characters import character_decomposition, character_defect
 from .core import FiniteAlgebra
 from .errors import ValidationError
-from .linalg import max_abs
+from .linalg import PAIRS_STREAM, complex_gaussians, max_abs
 from .product import AlgebraHom, MorphismProduct, build_product
 from .report import CheckReport, Verdict
 
@@ -122,15 +122,16 @@ def _check_bidual_identification(report: CheckReport, product: MorphismProduct, 
         detail="block bidual product formula matches the product algebra's Arens product",
     )
 
-    # 100 random pairs per algebra, one stack each; the direct products come
-    # from the structure tensor, the coefficients x_i y_j against c laid out as
-    # (n^2, n), so the chain is checked against multiplication
-    rng = np.random.default_rng(seed)
+    # 100 random pairs per algebra, one stack each, from one draw split by
+    # dimension; the direct products come from the structure tensor, the
+    # coefficients x_i y_j against c laid out as (n^2, n), so the chain is
+    # checked against multiplication
+    algs = (product.a, product.b, palg)
+    ends = np.cumsum([alg.dim for alg in algs])
+    pairs = np.split(complex_gaussians(seed, PAIRS_STREAM, (2, 100, ends[-1])), ends[:-1], axis=2)
     worst = 0.0
-    for alg in (product.a, product.b, palg):
+    for alg, (x, y) in zip(algs, pairs):
         n = alg.dim
-        g = rng.standard_normal((100, 4, n))
-        x, y = g[:, 0] + 1j * g[:, 1], g[:, 2] + 1j * g[:, 3]
         direct = (x[:, :, None] * y[:, None, :]).reshape(100, n * n) @ alg.structure.reshape(n * n, n)
         worst = max(worst, max_abs(arens_first(alg, x, y) - direct), max_abs(arens_second(alg, x, y) - direct))
     report.add(

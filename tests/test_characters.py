@@ -19,7 +19,7 @@ from tpw.characters import (
 from tpw.core import FiniteAlgebra
 from tpw.corpus import algebra_cn, hom_identity, hom_zero
 from tpw.errors import CharacterRejected
-from tpw.linalg import column_space, max_abs, subspaces_equal
+from tpw.linalg import SPLITTER_STREAM, column_space, complex_gaussians, max_abs, subspaces_equal
 from tpw.product import AlgebraHom, build_product
 
 from conftest import TOL, matrix_unit_algebra, random_unitary, rebased, stacking_triples
@@ -112,8 +112,7 @@ def test_quotient_operators_match_left_mult_operators(monkeypatch, corpus):
         if q is None:
             assert not seen, alg.name
             continue
-        rng = np.random.default_rng(3)
-        splitter = rng.standard_normal(q.dim) + 1j * rng.standard_normal(q.dim)
+        splitter = complex_gaussians(3, SPLITTER_STREAM, q.dim)
         want = [(None, q.left_mult_operator(splitter).T)]
         want += [(j, q.left_mult_operator(q.basis_vector(j)).T) for j in range(q.dim)]
         (ops,) = seen
@@ -355,8 +354,7 @@ def reference_enumeration(alg, tol, seed):
     found, notes = [], []
     if cq.quotient is not None:
         q = cq.quotient
-        rng = np.random.default_rng(seed)
-        splitter = rng.standard_normal(q.dim) + 1j * rng.standard_normal(q.dim)
+        splitter = complex_gaussians(seed, SPLITTER_STREAM, q.dim)
         ops = [(None, np.einsum("i,ijk->jk", splitter, q.structure))] + [(j, q.structure[j]) for j in range(q.dim)]
         for basis, values in reference_branches(ops, q.dim, max(np.sqrt(tol), 100 * tol)):
             if basis.shape[1] != 1:

@@ -1,7 +1,8 @@
 """Every name a ``tpw`` module imports is used in that module, every
-module-level private function or class is used somewhere in the package, and
-no module but ``linalg`` calls ``np.linalg``, apart from two named functions
-whose decisions are not ranks.
+module-level private function or class is used somewhere in the package, no
+module but ``linalg`` calls ``np.linalg``, apart from two named functions
+whose decisions are not ranks, and no module draws from ``numpy.random`` or,
+outside ``linalg``, imports ``random``.
 
 ``__init__.py`` re-exports by design, and ``from __future__`` imports are
 compiler directives, so both are left out of the import check.  A private
@@ -106,3 +107,37 @@ def test_rank_decisions_only_in_linalg():
     """Every singular value that becomes a rank goes through ``linalg``'s one cutoff rule."""
     found = {use for p in MODULES if p.name != "linalg.py" for use in linalg_uses(p.name, p.read_text(encoding="utf-8"))}
     assert found <= LINALG_EXCEPTIONS, sorted(found - LINALG_EXCEPTIONS)
+
+
+
+def random_uses(source: str) -> list[tuple[str, int]]:
+    """(what, line) for every ``np.random`` or ``numpy.random`` reference or import (what is
+    "numpy.random") and every import of the standard library's ``random`` (what is "random")."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "random" and getattr(node.value, "id", None) in ("np", "numpy"):
+            found.append(("numpy.random", node.lineno))
+        elif isinstance(node, ast.Import):
+            found += [(a.name, node.lineno) for a in node.names if a.name in ("random", "numpy.random")]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            if node.module in ("random", "numpy.random"):
+                found.append((node.module, node.lineno))
+            elif node.module == "numpy" and any(a.name == "random" for a in node.names):
+                found.append(("numpy.random", node.lineno))
+    return found
+
+
+def test_checker_finds_random_uses():
+    source = ("import random\nimport numpy as np\nfrom numpy import random as r\nfrom random import Random\n"
+              "import numpy.random\nfrom .random import x\n\ndef f():\n    return np.random.default_rng(0)\n")
+    assert sorted(random_uses(source), key=lambda use: use[1]) == [
+        ("random", 1), ("numpy.random", 3), ("random", 4), ("numpy.random", 5), ("numpy.random", 9)]
+
+
+def test_draws_only_through_linalg():
+    """Every random draw comes from ``linalg.complex_gaussians``, with numpy alone: no module
+    refers to ``numpy.random``, and no module but ``linalg`` imports ``random``."""
+    found = sorted(f"{p.name}:{line} {what}" for p in sorted(PACKAGE.glob("*.py"))
+                   for what, line in random_uses(p.read_text(encoding="utf-8"))
+                   if what == "numpy.random" or p.name != "linalg.py")
+    assert found == []

@@ -181,16 +181,30 @@ def test_cli_weak_amen_passes_its_seed(files, monkeypatch, capsys):
     assert seeds == [3] and "weakly amenable = True" in capsys.readouterr().out
 
 
-def test_cli_weak_amen_leaves_numpy_random_unimported(files):
-    """The sketch draws its elements with the standard library's generator: importing
-    ``numpy.random`` would add to the peak RSS of every ``tpw check weak-amen``."""
+def test_cli_commands_leave_numpy_random_unimported(files):
+    """Every random draw comes from ``linalg.complex_gaussians``: importing ``numpy.random``
+    would add to the peak RSS of every command.  One process runs each command in turn and
+    records its exit code and whether ``numpy.random`` has been loaded after it."""
     paths, _ = files
-    code = ("import sys; from tpw.cli import main; code = main(['check', 'weak-amen', '--algebra', sys.argv[1]]); "
-            "print(code, 'numpy.random' in sys.modules)")
+    commands = [
+        ["check", "weak-amen", "--algebra", paths["M2"]],
+        ["check", "arens", "--algebra", paths["M2"]],
+        ["check", "char-amen", "--algebra", paths["C2"]],
+        ["check", "inner-amen", "--algebra", paths["C2"]],
+        ["characters", "--algebra", paths["C2"]],
+        ["verify-theorems", "--algebra-a", paths["C"], "--algebra-b", paths["C"], "--hom", paths["id_c"]],
+        ["corpus", "run"],
+    ]
+    code = ("import json, sys\nfrom tpw.cli import main\n"
+            "after = [(' '.join(args[:2]), main(args), 'numpy.random' in sys.modules) for args in json.loads(sys.argv[1])]\n"
+            "print(json.dumps(after))")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", code, paths["M2"]], capture_output=True, text=True, env=env, check=True)
-    assert done.stdout.splitlines()[-1] == "0 False", done.stdout
+    env.pop("TPW_CORPUS_DIR", None)
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], capture_output=True, text=True, env=env,
+                          check=True)
+    want = [[" ".join(args[:2]), 0, False] for args in commands]
+    assert json.loads(done.stdout.splitlines()[-1]) == want, done.stdout[-2000:]
 
 
 def test_cli_verify_theorems_deterministic(files, capsys):

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from tpw.amenability import derivation_space
-from tpw.linalg import column_space, column_spaces, nullspace, sketched_nullspace, subspaces_equal, svd_cutoff
+from tpw.linalg import (column_space, column_spaces, complex_gaussians, nullspace, sketched_nullspace, subspaces_equal,
+                        svd_cutoff)
 
 from conftest import TOL, matrix_unit_algebra, power_estimates, random_unitary, rebased, zero_product_algebra
 
@@ -91,7 +92,7 @@ def test_sketched_nullspace_matches_full_svd_reference(scale):
         elements = gaussian(rng, 2, 6)
         elements /= np.sqrt(np.sum(np.abs(elements) ** 2, axis=1, keepdims=True))
         sketch = np.einsum("ti,irc->trc", elements, a.reshape(6, 5, 12))
-        got = sketched_nullspace(sketch, lambda x: a @ x, lambda y: a.conj().T @ y, a.shape, TOL, scale)
+        got = sketched_nullspace(lambda: sketch, lambda x: a @ x, lambda y: a.conj().T @ y, a.shape, TOL, scale)
         want = reference_nullspace(a, TOL, scale)
         assert got.shape == want.shape, (label, scale)
         assert subspaces_equal(got, want, 1e-10)[0], (label, scale)
@@ -106,7 +107,7 @@ def test_derivation_space_sketches_at_most_two_n_squared_rows(monkeypatch):
 
     def counted(fn, name):
         def wrapper(a, *args, **kwargs):
-            if sys._getframe(1).f_code.co_name == "_right_singular":
+            if sys._getframe(1).f_code.co_name in ("_right_singular", "sketched_nullspace"):
                 shapes.append((name, np.shape(a)))
             return fn(a, *args, **kwargs)
         return wrapper
@@ -127,6 +128,49 @@ def test_derivation_space_sketches_at_most_two_n_squared_rows(monkeypatch):
     assert shapes == [("qr", (2 * n * n, n * n)), ("svd", (n * n, n * n)), ("qr", (n**3, 15)), ("svd", (15, 15))]
     # the 2 n^4 sketch, numpy's copy of it for the QR and the n^4 factors, against n^5 for the whole system
     assert peak < 8 * n**4 * 16 < n**5 * 16, peak
+
+
+def test_sketch_is_released_before_the_svd_of_its_r_factor(monkeypatch):
+    """On rebased M4, the traced memory on entry to the SVD of the sketch's n^2 x n^2 R factor
+    is under 2 n^4 * 16 B: R (n^4 entries) and small arrays, and not the 2 n^4 entries of the
+    sketch, which nothing reads after its QR."""
+    svd, on_entry = np.linalg.svd, []
+    m4 = matrix_unit_algebra("M", 4)
+    alg = rebased(m4, random_unitary(np.random.default_rng(4), m4.dim))
+    n = alg.dim
+
+    def spy(a, *args, **kwargs):
+        if np.shape(a) == (n * n, n * n):
+            on_entry.append(tracemalloc.get_traced_memory()[0])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    tracemalloc.start()
+    try:
+        space = derivation_space(alg, TOL)
+    finally:
+        tracemalloc.stop()
+    assert space.dim_der == space.dim_inner == 15
+    assert len(on_entry) == 1 and on_entry[0] < 2 * n**4 * 16, on_entry
+
+
+def test_complex_gaussians_are_a_pure_function_of_seed_and_stream():
+    """One (seed, stream) gives one draw, and a smaller draw is a prefix of a larger one, also
+    for seed 2165 and 100 entries, whose first batch of points holds too few inside the disc;
+    another seed or stream gives other entries; 20000 entries have the moments of independent
+    standard normal real and imaginary parts, within five standard errors."""
+    a = complex_gaussians(3, 1, (4, 5))
+    assert a.shape == (4, 5) and a.dtype == complex
+    assert np.array_equal(a, complex_gaussians(3, 1, (4, 5)))
+    assert np.array_equal(a.ravel(), complex_gaussians(3, 1, 1000)[:20])
+    assert np.array_equal(complex_gaussians(2165, 0, 100), complex_gaussians(2165, 0, 1000)[:100])
+    assert not np.isin(a, complex_gaussians(4, 1, 20)).any() and not np.isin(a, complex_gaussians(3, 2, 20)).any()
+    assert complex_gaussians(0, 0, (0, 3)).shape == (0, 3)
+    z = complex_gaussians(0, 0, 20000)
+    se = 1 / np.sqrt(z.size)
+    for part in (z.real, z.imag):
+        assert abs(part.mean()) < 5 * se and abs(np.mean(part**2) - 1) < 5 * np.sqrt(2) * se
+    assert abs(np.mean(z.real * z.imag)) < 5 * se
 
 
 def test_nullspace_of_zero_rows_is_everything():
