@@ -17,7 +17,6 @@ from .arens import (
     arens_first,
     arens_second,
     arens_tables,
-    dual_actions,
     hom_adjoints,
     product_dual_actions,
     topological_center,
@@ -81,7 +80,6 @@ __all__ = [
     "build_product",
     "check_hom",
     "derivation_space",
-    "dual_actions",
     "dump_json",
     "enumerate_characters",
     "find_left_identity",

@@ -88,21 +88,22 @@ class DerivationSpace:
 SKETCH_DRAWS = 2
 
 
-def _leibniz_map(c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """The Leibniz system applied to maps D: A -> A', one matmul per term.
+def _leibniz_map(c: np.ndarray, d: np.ndarray, i: slice = slice(None)) -> np.ndarray:
+    """The Leibniz system applied to maps D: A -> A', one matmul per term, on the rows (i, j, m)
+    with the basis indices i of the slice ``i``.
 
     ``d`` has shape (..., n, n), with d[m, k] the m-th dual coordinate of D(e_k).
     Entry (..., i, j, m) of the result is the m-th coordinate of
     D(e_i e_j) - D(e_i).e_j - e_i.D(e_j).
     """
-    n = c.shape[0]
-    flat, dt, cube = c.reshape(n * n, n), d.swapaxes(-1, -2), d.shape[:-2] + (n, n, n)
+    n, rows = c.shape[0], c[i]
+    dt, cube = d.swapaxes(-1, -2), d.shape[:-2] + rows.shape
     # D(e_i e_j)_m = sum_k c[i,j,k] D[m,k]
-    out = (flat @ dt).reshape(cube)
+    out = (rows.reshape(-1, n) @ dt).reshape(cube)
     # (D(e_i).e_j)_m = sum_k c[j,m,k] D[k,i]
-    out -= (dt @ flat.T).reshape(cube)
+    out -= (dt[..., i, :] @ c.reshape(n * n, n).T).reshape(cube)
     # (e_i.D(e_j))_m = sum_k c[m,i,k] D[k,j], computed with axes (i, m, j)
-    out -= (c.transpose(1, 0, 2).reshape(n * n, n) @ d).reshape(cube).swapaxes(-1, -2)
+    out -= (c[:, i].transpose(1, 0, 2).reshape(-1, n) @ d).reshape(cube).swapaxes(-1, -2)
     return out
 
 
@@ -175,14 +176,16 @@ def derivation_space(alg: FiniteAlgebra, tol: float, seed: int = 0) -> Derivatio
     ``sketched_nullspace`` holds its only reference and drops it after the QR:
     at the peak, the SVD of the sketch's n^2 x n^2 R factor, only R, numpy's
     copy of it, the SVD's two n^2 x n^2 factors and LAPACK's workspace are
-    alive, and the 2 n^4 entries of the sketch are not.  The restricted system
-    is n^3 x dim V, as large as the whole n^3 x n^2 system only when nearly
-    every map is a derivation.
+    alive, and the 2 n^4 entries of the sketch are not.  The restricted system,
+    n^3 x dim V, is applied to as many basis indices i at a time (n^2 rows
+    each) as fit in n^4 entries, and folded into its R factor, so it is
+    formed whole only when it is that small, and not when every map is a
+    derivation.
     """
     n, c = alg.dim, alg.structure
     der_flat = sketched_nullspace(
         lambda: _leibniz_sketch(c, _unit_elements(n, SKETCH_DRAWS, seed)),
-        lambda x: _leibniz_map(c, x.T.reshape(-1, n, n)).reshape(x.shape[1], -1).T,
+        lambda x, i: _leibniz_map(c, x.T.reshape(-1, n, n), i).reshape(x.shape[1], -1).T,
         lambda y: _leibniz_adjoint(c, y),
         (n**3, n * n), tol, scale=alg.cutoff_scale,
     )
@@ -208,7 +211,8 @@ def transported_derivation_space(product: MorphismProduct, an_a: Analysis, an_b:
     """The product's derivation space, carried from the factors' through the shear.
 
     A map D of A + B moves to the product as S^T D S, which for a factor map
-    d is p^T d p with p = p1 or p2, as in ``lift_derivation``.  The cross
+    d is p^T d p with p = p1 or p2, as in ``lift_derivation``, taken for a
+    factor's whole basis as one broadcast product.  The cross
     map x -> f(x) g of A + B, from A to B' for f vanishing on A^2 and g on
     B^2, moves to x -> (f o p1)(x) (g o p2); its transpose is the cross map
     from B to A'.  The basis is not orthonormal.  It is only a basis of the
@@ -219,7 +223,7 @@ def transported_derivation_space(product: MorphismProduct, an_a: Analysis, an_b:
     p1, p2 = product.shear[:na], product.shear[na:]
 
     def lifted(space_basis, p):
-        return tuple(p.T @ d @ p for d in space_basis)
+        return tuple(p.T @ np.reshape(space_basis, (-1, len(p), len(p))) @ p)
 
     ds_a, ds_b = an_a.derivations, an_b.derivations
     lf, lg = p1.T @ an_a.square_annihilator, p2.T @ an_b.square_annihilator

@@ -1,4 +1,4 @@
-"""Dual and bidual calculus: module actions, both Arens products, adjoints.
+"""Bidual calculus: both Arens products, their tables, adjoints and centers.
 
 Functionals pair bilinearly with elements, ``<f, x> = sum_i f_i x_i``, and in
 finite dimension the bidual is identified with the algebra through the same
@@ -23,8 +23,8 @@ contraction of these tables; a contraction with identity or basis-column
 matrices is written as the slices and transposes it amounts to, and the
 Theta block formula is the product's own ``product.block_table`` on the
 factors' tables with T'' (which has T's matrix).  The
-tables come from the chain and are never read off ``structure``, so that
-agreement of the Arens products with the original multiplication stays an
+tables come from the chain and are never read off ``structure``, so the
+suite's comparison of both tables with ``structure`` (group 02) is an
 actual check of the chain and not a definition.  Every finite-dimensional
 algebra is Arens regular, so a topological center here is the whole bidual
 unless the two tables disagree; the suite checks exactly that, on the
@@ -49,15 +49,6 @@ FINITE_DIM_CAVEAT = (
     "every topological center is the whole bidual, so center verdicts are "
     "consistency checks, not deep confirmations"
 )
-
-
-def dual_actions(alg: FiniteAlgebra, f, a) -> tuple[np.ndarray, np.ndarray]:
-    """Both module actions of a on the functional f: (f.a, a.f).
-
-    f.a is the functional x -> f(a x) and a.f is the functional x -> f(x a).
-    """
-    f = alg.coerce(f)
-    return alg.left_mult_operator(a).T @ f, alg.right_mult_operator(a).T @ f
 
 
 def _bidual_left_action(alg: FiniteAlgebra, big_psi: np.ndarray) -> np.ndarray:
@@ -259,7 +250,9 @@ def theta_homomorphism_residual(product: MorphismProduct, which: str) -> float:
     Compares the factor-level block formula, with # the chosen Arens product
     inside the factor biduals and T'' in place of T, against the Arens product
     formed inside the product algebra itself, over all pairs of block basis
-    vectors.
+    vectors.  No claim reads it: ``block_table`` is linear in the tables, so
+    it is at most (1 + max(1, |T|_1)) times the worst table error of group
+    02, |T|_1 the largest column l1-norm of T's matrix.
     """
     table_a, table_b, table_p = (getattr(arens_tables(alg), which) for alg in (product.a, product.b, product.algebra))
     return max_abs(block_table(table_a, table_b, product.hom.matrix) - table_p)

@@ -28,10 +28,17 @@ from .report import (
 from .suite import RunConfig, verify_product, verify_theorems
 
 
+def _tolerance(text: str) -> float:
+    tol = float(text)
+    if not 0 < tol < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
+    return tol
+
+
 def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--tol", type=float, default=1e-9, help="numerical tolerance (default 1e-9)")
+    parser.add_argument("--tol", type=_tolerance, default=1e-9, help="numerical tolerance (default 1e-9)")
     parser.add_argument("--seed", type=int, default=0,
-                        help="seed for the random splitting and sketching elements and group 02's random pairs (default 0)")
+                        help="seed for the random splitting and sketching elements (default 0)")
     parser.add_argument("--side", choices=["left", "right", "both"], default="both")
     parser.add_argument("--format", choices=["json", "text"], default="text")
 

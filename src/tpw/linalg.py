@@ -7,18 +7,19 @@ floor, stated by ``svd_cutoff`` and counted by ``_rank``.  One decision
 elsewhere is not a rank and keeps its own rule:
 ``characters._joint_eigenvalue_branches`` clusters eigenvalues.
 
-``nullspace`` reduces a tall system to its
-triangular QR factor R before the SVD, so no rows x rows factor is ever
-formed; the cutoff still uses the original matrix's shape.  A system too
-large to form, such as the n^3 x n^2 Leibniz system of
-``amenability.derivation_space`` for an algebra of dim n, goes to
-``sketched_nullspace`` as a sketch and an operator: the kernel V of a few
-random combinations of its row blocks contains its kernel (a randomized
-range finder; Halko, Martinsson and Tropp, SIAM Review 53, 2011), and the
-system applied to V decides the kernel exactly, under the cutoff of the
-whole system with its largest singular value estimated by power steps.
-Many small systems of one shape, such as the invariant-element systems of
-every character of an algebra, go to ``nullspaces`` as one stack.
+``nullspaces`` solves a stack of systems of one shape, such as the
+invariant-element systems of every character of an algebra, by one stacked
+SVD, after reducing each tall system to its triangular QR factor R, so no
+rows x rows factor is ever formed; the cutoff still uses the original
+matrix's shape.  ``nullspace`` is its one-matrix case, as ``column_space``
+is of ``column_spaces``.  A system too large to form, such as the
+n^3 x n^2 Leibniz system of ``amenability.derivation_space`` for an algebra
+of dim n, goes to ``sketched_nullspace`` as a sketch and an operator: the
+kernel V of a few random combinations of its row blocks contains its kernel
+(a randomized range finder; Halko, Martinsson and Tropp, SIAM Review 53,
+2011), and the system applied to V, folded into its R factor a few row
+blocks at a time, decides the kernel exactly, under the cutoff of the whole system
+with its largest singular value estimated by power steps.
 
 Every random draw of tpw comes from ``complex_gaussians``, a pure function of
 a seed and a stream, so ``numpy.random`` is never imported.
@@ -85,18 +86,6 @@ def _right_singular(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, vh
 
 
-def nullspace(a, tol: float, scale: float = 0.0) -> np.ndarray:
-    """Orthonormal basis (columns) of {x : a @ x = 0}, from the SVD of the R factor of a tall ``a``.
-
-    The cutoff is taken with the shape of ``a``, as if ``a`` had been factored whole.
-    """
-    a = as_complex(a)
-    if a.shape[0] == 0:
-        return np.eye(a.shape[1], dtype=complex)
-    s, vh = _right_singular(a)
-    return vh[_rank(s, a.shape, tol, scale) :].conj().T
-
-
 # power steps on L^H L that estimate the largest singular value of a sketched system
 POWER_STEPS = 2
 
@@ -105,8 +94,9 @@ def sketched_nullspace(build_sketch, apply, adjoint, shape, tol: float, scale: f
     """Orthonormal basis (columns) of the kernel of a linear map L of ``shape`` (rows, cols),
     from a sketch of it.
 
-    L is given by ``apply``, x -> L x for the columns of a (cols, k) matrix, and
-    ``adjoint``, y -> L^H y for one vector of length rows.  Its rows fall into
+    L is given by ``apply``, (x, i) -> the rows of L x in the row blocks of the
+    slice i, for the columns of a (cols, k) matrix, and ``adjoint``,
+    y -> L^H y for one vector of length rows.  Its rows fall into
     blocks, and ``build_sketch()`` returns the sketch, of shape (r, rows per
     block, cols), whose slice t is the combination sum_i a_i (block i) for a
     unit vector a.  Then the stacked sketch S has |S x| <= sqrt(r) |L x|, and
@@ -118,6 +108,10 @@ def sketched_nullspace(build_sketch, apply, adjoint, shape, tol: float, scale: f
       s = sqrt(|L^H L x|) for a unit x, and L's cutoff is
       tol * max(s, scale) * max(shape), the rule of ``svd_cutoff``;
     * the kernel of L V under that cutoff, mapped back by V, is the result.
+      L V is folded into its R factor a chunk of row blocks at a time, as
+      many as fit in cols^2 entries (the size of S's R factor) or one, so
+      L V is formed whole only when it is that small; the cut uses L's
+      shape and estimate.
 
     The last step decides every direction V keeps, so the kernel does not
     depend on the draw of the a's; only the size of V, and so the cost, does.
@@ -133,21 +127,26 @@ def sketched_nullspace(build_sketch, apply, adjoint, shape, tol: float, scale: f
     S, r times the size of R, and numpy's copy of S live only during the QR.
     """
     sketch = build_sketch()
-    r, _, cols = sketch.shape
+    r, block_rows, cols = sketch.shape
     factor = np.linalg.qr(sketch.reshape(-1, cols), mode="r")
     del sketch  # R has S's singular values and right singular vectors
     s_sketch, vh = _right_singular(factor)
     x, top = vh[0].conj(), 0.0
     for _ in range(POWER_STEPS):
-        z = adjoint(apply(x[:, None])[:, 0])
+        z = adjoint(apply(x[:, None], slice(None))[:, 0])
         size = np.linalg.norm(z)
         if size == 0.0:
             break  # L x = 0: the estimate stays 0, and the cutoff falls to the floor ``scale``
         top, x = np.sqrt(size), z / size
     v = vh[_rank(s_sketch, shape, np.sqrt(r) * tol, scale, top) :].conj().T
+    del vh, factor  # not needed by the fold below, which sets the peak when V is large
     if v.shape[1] == 0:
         return v
-    s, wh = _right_singular(apply(v))
+    step = max(1, cols * cols // (block_rows * v.shape[1]))
+    factor = np.zeros((0, v.shape[1]), dtype=complex)
+    for i in range(0, shape[0] // block_rows, step):
+        factor = np.linalg.qr(np.vstack([factor, apply(v, slice(i, i + step))]), mode="r")
+    s, wh = _right_singular(factor)
     return v @ wh[_rank(s, shape, tol, scale, top) :].conj().T
 
 
@@ -155,8 +154,8 @@ def sketched_nullspace(build_sketch, apply, adjoint, shape, tol: float, scale: f
 _GAMMA = 0x9E3779B97F4A7C15
 _MASK = 2**64 - 1
 
-# the stream of each random use, so that no two uses share draws
-SPLITTER_STREAM, PAIRS_STREAM, SKETCH_STREAM = 1, 2, 3
+# the stream of each random use, so that no two uses share draws; stream 2 is retired, not reused
+SPLITTER_STREAM, SKETCH_STREAM = 1, 3
 
 
 def _mix64(z):
@@ -189,6 +188,12 @@ def complex_gaussians(seed: int, stream: int, shape) -> np.ndarray:
     return np.concatenate(parts).reshape(shape)
 
 
+def nullspace(a, tol: float, scale: float = 0.0) -> np.ndarray:
+    """Orthonormal basis (columns) of {x : a @ x = 0}: the one-matrix case of ``nullspaces``."""
+    bases, dims = nullspaces(as_complex(a)[None], tol, scale)
+    return bases[0, :, : dims[0]]
+
+
 def nullspaces(stack, tol: float, scales) -> tuple[np.ndarray, np.ndarray]:
     """``nullspace`` of each matrix in a stack of shape (k, rows, cols).
 
@@ -204,10 +209,11 @@ def nullspaces(stack, tol: float, scales) -> tuple[np.ndarray, np.ndarray]:
     s, vh = _right_singular(stack)
     ranks = _rank(s, (rows, cols), tol, scales)
     dims = cols - ranks
-    # column t of basis i is row ranks[i] + t of vh[i], where that row exists
+    # column t of basis i is row ranks[i] + t of vh[i], where that row exists, and zero past it
     picked = ranks[:, None] + np.arange(int(dims.max(initial=0)))
-    bases = np.take_along_axis(vh, np.minimum(picked, cols - 1)[:, :, None], axis=1)
-    return np.where((picked < cols)[:, :, None], bases, 0).conj().transpose(0, 2, 1), dims
+    bases = vh[np.arange(len(vh))[:, None], np.minimum(picked, cols - 1)]
+    bases[picked >= cols] = 0
+    return bases.conj().transpose(0, 2, 1), dims
 
 
 def column_space(a, tol: float, scale: float = 0.0) -> np.ndarray:

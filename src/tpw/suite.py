@@ -23,14 +23,14 @@ Finite dimension forces Arens regularity, so group 04 asks one question per
 side that fails exactly when the two Arens tables disagree: is the product's
 topological center the whole bidual?  A transfer of centers between the
 product and its factors would compare the whole space with itself.
-Group 02 keeps one block-formula claim, ``product-first-arens``, the
-product's first Arens table against the block formula over the factors'.
-In mutation runs on the corpus and the ladder, perturbing one entry of
-both of the product's tables alike failed it and nothing outside group 02;
-the second-table claim failed only with it or with group 04, and the
-dual-action claim (the block formula on the structure tensors, which
-``arens-equals-multiplication`` ties to the tables) only with both.  So
-those two were dropped.
+Group 02 asks whether the Arens chain reproduces the multiplication: both
+Arens tables of A, B and the product, which come from the chain and not
+from ``structure``, against their structure tensors.  The block formula for
+the product's Arens tables needs no claim of its own: ``block_table`` is
+linear in the tables, so its residual (``theta_homomorphism_residual``) is
+at most (1 + max(1, |T|_1)) times the worst table error, |T|_1 the largest
+column l1-norm of T's matrix, and it stays within 10 tol whenever group 02
+passes and |T|_1 <= 9, which covers the contractive homs of the theory.
 Claims are assembled in claim-id order; reports are deterministic for fixed
 inputs, tolerance, and seed.
 """
@@ -55,16 +55,14 @@ from .amenability import (
 )
 from .arens import (
     FINITE_DIM_CAVEAT,
-    arens_first,
-    arens_second,
+    arens_tables,
     hom_adjoints,
-    theta_homomorphism_residual,
     topological_center,
 )
 from .characters import character_decomposition, character_defect
 from .core import FiniteAlgebra
 from .errors import ValidationError
-from .linalg import PAIRS_STREAM, complex_gaussians, max_abs
+from .linalg import max_abs
 from .product import AlgebraHom, MorphismProduct, build_product
 from .report import CheckReport, Verdict
 
@@ -78,8 +76,8 @@ class RunConfig:
     side: str = "both"
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValidationError(f"tolerance must be positive, got {self.tol}")
+        if not 0 < self.tol < float("inf"):
+            raise ValidationError(f"tolerance must be a positive finite number, got {self.tol}")
         if self.side not in ("left", "right", "both"):
             raise ValidationError(f"side must be left, right, or both, got {self.side!r}")
 
@@ -112,28 +110,9 @@ def _check_construction(report: CheckReport, product: MorphismProduct, tol: floa
     )
 
 
-def _check_bidual_identification(report: CheckReport, product: MorphismProduct, tol: float, seed: int):
-    palg = product.algebra
-    residual = theta_homomorphism_residual(product, "first")
-    report.add(
-        "02-bidual-identification/product-first-arens",
-        residual <= 10 * tol,
-        residual=residual,
-        detail="block bidual product formula matches the product algebra's Arens product",
-    )
-
-    # 100 random pairs per algebra, one stack each, from one draw split by
-    # dimension; the direct products come from the structure tensor, the
-    # coefficients x_i y_j against c laid out as (n^2, n), so the chain is
-    # checked against multiplication
-    algs = (product.a, product.b, palg)
-    ends = np.cumsum([alg.dim for alg in algs])
-    pairs = np.split(complex_gaussians(seed, PAIRS_STREAM, (2, 100, ends[-1])), ends[:-1], axis=2)
-    worst = 0.0
-    for alg, (x, y) in zip(algs, pairs):
-        n = alg.dim
-        direct = (x[:, :, None] * y[:, None, :]).reshape(100, n * n) @ alg.structure.reshape(n * n, n)
-        worst = max(worst, max_abs(arens_first(alg, x, y) - direct), max_abs(arens_second(alg, x, y) - direct))
+def _check_bidual_identification(report: CheckReport, product: MorphismProduct, tol: float):
+    worst = max(max_abs(table - alg.structure) for alg in (product.a, product.b, product.algebra)
+                for table in arens_tables(alg))
     report.add(
         "02-bidual-identification/arens-equals-multiplication",
         worst <= tol,
@@ -221,10 +200,8 @@ def _check_weak_amenability(report: CheckReport, product: MorphismProduct, analy
                        detail="no nonzero derivations to lift")
             continue
         lifts = (parts[which] if parts is not None
-                 else (lift_derivation(d, which, product, tol) for d in space.der_basis))
-        worst = 0.0
-        for lifted in lifts:
-            worst = max(worst, leibniz_residual(product.algebra, lifted))
+                 else [lift_derivation(d, which, product, tol) for d in space.der_basis])
+        worst = leibniz_residual(product.algebra, np.array(lifts))
         report.add(
             f"06-weak-amenability/derivation-lift-{which}",
             worst <= 10 * tol,
@@ -292,7 +269,7 @@ def verify_product(product: MorphismProduct, analyses: tuple[Analysis, Analysis,
     per-algebra fact from ``analyses``, the run's ``product_analyses`` of (A, B, product)."""
     report = CheckReport(subject=product.algebra.name)
     _check_construction(report, product, config.tol)
-    _check_bidual_identification(report, product, config.tol, config.seed)
+    _check_bidual_identification(report, product, config.tol)
     _check_adjoints(report, product, config.tol)
     _check_topological_centers(report, product, config.tol, config.sides)
     _check_characters(report, product, analyses, config.tol)

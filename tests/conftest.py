@@ -71,6 +71,13 @@ def random_element(rng, dim):
     return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
 
 
+def dual_actions(alg, f, a):
+    """Both module actions of a on the functional f, (f.a, a.f), from the multiplication operators:
+    f.a is the functional x -> f(a x) and a.f is x -> f(x a).  A reference for the tables."""
+    f = alg.coerce(f)
+    return alg.left_mult_operator(a).T @ f, alg.right_mult_operator(a).T @ f
+
+
 def random_unitary(rng, n):
     """Haar-distributed unitary: QR of a complex Gaussian, phases fixed by diag(R)."""
     q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))

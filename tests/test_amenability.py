@@ -172,7 +172,8 @@ def reference_leibniz_matrix(alg):
 
 def test_leibniz_map_adjoint_and_sketch_are_the_reference_matrix(corpus, rng):
     """The solver's three views of the Leibniz system, on the corpus algebras and rebased M3:
-    the map of the basis maps is the matrix, the adjoint its conjugate transpose, and the
+    the map of the basis maps is the matrix (its rows for the last basis index are the
+    matrix's last row block), the adjoint its conjugate transpose, and the
     sketch of an element a the sum over i of a_i times row block i."""
     m3 = matrix_unit_algebra("M", 3)
     algebras = [alg for e in corpus for alg in (e.algebra_a, e.algebra_b)]
@@ -180,6 +181,8 @@ def test_leibniz_map_adjoint_and_sketch_are_the_reference_matrix(corpus, rng):
         n, c, system = alg.dim, alg.structure, reference_leibniz_matrix(alg)
         units = np.eye(n * n).reshape(n * n, n, n)
         assert np.allclose(_leibniz_map(c, units).reshape(n * n, -1).T, system, atol=1e-12), alg.name
+        last = _leibniz_map(c, units, slice(n - 1, n)).reshape(n * n, -1).T
+        assert np.allclose(last, system[(n - 1) * n * n :], atol=1e-12), alg.name
         y = random_element(rng, n**3)
         assert np.allclose(_leibniz_adjoint(c, y), system.conj().T @ y, atol=1e-12), alg.name
         elements = np.array([random_element(rng, n), random_element(rng, n)])

@@ -6,7 +6,6 @@ import pytest
 from tpw.arens import (
     arens_first,
     arens_second,
-    dual_actions,
     hom_adjoints,
     product_dual_actions,
     theta_homomorphism_residual,
@@ -17,7 +16,7 @@ from tpw.corpus import hom_identity, hom_zero
 from tpw.linalg import max_abs
 from tpw.product import build_product
 
-from conftest import TOL, random_element, stacking_triples
+from conftest import TOL, dual_actions, random_element, stacking_triples
 
 
 def test_dual_actions_pointwise(alg_c2):

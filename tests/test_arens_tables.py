@@ -12,13 +12,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from tpw.amenability import TliSolution, _tli_system, solve_tli
+import tpw.arens
+from tpw.amenability import TliSolution, _tli_system, product_analyses, solve_tli
 from tpw.arens import (
+    ArensTables,
     _center_system,
     arens_first,
     arens_second,
     arens_tables,
-    dual_actions,
     hom_adjoints,
     product_dual_actions,
     theta_homomorphism_residual,
@@ -29,9 +30,11 @@ from tpw.core import FiniteAlgebra
 from tpw.errors import ShapeError
 from tpw.linalg import max_abs, nullspace, subspaces_equal
 from tpw.product import AlgebraHom, build_product
-from tpw.suite import RunConfig, verify_theorems
+from tpw.corpus import builtin_corpus
+from tpw.suite import RunConfig, verify_product, verify_theorems
 
-from conftest import TOL, matrix_unit_algebra, random_element, random_unitary, rebased, rebased_triple
+from conftest import (TOL, dual_actions, matrix_unit_algebra, random_element, random_unitary, rebased,
+                      rebased_triple)
 
 
 class ReferenceChain:
@@ -226,8 +229,8 @@ def _rebind(monkeypatch, original, wrapper):
 
 
 def test_suite_run_counts_chain_and_operator_calls(monkeypatch):
-    """One suite run on C5 x C5 evaluates the chain only in group 02's cross-check
-    and builds no multiplication operator."""
+    """One suite run on C5 x C5 evaluates the chain only where it builds the Arens tables, once per
+    algebra (C5 and the product), and builds no multiplication operator."""
     c5 = rebased(matrix_unit_algebra("C", 5), random_unitary(np.random.default_rng(3), 5), "C5")
     hom = AlgebraHom(source=c5, target=c5, matrix=np.eye(5))
     calls, scopes = Counter(), []
@@ -250,6 +253,7 @@ def test_suite_run_counts_chain_and_operator_calls(monkeypatch):
 
     for fn in (arens_first, arens_second):
         _rebind(monkeypatch, fn, counted("chain", fn))
+    monkeypatch.setattr(tpw.arens, "_chain_tables", counted("tables", tpw.arens._chain_tables))
     for name, fn in (("solve_tli", solve_tli), ("topological_center", topological_center),
                      ("hom_adjoints", hom_adjoints)):
         _rebind(monkeypatch, fn, scoped(name, fn))
@@ -263,8 +267,9 @@ def test_suite_run_counts_chain_and_operator_calls(monkeypatch):
     report = verify_theorems(c5, c5, hom, RunConfig())
 
     assert not [v.claim for v in report.verdicts if v.status in ("fail", "unknown")]
-    # group 02: one stack of 100 random pairs per algebra (A, B, product) x both Arens products
-    assert calls["chain"] == 6
+    # group 02 and every other consumer read the tables; no public chain is evaluated
+    assert calls["chain"] == 0
+    assert calls["tables"] == 2
     assert calls["left_mult_in_consumers"] == 0
     assert min(calls["solve_tli"], calls["hom_adjoints"]) > 0
     # group 04: the product's center, once per side
@@ -275,19 +280,41 @@ def test_suite_run_counts_chain_and_operator_calls(monkeypatch):
     assert calls["left_mult_elsewhere"] == 1
 
 
-@pytest.mark.parametrize("chain", [arens_first, arens_second])
-def test_swapped_chain_fails_arens_cross_check(monkeypatch, corpus, chain):
-    """The batched cross-check still catches a chain that multiplies in the wrong order."""
-    entry = next(e for e in corpus if e.entry_id == "ut2-c2-diag")
+@pytest.mark.parametrize("which", ["first", "second"], ids=["arens_first", "arens_second"])
+def test_swapped_chain_fails_arens_cross_check(monkeypatch, which):
+    """Group 02 catches a chain that builds one Arens table in the wrong order, e_q # e_p at [p, q]."""
     claim = "02-bidual-identification/arens-equals-multiplication"
 
     def status():
+        # fresh algebra objects, since the tables are kept on the algebra that built them
+        entry = next(e for e in builtin_corpus() if e.entry_id == "ut2-c2-diag")
         report = verify_theorems(entry.algebra_a, entry.algebra_b, entry.hom, RunConfig())
         return next(v.status for v in report.verdicts if v.claim == claim)
 
     assert status() == "pass"
-    _rebind(monkeypatch, chain, lambda alg, big_phi, big_psi: chain(alg, big_psi, big_phi))
+    chain_tables = tpw.arens._chain_tables
+
+    def swapped(alg):
+        tables = chain_tables(alg)
+        return tables._replace(**{which: getattr(tables, which).transpose(1, 0, 2)})
+
+    monkeypatch.setattr(tpw.arens, "_chain_tables", swapped)
     assert status() == "fail"
+
+
+def test_perturbed_product_tables_fail_arens_cross_check():
+    """Both of m2-cz2-zero's product tables moved alike by 1e-6 at one entry after the build: the
+    two tables still agree, so the topological centers do not see it, and group 02 is the one
+    claim that fails."""
+    entry = next(e for e in builtin_corpus() if e.entry_id == "m2-cz2-zero")
+    product = build_product(entry.algebra_a, entry.algebra_b, entry.hom, TOL)
+    palg = product.algebra
+    delta = np.zeros((palg.dim,) * 3)
+    delta[0, 0, 0] = 1e-6
+    object.__setattr__(palg, "_arens_tables", ArensTables(*(t + delta for t in arens_tables(palg))))
+    report = verify_product(product, product_analyses(product, TOL, 0), RunConfig())
+    failed = {v.claim for v in report.verdicts if v.status not in ("pass", "skip")}
+    assert failed == {"02-bidual-identification/arens-equals-multiplication"}
 
 
 def reference_tli(alg, phi, side):
@@ -330,7 +357,6 @@ def test_arens_tables_are_built_once_per_algebra_and_read_only(monkeypatch, caps
     """Counted guard: one ``verify_theorems`` and one built-in ``corpus run``
     build the Arens tables at most once per algebra object, and the tables
     they share cannot be written to."""
-    import tpw.arens
     from tpw.cli import main
 
     builds, chain_tables, held = Counter(), tpw.arens._chain_tables, []

@@ -222,6 +222,24 @@ def test_cli_verify_theorems_deterministic(files, capsys):
     assert payload["summary"]["fail"] == 0
 
 
+def test_cli_tolerance_outside_open_interval_exits_2(files, capsys):
+    """``--tol`` must lie in (0, inf) on every command: a negative, zero, NaN or infinite value is
+    a usage error (exit 2) that names the option, before any input is read."""
+    paths, tmp_path = files
+    pair = ["--algebra-a", paths["C"], "--algebra-b", paths["C"], "--hom", paths["id_c"]]
+    commands = [["validate", "--algebra", paths["M2"]], ["product", *pair, "--out", str(tmp_path / "p.json")],
+                ["characters", "--algebra", paths["M2"]], ["verify-theorems", *pair],
+                ["corpus", "list"], ["corpus", "run"]]
+    commands += [["check", what, "--algebra", paths["M2"]] for what in ("arens", "weak-amen", "char-amen", "inner-amen")]
+    for argv in commands:
+        for bad in ("-1", "0", "nan", "inf", "-inf"):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, f"--tol={bad}"])
+            assert exc.value.code == 2, (argv, bad)
+            assert "--tol" in capsys.readouterr().err, (argv, bad)
+    assert not (tmp_path / "p.json").exists()
+
+
 def test_cli_missing_file_exits_2(capsys):
     assert main(["validate", "--algebra", "/nonexistent/file.json"]) == 2
 

@@ -92,7 +92,9 @@ def test_sketched_nullspace_matches_full_svd_reference(scale):
         elements = gaussian(rng, 2, 6)
         elements /= np.sqrt(np.sum(np.abs(elements) ** 2, axis=1, keepdims=True))
         sketch = np.einsum("ti,irc->trc", elements, a.reshape(6, 5, 12))
-        got = sketched_nullspace(lambda: sketch, lambda x: a @ x, lambda y: a.conj().T @ y, a.shape, TOL, scale)
+        blocks = a.reshape(6, 5, 12)
+        got = sketched_nullspace(lambda: sketch, lambda x, i: blocks[i].reshape(-1, 12) @ x,
+                                 lambda y: a.conj().T @ y, a.shape, TOL, scale)
         want = reference_nullspace(a, TOL, scale)
         assert got.shape == want.shape, (label, scale)
         assert subspaces_equal(got, want, 1e-10)[0], (label, scale)
@@ -101,7 +103,10 @@ def test_sketched_nullspace_matches_full_svd_reference(scale):
 
 def test_derivation_space_sketches_at_most_two_n_squared_rows(monkeypatch):
     """Every QR or SVD input with n^2 columns has at most 2 n^2 rows (the sketch of two
-    elements), the restricted system has dim Der columns, and the n^3 x n^2 system is never formed."""
+    elements), the restricted system has dim Der columns and is folded into its R factor in
+    chunks of at most n^4 entries, and the n^3 x n^2 system is never formed: not on rebased M4,
+    whose n^3 x 15 restricted system is one chunk, nor on Z16, where every one of the n^2 maps
+    is a derivation and a chunk is one row block of n^2 rows."""
     shapes = []
     qr, svd = np.linalg.qr, np.linalg.svd
 
@@ -115,19 +120,25 @@ def test_derivation_space_sketches_at_most_two_n_squared_rows(monkeypatch):
     monkeypatch.setattr(np.linalg, "qr", counted(qr, "qr"))
     monkeypatch.setattr(np.linalg, "svd", counted(svd, "svd"))
     m4 = matrix_unit_algebra("M", 4)
-    alg = rebased(m4, random_unitary(np.random.default_rng(4), m4.dim))
-    n = alg.dim
-    tracemalloc.start()
-    try:
-        space = derivation_space(alg, TOL)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert space.dim_der == space.dim_inner == 15
-    # the sketch's QR and the SVD of its R factor; then the system restricted to the sketch's kernel
-    assert shapes == [("qr", (2 * n * n, n * n)), ("svd", (n * n, n * n)), ("qr", (n**3, 15)), ("svd", (15, 15))]
-    # the 2 n^4 sketch, numpy's copy of it for the QR and the n^4 factors, against n^5 for the whole system
-    assert peak < 8 * n**4 * 16 < n**5 * 16, peak
+    m4_restricted = [("qr", (16**3, 15))]
+    z16_restricted = [("qr", (256, 256))] + [("qr", (512, 256))] * 15
+    for alg, dims, restricted in ((rebased(m4, random_unitary(np.random.default_rng(4), m4.dim)), (15, 15), m4_restricted),
+                                  (zero_product_algebra(16), (256, 0), z16_restricted)):
+        n = alg.dim
+        shapes.clear()
+        tracemalloc.start()
+        try:
+            space = derivation_space(alg, TOL)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (space.dim_der, space.dim_inner) == dims, alg.name
+        # the sketch's QR and the SVD of its R factor; then the system restricted to the sketch's
+        # kernel, chunk by chunk on top of the R factor so far, and the SVD of its R factor
+        k = dims[0]
+        assert shapes == [("qr", (2 * n * n, n * n)), ("svd", (n * n, n * n)), *restricted, ("svd", (k, k))], alg.name
+        # the 2 n^4 sketch, numpy's copy of it for the QR and the n^4 factors, against n^5 for the whole system
+        assert peak < 8 * n**4 * 16 < n**5 * 16, (alg.name, peak)
 
 
 def test_sketch_is_released_before_the_svd_of_its_r_factor(monkeypatch):
@@ -188,7 +199,7 @@ def test_nullspace_never_forms_a_tall_u(monkeypatch):
 
     def counted_svd(a, *args, **kwargs):
         if sys._getframe(1).f_code.co_name == "_right_singular":
-            shapes.append(np.shape(a))
+            shapes.append(np.shape(a)[-2:])  # nullspace hands over a stack of one
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)

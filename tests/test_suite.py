@@ -24,8 +24,9 @@ def reports(corpus):
 
 
 def test_run_config_validation():
-    with pytest.raises(ValidationError):
-        RunConfig(tol=0.0)
+    for tol in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            RunConfig(tol=tol)
     with pytest.raises(ValidationError):
         RunConfig(side="up")
 
