@@ -15,7 +15,10 @@ Every transfer claim asks A, B and the product the same questions, so a run
 holds one ``Analysis(algebra, tol, seed)`` per algebra: the characters, the
 centre, the derivations, the one-sided identities, the invariant elements
 (TLI) and the three decisions, each solved on first use.  The ``is_*``
-functions and ``solve_inner_mean`` are views over a fresh Analysis.
+functions and ``solve_inner_mean`` are views over a fresh Analysis.  The
+inner-mean transfer claims (``inner_amenability_suite``) take every mean
+from one contraction per algebra and check each witness claim kind as one
+masked stack.
 
 The product's analysis (``ProductAnalysis``) carries its derivation space
 from its factors' through the shear S, an algebra isomorphism onto A + B,
@@ -207,37 +210,40 @@ def square_annihilator(alg: FiniteAlgebra, tol: float) -> np.ndarray:
     return nullspace(alg.structure.reshape(n * n, n), tol, scale=alg.cutoff_scale)
 
 
+def _lifted(maps, which: str, product: MorphismProduct) -> np.ndarray:
+    """P' o d o P = p^T d p for each map d of a factor's (k, m, m) stack, as one broadcast product,
+    where p is p1 (``which`` "p1", the first factor) or p2: rows of the shear, both algebra homs."""
+    p = product.shear[: product.dim_a] if which == "p1" else product.shear[product.dim_a :]
+    return p.T @ np.reshape(maps, (-1, len(p), len(p))) @ p
+
+
 def transported_derivation_space(product: MorphismProduct, an_a: Analysis, an_b: Analysis) -> DerivationSpace:
     """The product's derivation space, carried from the factors' through the shear.
 
     A map D of A + B moves to the product as S^T D S, which for a factor map
-    d is p^T d p with p = p1 or p2, as in ``lift_derivation``, taken for a
-    factor's whole basis as one broadcast product.  The cross
-    map x -> f(x) g of A + B, from A to B' for f vanishing on A^2 and g on
-    B^2, moves to x -> (f o p1)(x) (g o p2); its transpose is the cross map
-    from B to A'.  The basis is not orthonormal.  It is only a basis of the
+    d is p^T d p with p = p1 or p2, taken for a factor's whole basis as one
+    broadcast product (``_lifted``).  The cross map x -> f(x) g of A + B,
+    from A to B' for f vanishing on A^2 and g on B^2, moves to
+    x -> (f o p1)(x) (g o p2); its transpose is the cross map from B to A'.
+    The basis is not orthonormal.  It is only a basis of the
     product's derivations when S is an algebra isomorphism onto A + B,
     which the caller checks.
     """
     na, n = product.dim_a, product.algebra.dim
     p1, p2 = product.shear[:na], product.shear[na:]
-
-    def lifted(space_basis, p):
-        return tuple(p.T @ np.reshape(space_basis, (-1, len(p), len(p))) @ p)
-
     ds_a, ds_b = an_a.derivations, an_b.derivations
     lf, lg = p1.T @ an_a.square_annihilator, p2.T @ an_b.square_annihilator
     # map [j, i] sends e_k to (f_i o p1)(e_k) (g_j o p2): its entry [m, k] is lg[m, j] lf[k, i]
     a_to_b = (lg.T[:, None, :, None] * lf.T[None, :, None, :]).reshape(-1, n, n)
     parts = {
-        "p1": lifted(ds_a.der_basis, p1),
-        "p2": lifted(ds_b.der_basis, p2),
+        "p1": tuple(_lifted(ds_a.der_basis, "p1", product)),
+        "p2": tuple(_lifted(ds_b.der_basis, "p2", product)),
         "cross": tuple(a_to_b) + tuple(a_to_b.transpose(0, 2, 1)),
     }
     return DerivationSpace(
         algebra=product.algebra,
         der_basis=parts["p1"] + parts["p2"] + parts["cross"],
-        inner_basis=lifted(ds_a.inner_basis, p1) + lifted(ds_b.inner_basis, p2),
+        inner_basis=(*_lifted(ds_a.inner_basis, "p1", product), *_lifted(ds_b.inner_basis, "p2", product)),
         parts=parts,
     )
 
@@ -254,7 +260,7 @@ def inner_derivation(alg: FiniteAlgebra, f) -> np.ndarray:
 
 
 def lift_derivation(d: np.ndarray, which: str, product: MorphismProduct, tol: float) -> np.ndarray:
-    """Pull a factor derivation back to the product: D = P' o d o P.
+    """Pull a factor derivation back to the product: D = P' o d o P, the one-map case of ``_lifted``.
 
     ``which`` selects p1 (a derivation of the first factor) or p2 (second
     factor).  Raises NotADerivation when the input fails the Leibniz identity
@@ -267,9 +273,7 @@ def lift_derivation(d: np.ndarray, which: str, product: MorphismProduct, tol: fl
         raise NotADerivation(
             f"input map on {factor.name!r} violates the Leibniz identity (residual {residual:.3e})"
         )
-    # p1 and p2, the rows of the shear, are both algebra homs of the product
-    p = product.shear[: product.dim_a] if which == "p1" else product.shear[product.dim_a :]
-    return p.T @ d @ p
+    return _lifted(d, which, product)[0]
 
 
 @dataclass
@@ -594,25 +598,21 @@ def commutation_residual(alg: FiniteAlgebra, m) -> float | np.ndarray:
     return float(worst[0]) if single else worst
 
 
-def _mean_witness_checks(report: CheckReport, witnesses: list, tol: float):
-    """Record pairing-equals-one and commutation residuals for each (algebra, claim, mean,
-    character) witness: one pairing and one commutator system per algebra for all of its."""
-    for alg in {id(w[0]): w[0] for w in witnesses}.values():
-        _, claims, means, chars = zip(*(w for w in witnesses if w[0] is alg))
-        means = np.array(means)
-        pairings, comms = np.sum(means * np.array(chars), axis=1), commutation_residual(alg, means)
-        for claim, mean, pairing, comm in zip(claims, means, pairings.tolist(), comms.tolist()):
-            ok = abs(pairing - 1.0) <= 10 * tol and comm <= 10 * tol
-            report.add(claim, ok, residual=max(abs(pairing - 1.0), comm),
-                       witness=None if ok else {"pairing": pairing, "commutation_residual": comm, "mean": mean},
-                       detail="mean pairs to 1 with the character and commutes with every element")
-
-
-def _means_agree(report: CheckReport, claim: str, factor_has: bool, product_has: bool, detail: str):
-    """Record that the factor and the product both have a mean or both lack one."""
-    ok = factor_has == product_has
-    report.add(claim, ok, witness=None if ok else {"factor_amenable": bool(factor_has),
-                                                   "product_amenable": bool(product_has)}, detail=detail)
+def _check_means(report: CheckReport, claim: str, alg: FiniteAlgebra, chars: np.ndarray, means: np.ndarray,
+                 applies: np.ndarray, skip: str | np.ndarray, tol: float):
+    """Record, for each row of the (k, n) stacks where the claim ``applies``, that the mean pairs to 1
+    with its character and commutes with every element, from one pairing and one commutator product;
+    the other rows are skipped with ``skip``, one detail for all rows or one per row."""
+    pairings, comms = np.sum(means * chars, axis=1).tolist(), commutation_residual(alg, means).tolist()
+    details = [skip] * len(means) if isinstance(skip, str) else skip
+    for idx, (ok_row, detail, mean, pairing, comm) in enumerate(zip(applies, details, means, pairings, comms)):
+        if not ok_row:
+            report.skip(claim.format(idx), detail=str(detail))
+            continue
+        ok = abs(pairing - 1.0) <= 10 * tol and comm <= 10 * tol
+        report.add(claim.format(idx), ok, residual=max(abs(pairing - 1.0), comm),
+                   witness=None if ok else {"pairing": pairing, "commutation_residual": comm, "mean": mean},
+                   detail="mean pairs to 1 with the character and commutes with every element")
 
 
 def add_transfer_claim(report: CheckReport, claim: str, verdicts: tuple, detail: str, unknown_detail: str):
@@ -640,69 +640,57 @@ def inner_amenability_suite(product: MorphismProduct, tol: float, seed: int = 0,
       [e] the product and the second factor are inner amenable together, with
           witnesses (-T''(n), n) and the mean's second block.
     Finally [f]: the product is character inner amenable iff both factors are.
+    Each witness claim kind of [b]-[e] is one row of a table: its algebra,
+    characters and (k, n) stack of means, each block map applied once to
+    the whole stack, the mask of the rows where it applies, and the skip
+    detail of the others; ``_check_means`` checks a row.
     ``analyses`` are the run's ``product_analyses`` of (A, B, product), or None for fresh ones.
     """
-    palg = product.algebra
-    a_alg, b_alg = product.a, product.b
+    palg, na, epi = product.algebra, product.dim_a, product.hom_report.surjective
     report = CheckReport(subject=f"inner amenability transfer for {palg.name}")
     report.caveat(CENTER_REDUCTION_CAVEAT)
     report.caveat(BAI_CAVEAT)
 
     an_a, an_b, an_p = analyses or product_analyses(product, tol, seed)
     sigma_a, sigma_b = an_a.characters, an_b.characters
-    epi, na, ka = product.hom_report.surjective, product.dim_a, len(sigma_a)
-    phis, psis, (lifted, pure) = sigma_a.functionals, sigma_b.functionals, an_p.families
+    phis, psis, (lifted, pure), ka = sigma_a.functionals, sigma_b.functionals, an_p.families, len(sigma_a)
     phi_ts = lifted[:, na:]
     # every mean the claims ask for, one contraction per algebra: the product's for the lifted and
     # the pure characters, the second factor's for the pulled-back phi o T and for its own psi
     a_means, a_ok = an_a.inner_means(phis)
     p_means, p_ok = an_p.inner_means(np.vstack([lifted, pure]))
     b_means, b_ok = an_b.inner_means(np.vstack([phi_ts, psis]))
-    n_pairs = np.sum(p_means[:ka, na:] * phi_ts, axis=1)
-    witnesses = []  # (algebra, claim, mean, character)
-    witness = witnesses.append
-    for idx in range(ka):
-        label = f"inner/first-factor-character-{idx}"
-        _means_agree(report, f"{label}/equivalence", a_ok[idx], p_ok[idx],
-                     "the factor has a mean for phi iff the product has one for the lifted character")
-        if a_ok[idx]:
-            witness((palg, f"{label}/witness-embedded-factor-mean", product.embed_a(a_means[idx]), lifted[idx]))
-        else:
-            report.skip(f"{label}/witness-embedded-factor-mean", detail="factor has no mean to embed")
-        if p_ok[idx]:
-            witness((a_alg, f"{label}/witness-combined-blocks", product.p1(p_means[idx]), phis[idx]))
-            if abs(n_pairs[idx]) > tol * max(1.0, max_abs(phi_ts[idx])):
-                witness((b_alg, f"{label}/witness-normalized-second-block", p_means[idx, na:] / n_pairs[idx],
-                         phi_ts[idx]))
-            else:
-                report.skip(f"{label}/witness-normalized-second-block",
-                            detail="second block annihilates the pulled-back character; claim not applicable")
-        else:
-            report.skip(f"{label}/witness-combined-blocks", detail="product has no mean to split")
-            report.skip(f"{label}/witness-normalized-second-block", detail="product has no mean to split")
-        if not epi:
-            report.skip(f"{label}/witness-embedded-second-mean", detail="not applicable: hom is not onto")
-        elif b_ok[idx]:
-            witness((palg, f"{label}/witness-embedded-second-mean", product.join(np.zeros(na), b_means[idx]),
-                     lifted[idx]))
-        else:
-            report.skip(f"{label}/witness-embedded-second-mean",
-                        detail="second factor has no mean for the pulled-back character")
+    first, second = "inner/first-factor-character-{}/", "inner/second-factor-character-{}/"
+    for label, factor_ok, product_ok, detail in (
+        (first, a_ok, p_ok[:ka], "the factor has a mean for phi iff the product has one for the lifted character"),
+        (second, b_ok[ka:], p_ok[ka:], "the product has a mean for (0, psi) iff the second factor has one for psi"),
+    ):
+        for idx, (has_factor, has_product) in enumerate(zip(factor_ok, product_ok)):
+            ok = has_factor == has_product
+            report.add(label.format(idx) + "equivalence", ok, detail=detail, witness=None if ok else {
+                "factor_amenable": bool(has_factor), "product_amenable": bool(has_product)})
 
-    for idx in range(len(sigma_b)):
-        label, row = f"inner/second-factor-character-{idx}", ka + idx
-        _means_agree(report, f"{label}/equivalence", b_ok[row], p_ok[row],
-                     "the product has a mean for (0, psi) iff the second factor has one for psi")
-        if b_ok[row]:
-            witness((palg, f"{label}/witness-graph-embedding", product.graph(b_means[row]), pure[idx]))
-        else:
-            report.skip(f"{label}/witness-graph-embedding", detail="second factor has no mean to embed")
-        if p_ok[row]:
-            witness((b_alg, f"{label}/witness-second-block", p_means[row, na:], psis[idx]))
-        else:
-            report.skip(f"{label}/witness-second-block", detail="product has no mean to split")
-
-    _mean_witness_checks(report, witnesses, tol)
+    # a lifted character's product mean normalizes its second block where that pairs nonzero with phi o T
+    blocks = p_means[:ka, na:]
+    n_pairs = np.sum(blocks * phi_ts, axis=1)
+    splits = p_ok[:ka] & (np.abs(n_pairs) > tol * np.maximum(1.0, np.max(np.abs(phi_ts), axis=1)))
+    no_split = "product has no mean to split"
+    # per claim kind: its algebra, characters and means, the rows where it applies, and the others' skip detail
+    for row in (
+        (first + "witness-embedded-factor-mean", palg, lifted, product.embed_a(a_means.T).T, a_ok,
+         "factor has no mean to embed"),
+        (first + "witness-combined-blocks", product.a, phis, p_means[:ka] @ product.shear[:na].T, p_ok[:ka], no_split),
+        (first + "witness-normalized-second-block", product.b, phi_ts, blocks / np.where(splits, n_pairs, 1.0)[:, None],
+         splits, np.where(p_ok[:ka], "second block annihilates the pulled-back character; claim not applicable",
+                          no_split)),
+        (first + "witness-embedded-second-mean", palg, lifted, np.hstack([np.zeros((ka, na)), b_means[:ka]]),
+         epi & b_ok[:ka], "second factor has no mean for the pulled-back character" if epi
+         else "not applicable: hom is not onto"),
+        (second + "witness-graph-embedding", palg, pure, product.graph(b_means[ka:].T).T, b_ok[ka:],
+         "second factor has no mean to embed"),
+        (second + "witness-second-block", product.b, psis, p_means[ka:, na:], p_ok[ka:], no_split),
+    ):
+        _check_means(report, *row, tol)
     add_transfer_claim(
         report, "inner/character-inner-amenability-equivalence",
         tuple(an.character_inner_amenability.verdict for an in (an_a, an_b, an_p)),

@@ -43,9 +43,6 @@ class Character:
         f.setflags(write=False)
         object.__setattr__(self, "functional", f)
 
-    def __call__(self, x) -> complex:
-        return complex(np.dot(self.functional, self.algebra.coerce(x)))
-
 
 def character_defect(alg: FiniteAlgebra, f) -> tuple[float, tuple[int, int]]:
     """Max of |f(e_i e_j) - f(e_i) f(e_j)| and the worst basis pair.

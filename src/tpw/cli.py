@@ -241,11 +241,9 @@ def _cmd_corpus(args) -> int:
         analyses = product_analyses(product, config.tol, config.seed)
         report = verify_product(product, analyses, config)
         _append_tag_checks(report, entry, analyses[2])
+        # a failed claim outranks an undecidable verdict, which outranks a pass
         code = report.exit_code()
-        if code == EXIT_FAILED or worst == EXIT_FAILED:
-            worst = EXIT_FAILED
-        elif code != EXIT_OK:
-            worst = max(worst, code)
+        worst = EXIT_FAILED if EXIT_FAILED in (worst, code) else max(worst, code)
         payloads.append({"id": entry.entry_id, "report": report.to_dict()})
         texts.append(f"=== {entry.entry_id} ===\n{report.to_text()}")
     _emit(args, {"entries": payloads}, "\n".join(texts))

@@ -109,10 +109,6 @@ class FiniteAlgebra:
         """Matrix of x -> a x in the basis."""
         return np.einsum("i,ijk->kj", self.coerce(a), self.structure)
 
-    def right_mult_operator(self, a) -> np.ndarray:
-        """Matrix of x -> x a in the basis."""
-        return np.einsum("j,ijk->ki", self.coerce(a), self.structure)
-
     def l1_norm(self, x) -> float:
         return float(np.sum(self.norm_weights * np.abs(self.coerce(x))))
 

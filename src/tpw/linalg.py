@@ -1,11 +1,13 @@
 """Complex linear algebra helpers: thresholded ranks, nullspaces, subspaces.
 
-Only this module turns singular values into a rank, by one rule: a singular
+This module turns singular values into a rank by one rule: a singular
 value counts when it exceeds tol * max(largest singular value, scale) *
 max(matrix dimension, 1), the rule of ``numpy.linalg.matrix_rank`` with a
-floor, stated by ``svd_cutoff`` and counted by ``_rank``.  One decision
-elsewhere is not a rank and keeps its own rule:
-``characters._joint_eigenvalue_branches`` clusters eigenvalues.
+floor, stated by ``svd_cutoff`` and counted by ``_rank``.  One rank is still
+taken elsewhere, by a rule of its own: ``characters._joint_eigenvalue_branches``
+clusters eigenvalues and splits a branch at each cluster by counting the
+singular values s > cutoff, where the cutoff is the clustering bound with an
+absolute floor of 1.  ROADMAP item 7 takes that rank through ``_rank``.
 
 ``nullspaces`` solves a stack of systems of one shape, such as the
 invariant-element systems of every character of an algebra, by one stacked

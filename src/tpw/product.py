@@ -182,11 +182,6 @@ class MorphismProduct:
         p, q, k = np.unravel_index(np.argmax(gap), gap.shape)
         return ShearGap(float(gap[p, q, k]), (int(p), int(q)))
 
-    def p1(self, v) -> np.ndarray:
-        """p1(a, b) = a + T(b)."""
-        a, b = self.split(v)
-        return a + self.hom.matrix @ b
-
     def lift_first(self, phi) -> np.ndarray:
         """phi o p1 = (phi, phi o T), the product functional of a first-factor functional;
         phi may be a stack of rows."""

@@ -17,8 +17,9 @@ maps are checked against the product's Leibniz identity, so a wrong
 transport fails a claim: its lifted factor derivations in
 ``derivation-lift-*`` and its cross derivations, built from the
 annihilators of A^2 and B^2, in ``cross-derivations``.  For a space solved
-directly, ``derivation-lift-*`` check the factor derivations pulled back by
-``lift_derivation`` and ``cross-derivations`` is skipped.
+directly, ``derivation-lift-*`` check each factor's derivation basis pulled
+back by one broadcast p^T d p, of which ``lift_derivation`` is the one-map
+case, and ``cross-derivations`` is skipped.
 Finite dimension forces Arens regularity, so group 04 asks one question per
 side that fails exactly when the two Arens tables disagree: is the product's
 topological center the whole bidual?  A transfer of centers between the
@@ -46,10 +47,10 @@ from .amenability import (
     ZERO_CHARACTER_CAVEAT,
     Analysis,
     ProductAnalysis,
+    _lifted,
     add_transfer_claim,
     inner_amenability_suite,
     leibniz_residual,
-    lift_derivation,
     product_analyses,
     tli_product_characterization,
 )
@@ -199,8 +200,7 @@ def _check_weak_amenability(report: CheckReport, product: MorphismProduct, analy
             report.add(f"06-weak-amenability/derivation-lift-{which}", True, residual=0.0,
                        detail="no nonzero derivations to lift")
             continue
-        lifts = (parts[which] if parts is not None
-                 else [lift_derivation(d, which, product, tol) for d in space.der_basis])
+        lifts = parts[which] if parts is not None else _lifted(space.der_basis, which, product)
         worst = leibniz_residual(product.algebra, np.array(lifts))
         report.add(
             f"06-weak-amenability/derivation-lift-{which}",

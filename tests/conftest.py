@@ -71,11 +71,16 @@ def random_element(rng, dim):
     return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
 
 
+def right_mult_operator(alg, a):
+    """Matrix of x -> x a in the basis: the reference right multiplication of the oracles below."""
+    return np.einsum("j,ijk->ki", alg.coerce(a), alg.structure)
+
+
 def dual_actions(alg, f, a):
     """Both module actions of a on the functional f, (f.a, a.f), from the multiplication operators:
     f.a is the functional x -> f(a x) and a.f is x -> f(x a).  A reference for the tables."""
     f = alg.coerce(f)
-    return alg.left_mult_operator(a).T @ f, alg.right_mult_operator(a).T @ f
+    return alg.left_mult_operator(a).T @ f, right_mult_operator(alg, a).T @ f
 
 
 def random_unitary(rng, n):

@@ -10,6 +10,7 @@ from tpw.amenability import (
     _leibniz_adjoint,
     _leibniz_map,
     _leibniz_sketch,
+    _lifted,
     commutation_residual,
     derivation_space,
     inner_amenability_suite,
@@ -41,6 +42,7 @@ from conftest import (
     random_unitary,
     rebased,
     rebased_triple,
+    right_mult_operator,
     stacking_triples,
     zero_product_algebra,
 )
@@ -129,7 +131,7 @@ def reference_leibniz_residual(alg, d):
         for j in range(n):
             lhs = d @ alg.structure[i, j, :]
             rhs = alg.left_mult_operator(alg.basis_vector(j)).T @ d[:, i]
-            rhs = rhs + alg.right_mult_operator(alg.basis_vector(i)).T @ d[:, j]
+            rhs = rhs + right_mult_operator(alg, alg.basis_vector(i)).T @ d[:, j]
             worst = max(worst, max_abs(lhs - rhs))
     return worst
 
@@ -161,7 +163,7 @@ def reference_leibniz_matrix(alg):
     n, c = alg.dim, alg.structure
     rows = np.zeros((n, n, n, n, n), dtype=complex)  # (i, j, m, q, k)
     for i in range(n):
-        right = alg.right_mult_operator(alg.basis_vector(i)).T
+        right = right_mult_operator(alg, alg.basis_vector(i)).T
         for j in range(n):
             block = rows[i, j]
             block[np.arange(n), np.arange(n), :] += c[i, j]
@@ -344,6 +346,19 @@ def test_lift_preserves_leibniz(corpus):
                 assert leibniz_residual(product.algebra, lifted) <= 10 * TOL
 
 
+def test_lift_derivation_is_the_one_map_case_of_the_broadcast_lift(corpus):
+    """Group 06 lifts a whole derivation basis with one broadcast p^T d p; ``lift_derivation``
+    gives the same map for each derivation alone, on both factors of every corpus triple."""
+    for entry in corpus:
+        product = build_product(entry.algebra_a, entry.algebra_b, entry.hom, TOL)
+        for which, alg in (("p1", entry.algebra_a), ("p2", entry.algebra_b)):
+            basis = derivation_space(alg, TOL).der_basis
+            lifted = _lifted(basis, which, product)
+            assert lifted.shape == (len(basis),) + (product.algebra.dim,) * 2, entry.entry_id
+            for d, got in zip(basis, lifted):
+                np.testing.assert_array_equal(got, lift_derivation(d, which, product, TOL))
+
+
 def test_lift_rejects_non_derivation(alg_c2):
     product = build_product(alg_c2, alg_c2, hom_zero(alg_c2, alg_c2), TOL)
     with pytest.raises(NotADerivation):
@@ -487,6 +502,23 @@ def test_inner_suite_row2_negative(alg_row2, alg_c):
     final = claims["inner/character-inner-amenability-equivalence"]
     assert final.status == "pass"
     assert is_character_inner_amenable(product.algebra, TOL).verdict is False
+
+
+def test_inner_suite_row2_squared_skips_every_witness(alg_row2):
+    """On row2 x_id row2 neither algebra has an inner mean, so each witness claim kind is skipped
+    with its own detail, including the branches that no corpus triple reaches."""
+    product = build_product(alg_row2, alg_row2, hom_identity(alg_row2), TOL)
+    report = inner_amenability_suite(product, TOL)
+    first, second = "inner/first-factor-character-0/", "inner/second-factor-character-0/"
+    assert {v.claim: v.detail for v in report.verdicts if v.status == "skip"} == {
+        first + "witness-embedded-factor-mean": "factor has no mean to embed",
+        first + "witness-combined-blocks": "product has no mean to split",
+        first + "witness-normalized-second-block": "product has no mean to split",
+        first + "witness-embedded-second-mean": "second factor has no mean for the pulled-back character",
+        second + "witness-graph-embedding": "second factor has no mean to embed",
+        second + "witness-second-block": "product has no mean to split",
+    }
+    assert report.counts() == {"pass": 3, "fail": 0, "unknown": 0, "skip": 6}
 
 
 def test_inner_suite_corpus_wide(corpus):

@@ -34,7 +34,7 @@ from tpw.corpus import builtin_corpus
 from tpw.suite import RunConfig, verify_product, verify_theorems
 
 from conftest import (TOL, dual_actions, matrix_unit_algebra, random_element, random_unitary, rebased,
-                      rebased_triple)
+                      rebased_triple, right_mult_operator)
 
 
 class ReferenceChain:
@@ -43,7 +43,7 @@ class ReferenceChain:
     def __init__(self, alg):
         basis = np.eye(alg.dim, dtype=complex)
         self.left = [alg.left_mult_operator(e) for e in basis]
-        self.right = [alg.right_mult_operator(e) for e in basis]
+        self.right = [right_mult_operator(alg, e) for e in basis]
 
     def first(self, phi, psi):
         # row i of f -> Psi . f is the functional f -> <Psi, f . e_i> = <Psi, L_i^T f>

@@ -22,7 +22,7 @@ from tpw.errors import CharacterRejected
 from tpw.linalg import SPLITTER_STREAM, column_space, complex_gaussians, max_abs, subspaces_equal
 from tpw.product import AlgebraHom, build_product
 
-from conftest import TOL, matrix_unit_algebra, random_unitary, rebased, stacking_triples
+from conftest import TOL, matrix_unit_algebra, random_unitary, rebased, right_mult_operator, stacking_triples
 
 
 def oracle_cn_characters(n):
@@ -79,7 +79,7 @@ def reference_commutator_ideal(alg, tol):
         for k in range(alg.dim):
             e = alg.basis_vector(k)
             grown.append(alg.left_mult_operator(e) @ basis)
-            grown.append(alg.right_mult_operator(e) @ basis)
+            grown.append(right_mult_operator(alg, e) @ basis)
         new_basis = column_space(np.hstack(grown), tol, scale)
         if new_basis.shape[1] == basis.shape[1]:
             break

@@ -1,8 +1,9 @@
 """Every name a ``tpw`` module imports is used in that module, every
 module-level private function or class is used somewhere in the package, no
-module but ``linalg`` calls ``np.linalg``, apart from two named functions
-whose decisions are not ranks, and no module draws from ``numpy.random`` or,
-outside ``linalg``, imports ``random``.
+module but ``linalg`` calls ``np.linalg``, apart from one named function (the
+character enumeration's branch split, which still counts its own rank), and
+no module draws from ``numpy.random`` or, outside ``linalg``, imports
+``random``.
 
 ``__init__.py`` re-exports by design, and ``from __future__`` imports are
 compiler directives, so both are left out of the import check.  A private
@@ -78,7 +79,8 @@ def test_every_private_name_is_referenced():
     assert unreferenced_private_names(sources) == []
 
 
-# np.linalg calls that decide something other than a rank, by the function that makes them
+# np.linalg calls outside linalg, by the function that makes them: the branch split clusters eigenvalues
+# and counts s > cutoff under its own rule, until ROADMAP item 7 takes that rank through linalg
 LINALG_EXCEPTIONS = {"characters.py:_joint_eigenvalue_branches"}
 
 
@@ -104,7 +106,8 @@ def test_checker_finds_linalg_uses():
 
 
 def test_rank_decisions_only_in_linalg():
-    """Every singular value that becomes a rank goes through ``linalg``'s one cutoff rule."""
+    """Every singular value that becomes a rank goes through ``linalg``'s one cutoff rule, apart from
+    the named exceptions."""
     found = {use for p in MODULES if p.name != "linalg.py" for use in linalg_uses(p.name, p.read_text(encoding="utf-8"))}
     assert found <= LINALG_EXCEPTIONS, sorted(found - LINALG_EXCEPTIONS)
 

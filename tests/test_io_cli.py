@@ -289,6 +289,46 @@ def test_corpus_env_extension(tmp_path, monkeypatch, capsys):
     assert "user-entry" in capsys.readouterr().out
 
 
+def test_cli_corpus_run_exits_with_its_worst_report(tmp_path, monkeypatch, capsys):
+    """``corpus run`` exits 1 when a claim fails, 3 when none fails but a verdict is undecidable,
+    and 1 when both kinds of entry are present, in either file order.
+
+    The failing entry is C x_id C tagged non-weakly-amenable.  The undecidable one is
+    zero2 x_0 C, whose zero product leaves the character enumeration incomplete, tagged
+    char-inner-amenable: its tag check is undecidable too.  One run passes a valid ``--tol``.
+    """
+    from tpw.core import FiniteAlgebra
+    from tpw.corpus import hom_zero
+
+    c, zero2 = algebra_c(), FiniteAlgebra(name="zero2", basis_labels=("z1", "z2"), structure=np.zeros((2, 2, 2)))
+    entries = {
+        "mistagged": ("c-c-id", c, c, hom_identity(c), ["non-weakly-amenable"]),
+        "undecidable": ("zero2-c-zero", zero2, c, hom_zero(c, zero2), ["non-weakly-amenable", "char-inner-amenable"]),
+    }
+
+    def run(*names, extra=()):
+        directory = tmp_path / "-".join(names)
+        directory.mkdir()
+        for n, name in enumerate(names):
+            entry_id, a, b, hom, tags = entries[name]
+            (directory / f"{n}.json").write_text(dump_json({
+                "id": entry_id, "algebra_a": algebra_to_dict(a), "algebra_b": algebra_to_dict(b),
+                "hom": hom_to_dict(hom), "tags": tags}))
+        monkeypatch.setenv("TPW_CORPUS_DIR", str(directory))
+        code = main(["corpus", "run", "--format", "json", *extra])
+        reports = {e["id"]: e["report"] for e in json.loads(capsys.readouterr().out)["entries"]}
+        return code, {(v["claim"], v["status"]) for v in reports[entries[names[-1]][0]]["verdicts"]}, reports
+
+    code, verdicts, _ = run("mistagged")
+    assert code == 1 and ("10-corpus-tags/weakly_amenable", "fail") in verdicts
+    code, verdicts, reports = run("undecidable", extra=("--tol", "1e-9"))
+    assert code == 3 and ("10-corpus-tags/char_inner_amenable", "unknown") in verdicts
+    assert reports["zero2-c-zero"]["summary"] == {"pass": 24, "fail": 0, "unknown": 4, "skip": 0}
+    assert all(report["summary"]["unknown"] == report["summary"]["fail"] == 0
+               for entry_id, report in reports.items() if entry_id != "zero2-c-zero")
+    assert run("mistagged", "undecidable")[0] == run("undecidable", "mistagged")[0] == 1
+
+
 def test_cli_corpus_list(capsys):
     assert main(["corpus", "list"]) == 0
     out = capsys.readouterr().out

@@ -200,11 +200,9 @@ def test_block_maps_equal_the_explicit_formulas(corpus):
         shear[:na, na:] = m
         assert np.array_equal(product.shear, shear) and not product.shear.flags.writeable, label
         phi, x = random_element(rng, na), random_element(rng, na)
-        psi, y = random_element(rng, nb), random_element(rng, nb)
+        psi = random_element(rng, nb)
         columns = rng.standard_normal((nb, 3)) + 1j * rng.standard_normal((nb, 3))
         a_columns = rng.standard_normal((na, 2)) + 1j * rng.standard_normal((na, 2))
-        v = np.concatenate([x, y])
-        assert np.array_equal(product.p1(v), x + m @ y), label
         assert np.array_equal(product.lift_first(phi), np.concatenate([phi, m.T @ phi])), label
         assert np.array_equal(product.lift_second(psi), np.concatenate([np.zeros(na), psi])), label
         assert np.array_equal(product.graph(psi), np.concatenate([-(m @ psi), psi])), label

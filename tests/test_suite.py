@@ -251,7 +251,7 @@ def test_corpus_run_counts_multiply_and_operator_calls(monkeypatch, capsys):
     from tpw.core import FiniteAlgebra
 
     calls = Counter()
-    for name in ("multiply", "left_mult_operator", "right_mult_operator"):
+    for name in ("multiply", "left_mult_operator"):
         def counted(self, *args, _name=name, _fn=getattr(FiniteAlgebra, name)):
             calls[_name] += 1
             return _fn(self, *args)
@@ -266,7 +266,7 @@ def test_corpus_run_counts_multiply_and_operator_calls(monkeypatch, capsys):
     monkeypatch.delenv("TPW_CORPUS_DIR", raising=False)
     assert main(["corpus", "run", "--format", "json"]) == 0
     entries = json.loads(capsys.readouterr().out)["entries"]
-    assert calls["multiply"] == calls["left_mult_operator"] == calls["right_mult_operator"] == 0
+    assert calls["multiply"] == calls["left_mult_operator"] == 0
     assert calls["topological_center"] == 2 * len(entries) == 16
 
 
@@ -343,3 +343,42 @@ def test_benchmark_tracer_spans_resolve():
         if not callable(getattr(importlib.import_module(module), function, None))
     ]
     assert tracer.SPANS and not missing
+
+
+def test_benchmark_harness_self_test_and_traced_corpus_run(tmp_path):
+    """Smoke test of the benchmark harness: its self-test passes, and one traced ``corpus run``
+    through its worker, over a rebased corpus directory, exits 0 with spans of group 09 and of
+    the invariant-element solver.  The tracer rebinds tpw's names from outside and looks up
+    ``FiniteAlgebra.left_mult_operator`` unconditionally, so a refactor can break a traced run
+    that no other test makes."""
+    import importlib.util
+    import os
+    import subprocess
+    import sys
+    from collections import Counter
+    from pathlib import Path
+
+    from tpw.corpus import builtin_corpus
+
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    modules = {}
+    for name in ("inputs", "tracer"):
+        spec = importlib.util.spec_from_file_location(f"perfbench_{name}", bench / f"{name}.py")
+        modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(modules[name])
+    modules["inputs"].write_corpus_dir(str(tmp_path / "corpus"), builtin_corpus(), np.random.default_rng(0))
+    env = {**os.environ, "PYTHONPATH": str(bench.parent / "src"), "OPENBLAS_NUM_THREADS": "1"}
+
+    def run(*args, **extra_env):
+        return subprocess.run([sys.executable, *args], env={**env, **extra_env}, capture_output=True, text=True,
+                              timeout=300)
+
+    self_test = run(str(bench / "run.py"), "--self-test")
+    assert self_test.returncode == 0, self_test.stdout + self_test.stderr
+    spans = tmp_path / "spans.jsonl"
+    traced = run(str(bench / "worker.py"), "cli", "--spans", str(spans), "--", "corpus", "run", "--format", "json",
+                 TPW_CORPUS_DIR=str(tmp_path / "corpus"))
+    assert traced.returncode == 0 and "not traced" not in traced.stderr, traced.stderr
+    assert len(json.loads(traced.stdout)["entries"]) == 16
+    calls = Counter(span["name"] for span in modules["tracer"].read(str(spans))[0])
+    assert calls["suite.g09"] >= 1 and calls["amenability.solve_tli"] >= 1
