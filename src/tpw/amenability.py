@@ -120,20 +120,18 @@ def _leibniz_adjoint(c: np.ndarray, y: np.ndarray) -> np.ndarray:
     return g.reshape(-1)
 
 
-def _leibniz_sketch(c: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    """For each row a of ``elements``, the n^2 x n^2 matrix of D -> D(a e_j) - D(a).e_j - a.D(e_j),
-    rows (j, m) and columns (q, k) for D[q, k]: the sum over i of a_i times row block i of the
-    Leibniz system, formed from a.e_j, e_m.a and the structure tensor."""
-    n, r, d = c.shape[0], elements.shape[0], np.arange(c.shape[0])
-    left = (elements @ c.reshape(n, n * n)).reshape(r, n, n)  # [t, j, k]: a.e_j
-    right = (elements @ c.transpose(1, 0, 2).reshape(n, n * n)).reshape(r, n, n)  # [t, m, q]: e_m.a
-    # axes (t, j, m, q, k); D(a).e_j: sum_q c[j,m,q] D[q,k] a_k
-    sketch = -c[None, :, :, :, None] * elements[:, None, None, None, :]
+def _leibniz_sketch(c: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """For an element a, the n^2 x n^2 matrix of D -> D(a e_j) - D(a).e_j - a.D(e_j), rows (j, m)
+    and columns (q, k) for D[q, k]: the sum over i of a_i times row block i of the Leibniz
+    system, formed from a.e_j, e_m.a and the structure tensor."""
+    n, d = c.shape[0], np.arange(c.shape[0])
+    # axes (j, m, q, k); D(a).e_j: sum_q c[j,m,q] D[q,k] a_k
+    block = -c[:, :, :, None] * a
     # D(a.e_j)_m = sum_k (a.e_j)_k D[m,k]: entries q == m
-    sketch[:, :, d, d, :] += left[:, :, None, :]
+    block[:, d, d, :] += (a @ c.reshape(n, n * n)).reshape(n, 1, n)
     # (a.D(e_j))_m = sum_q (e_m.a)_q D[q,j]: entries k == j
-    sketch[:, d, :, :, d] -= right[None]
-    return sketch.reshape(r, n * n, n * n)
+    block[d, :, :, d] -= (a @ c.transpose(1, 0, 2).reshape(n, n * n)).reshape(n, n)
+    return block.reshape(n * n, n * n)
 
 
 def _unit_elements(n: int, count: int, seed: int) -> np.ndarray:
@@ -171,23 +169,22 @@ def derivation_space(alg: FiniteAlgebra, tol: float, seed: int = 0) -> Derivatio
     matching individual basis derivations.  The system is never formed:
     ``linalg.sketched_nullspace`` takes the kernel V of the blocks of
     SKETCH_DRAWS unit random elements drawn from ``seed`` (``_leibniz_sketch``,
-    2 n^2 x n^2), then decides the kernel of the system restricted to V, under
-    the whole system's cutoff.  The system is applied by the matmuls of
-    ``leibniz_residual``.  The space does not depend on the seed; its basis,
-    and the cost, do.  The sketch's QR and SVD cost O(n^6), against O(n^7)
-    for a QR of the whole system.  The sketch is handed over as a builder, so
-    ``sketched_nullspace`` holds its only reference and drops it after the QR:
-    at the peak, the SVD of the sketch's n^2 x n^2 R factor, only R, numpy's
-    copy of it, the SVD's two n^2 x n^2 factors and LAPACK's workspace are
-    alive, and the 2 n^4 entries of the sketch are not.  The restricted system,
-    n^3 x dim V, is applied to as many basis indices i at a time (n^2 rows
-    each) as fit in n^4 entries, and folded into its R factor, so it is
-    formed whole only when it is that small, and not when every map is a
-    derivation.
+    n^2 x n^2 each), then decides the kernel of the system restricted to V,
+    under the whole system's cutoff cut.  The system is applied by the matmuls
+    of ``leibniz_residual``.  The space does not depend on the seed; its basis,
+    and the cost, do.  V is every eigenvector of the blocks' n^2 x n^2 Gram
+    matrix, summed one block at a time, with eigenvalue at most
+    tau = max(2 cut^2, tau_acc), and tau_acc keeps each null direction of the
+    system within cut / 10 of V despite the Gram matrix's rounding; the
+    eigensolve, O(n^6) against O(n^7) for a QR of the whole system, sets the
+    peak.  The restricted system, n^3 x dim V, is applied to as many basis
+    indices i at a time (n^2 rows each) as fit in n^4 entries and folded into
+    its R factor, so it is formed whole only when it is that small, and not
+    when every map is a derivation.
     """
     n, c = alg.dim, alg.structure
     der_flat = sketched_nullspace(
-        lambda: _leibniz_sketch(c, _unit_elements(n, SKETCH_DRAWS, seed)),
+        lambda: (_leibniz_sketch(c, a) for a in _unit_elements(n, SKETCH_DRAWS, seed)),
         lambda x, i: _leibniz_map(c, x.T.reshape(-1, n, n), i).reshape(x.shape[1], -1).T,
         lambda y: _leibniz_adjoint(c, y),
         (n**3, n * n), tol, scale=alg.cutoff_scale,
@@ -324,7 +321,7 @@ def solve_tli(alg: FiniteAlgebra, phi, side: str, tol: float) -> TliSolution | t
         bases, dims = nullspaces(_tli_system(alg, phis[part], side), tol, scales[part])
         # the padding columns of ``bases`` pair to zero with every functional
         pairing = np.max(np.abs((phis[part, None, :] @ bases)[:, 0]), axis=1, initial=0.0)
-        solutions += [TliSolution(basis=basis[:, :d], exists_nonvanishing=bool(nv))
+        solutions += [TliSolution(basis=basis[:, basis.shape[1] - d :], exists_nonvanishing=bool(nv))
                       for basis, d, nv in zip(bases, dims, pairing > tol * np.maximum(1.0, size[part]))]
     return solutions[0] if single else tuple(solutions)
 
@@ -504,8 +501,8 @@ class Analysis:
         """The minimal-norm central m with <m, phi> = 1 for each row phi of a (k, n) stack,
         from one contraction with the centre, and whether each exists (rows without one are zero)."""
         pair = phis @ self.center
-        feasible = np.max(np.abs(pair), axis=1, initial=0.0) > self.tol * np.maximum(1.0, np.max(np.abs(phis), axis=1))
-        coeffs = pair.conj() / np.where(feasible, np.real(np.sum(pair * pair.conj(), axis=1)), 1.0)[:, None]
+        feasible = np.abs(pair).max(axis=1, initial=0.0) > self.tol * np.maximum(1.0, np.abs(phis).max(axis=1))
+        coeffs = pair.conj() / np.where(feasible, (pair * pair.conj()).sum(axis=1).real, 1.0)[:, None]
         return np.where(feasible[:, None], coeffs @ self.center.T, 0.0), feasible
 
     def inner_mean(self, phi) -> np.ndarray | None | tuple[np.ndarray | None, ...]:
@@ -589,30 +586,32 @@ def commutation_residual(alg: FiniteAlgebra, m) -> float | np.ndarray:
     """Worst deviation of m [] a from a [] m over the element basis.
 
     ``m`` may be a stack of shape (k, n), which gives one residual per row
-    from one product with the commutator system.
+    from one product with the commutator system, built from the first Arens
+    table once per algebra object and kept on it beside the tables.
     """
     first = arens_tables(alg).first
-    commutator = stacked_side_system(first, "left") - stacked_side_system(first, "right")
+    commutator = alg.kept("_commutator", lambda: stacked_side_system(first - first.transpose(1, 0, 2), "left"))
     ms, single = alg.coerce_rows(m)
-    worst = np.max(np.abs(ms @ commutator.T), axis=1, initial=0.0)
+    worst = np.abs(ms @ commutator.T).max(axis=1, initial=0.0)
     return float(worst[0]) if single else worst
 
 
-def _check_means(report: CheckReport, claim: str, alg: FiniteAlgebra, chars: np.ndarray, means: np.ndarray,
-                 applies: np.ndarray, skip: str | np.ndarray, tol: float):
-    """Record, for each row of the (k, n) stacks where the claim ``applies``, that the mean pairs to 1
-    with its character and commutes with every element, from one pairing and one commutator product;
-    the other rows are skipped with ``skip``, one detail for all rows or one per row."""
-    pairings, comms = np.sum(means * chars, axis=1).tolist(), commutation_residual(alg, means).tolist()
-    details = [skip] * len(means) if isinstance(skip, str) else skip
-    for idx, (ok_row, detail, mean, pairing, comm) in enumerate(zip(applies, details, means, pairings, comms)):
-        if not ok_row:
-            report.skip(claim.format(idx), detail=str(detail))
-            continue
-        ok = abs(pairing - 1.0) <= 10 * tol and comm <= 10 * tol
-        report.add(claim.format(idx), ok, residual=max(abs(pairing - 1.0), comm),
-                   witness=None if ok else {"pairing": pairing, "commutation_residual": comm, "mean": mean},
-                   detail="mean pairs to 1 with the character and commutes with every element")
+def _check_means(report: CheckReport, alg: FiniteAlgebra, kinds: tuple, tol: float):
+    """Record, per claim kind (claim, characters, means, applies, skip) on ``alg``, that each mean of a row where
+    the claim ``applies`` pairs to 1 with its character and commutes with every element, from one pairing and
+    one commutator product over every kind's rows; other rows are skipped with ``skip``, one detail or one per row."""
+    chars, means = (np.concatenate([kind[i] for kind in kinds]) for i in (1, 2))
+    checked = zip((means * chars).sum(axis=1).tolist(), commutation_residual(alg, means).tolist())
+    for claim, _, kind_means, applies, skip in kinds:
+        details = [skip] * len(kind_means) if isinstance(skip, str) else skip
+        for idx, (ok_row, detail, mean, (pairing, comm)) in enumerate(zip(applies, details, kind_means, checked)):
+            if not ok_row:
+                report.skip(claim.format(idx), detail=str(detail))
+                continue
+            ok = abs(pairing - 1.0) <= 10 * tol and comm <= 10 * tol
+            report.add(claim.format(idx), ok, residual=max(abs(pairing - 1.0), comm),
+                       witness=None if ok else {"pairing": pairing, "commutation_residual": comm, "mean": mean},
+                       detail="mean pairs to 1 with the character and commutes with every element")
 
 
 def add_transfer_claim(report: CheckReport, claim: str, verdicts: tuple, detail: str, unknown_detail: str):
@@ -640,10 +639,10 @@ def inner_amenability_suite(product: MorphismProduct, tol: float, seed: int = 0,
       [e] the product and the second factor are inner amenable together, with
           witnesses (-T''(n), n) and the mean's second block.
     Finally [f]: the product is character inner amenable iff both factors are.
-    Each witness claim kind of [b]-[e] is one row of a table: its algebra,
-    characters and (k, n) stack of means, each block map applied once to
-    the whole stack, the mask of the rows where it applies, and the skip
-    detail of the others; ``_check_means`` checks a row.
+    The witness claim kinds of [b]-[e] are a table grouped by algebra: each
+    kind's characters and (k, n) stack of means, each block map applied once
+    to the whole stack, the mask of the rows where it applies, and the skip
+    detail of the others; ``_check_means`` checks the kinds of one algebra.
     ``analyses`` are the run's ``product_analyses`` of (A, B, product), or None for fresh ones.
     """
     palg, na, epi = product.algebra, product.dim_a, product.hom_report.surjective
@@ -672,25 +671,26 @@ def inner_amenability_suite(product: MorphismProduct, tol: float, seed: int = 0,
 
     # a lifted character's product mean normalizes its second block where that pairs nonzero with phi o T
     blocks = p_means[:ka, na:]
-    n_pairs = np.sum(blocks * phi_ts, axis=1)
-    splits = p_ok[:ka] & (np.abs(n_pairs) > tol * np.maximum(1.0, np.max(np.abs(phi_ts), axis=1)))
+    n_pairs = (blocks * phi_ts).sum(axis=1)
+    splits = p_ok[:ka] & (np.abs(n_pairs) > tol * np.maximum(1.0, np.abs(phi_ts).max(axis=1)))
     no_split = "product has no mean to split"
-    # per claim kind: its algebra, characters and means, the rows where it applies, and the others' skip detail
-    for row in (
-        (first + "witness-embedded-factor-mean", palg, lifted, product.embed_a(a_means.T).T, a_ok,
-         "factor has no mean to embed"),
-        (first + "witness-combined-blocks", product.a, phis, p_means[:ka] @ product.shear[:na].T, p_ok[:ka], no_split),
-        (first + "witness-normalized-second-block", product.b, phi_ts, blocks / np.where(splits, n_pairs, 1.0)[:, None],
-         splits, np.where(p_ok[:ka], "second block annihilates the pulled-back character; claim not applicable",
-                          no_split)),
-        (first + "witness-embedded-second-mean", palg, lifted, np.hstack([np.zeros((ka, na)), b_means[:ka]]),
-         epi & b_ok[:ka], "second factor has no mean for the pulled-back character" if epi
-         else "not applicable: hom is not onto"),
-        (second + "witness-graph-embedding", palg, pure, product.graph(b_means[ka:].T).T, b_ok[ka:],
-         "second factor has no mean to embed"),
-        (second + "witness-second-block", product.b, psis, p_means[ka:, na:], p_ok[ka:], no_split),
+    # per algebra, its claim kinds: characters and means, the rows where each applies, and the others' skip detail
+    for alg, kinds in (
+        (palg, ((first + "witness-embedded-factor-mean", lifted, product.embed_a(a_means.T).T, a_ok,
+                 "factor has no mean to embed"),
+                (first + "witness-embedded-second-mean", lifted, np.hstack([np.zeros((ka, na)), b_means[:ka]]),
+                 epi & b_ok[:ka], "second factor has no mean for the pulled-back character" if epi
+                 else "not applicable: hom is not onto"),
+                (second + "witness-graph-embedding", pure, product.graph(b_means[ka:].T).T, b_ok[ka:],
+                 "second factor has no mean to embed"))),
+        (product.a, ((first + "witness-combined-blocks", phis, p_means[:ka] @ product.shear[:na].T, p_ok[:ka],
+                      no_split),)),
+        (product.b, ((first + "witness-normalized-second-block", phi_ts, blocks / np.where(splits, n_pairs, 1.0)[:, None],
+                      splits, np.where(p_ok[:ka], "second block annihilates the pulled-back character; claim not "
+                                       "applicable", no_split)),
+                     (second + "witness-second-block", psis, p_means[ka:, na:], p_ok[ka:], no_split))),
     ):
-        _check_means(report, *row, tol)
+        _check_means(report, alg, kinds, tol)
     add_transfer_claim(
         report, "inner/character-inner-amenability-equivalence",
         tuple(an.character_inner_amenability.verdict for an in (an_a, an_b, an_p)),

@@ -108,15 +108,11 @@ class ArensTables(NamedTuple):
 def arens_tables(alg: FiniteAlgebra) -> ArensTables:
     """Both Arens tables, from the two-step chain run on every basis pair at once.
 
-    They are built once per algebra object and kept on it, the way
-    ``cached_property`` keeps ``FiniteAlgebra.cutoff_scale``, so they live
-    exactly as long as the algebra; the arrays are read-only.
+    They are built once per algebra object and kept on it
+    (``FiniteAlgebra.kept``), so they live exactly as long as the algebra;
+    the arrays are read-only.
     """
-    tables = vars(alg).get("_arens_tables")
-    if tables is None:
-        tables = _chain_tables(alg)
-        object.__setattr__(alg, "_arens_tables", tables)  # FiniteAlgebra is frozen
-    return tables
+    return alg.kept("_arens_tables", lambda: _chain_tables(alg))
 
 
 def _chain_tables(alg: FiniteAlgebra) -> ArensTables:

@@ -81,6 +81,12 @@ class FiniteAlgebra:
         and invariant-element systems): rounding noise in them must not count as rank."""
         return max(1.0, max_abs(self.structure))
 
+    def kept(self, name: str, build):
+        """``build()``, called on first use of ``name`` and kept on this object, as long as it lives."""
+        if name not in vars(self):
+            object.__setattr__(self, name, build())  # the dataclass is frozen
+        return vars(self)[name]
+
     def basis_vector(self, i: int) -> np.ndarray:
         v = np.zeros(self.dim, dtype=complex)
         v[i] = 1.0

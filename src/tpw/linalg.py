@@ -21,7 +21,9 @@ kernel V of a few random combinations of its row blocks contains its kernel
 (a randomized range finder; Halko, Martinsson and Tropp, SIAM Review 53,
 2011), and the system applied to V, folded into its R factor a few row
 blocks at a time, decides the kernel exactly, under the cutoff of the whole system
-with its largest singular value estimated by power steps.
+with its largest singular value estimated by power steps.  V is read off one
+Hermitian eigensolve of the sketch's Gram matrix under a threshold tau that
+only bounds V: a larger V costs time, and ``_rank`` still decides every rank.
 
 Every random draw of tpw comes from ``complex_gaussians``, a pure function of
 a seed and a stream, so ``numpy.random`` is never imported.
@@ -62,8 +64,7 @@ def _rank(singular_values: np.ndarray, shape, tol: float, scale=0.0, top: float 
     """Number of singular values above ``svd_cutoff``, or one such count per spectrum of a (k, m) stack.
 
     ``top`` stands in for the largest singular value when the spectrum is not
-    the whole system's but a sketch's or a restriction's of the system of
-    ``shape``.
+    the whole system's but a restriction's of the system of ``shape``.
     """
     lead = singular_values if top is None else np.array([top])
     return (singular_values.T > svd_cutoff(lead, shape, tol, scale)).sum(axis=0)
@@ -93,58 +94,57 @@ POWER_STEPS = 2
 
 
 def sketched_nullspace(build_sketch, apply, adjoint, shape, tol: float, scale: float = 0.0) -> np.ndarray:
-    """Orthonormal basis (columns) of the kernel of a linear map L of ``shape`` (rows, cols),
-    from a sketch of it.
+    """Orthonormal basis (columns) of the kernel of a linear map L of ``shape`` (rows, cols), from a sketch.
 
     L is given by ``apply``, (x, i) -> the rows of L x in the row blocks of the
     slice i, for the columns of a (cols, k) matrix, and ``adjoint``,
-    y -> L^H y for one vector of length rows.  Its rows fall into
-    blocks, and ``build_sketch()`` returns the sketch, of shape (r, rows per
-    block, cols), whose slice t is the combination sum_i a_i (block i) for a
-    unit vector a.  Then the stacked sketch S has |S x| <= sqrt(r) |L x|, and
-    its kernel contains L's.  Three steps:
+    y -> L^H y for one vector of length rows.  ``build_sketch()`` yields the r
+    blocks B_t of a sketch S, each the combination sum_i a_i (row block i of L)
+    for a unit vector a.  Then |S x| <= sqrt(r) |L x|, and S's kernel contains L's.
 
-    * the SVD of S's R factor gives V, S's right singular vectors under
-      sqrt(r) times L's cutoff, and a start for the power steps;
+    * One Hermitian eigensolve of S's Gram matrix G = sum_t B_t^H B_t, built one
+      block at a time, gives its eigenvalues lam and a start for the power steps;
     * ``POWER_STEPS`` steps of x -> L^H L x estimate s_max(L) from below, by
-      s = sqrt(|L^H L x|) for a unit x, and L's cutoff is
+      s = sqrt(|L^H L x|) for a unit x, and L's cutoff cut is
       tol * max(s, scale) * max(shape), the rule of ``svd_cutoff``;
-    * the kernel of L V under that cutoff, mapped back by V, is the result.
-      L V is folded into its R factor a chunk of row blocks at a time, as
-      many as fit in cols^2 entries (the size of S's R factor) or one, so
-      L V is formed whole only when it is that small; the cut uses L's
-      shape and estimate.
+    * V is every eigenvector of G with lam <= tau = max(r cut^2, tau_acc), and the
+      kernel of L V under L's cutoff, mapped back by V, is the result.  L V is
+      folded into its R factor as many row blocks at a time as fit in cols^2
+      entries, or one; the cut uses L's shape and estimate.
 
-    The last step decides every direction V keeps, so the kernel does not
-    depend on the draw of the a's; only the size of V, and so the cost, does.
-    A direction with a nonzero singular value under the cutoff is kept in V
-    only approximately, mixed with S's other small directions, so a singular
-    value near the cutoff (within about s_max(L) over S's smallest singular
-    value above its cut) can be decided otherwise than by an SVD of L.
-
-    ``build_sketch`` is called once, and this function holds the only
-    reference to the sketch, which it drops once the QR has reduced S to R.
-    The largest step is the SVD of R, and at its peak only R, numpy's copy of
-    it, the SVD's two cols x cols factors and LAPACK's workspace are alive;
-    S, r times the size of R, and numpy's copy of S live only during the QR.
+    r cut^2 is the square of sqrt(r) times L's cut.  The computed G is off by
+    about (rows of S + cols) eps lam_max, and tau_acc is 10 times that, times
+    s / cut, so by the Davis-Kahan sin theta theorem (SIAM J. Numer. Anal. 7,
+    1970) each exact null direction of L lies within cut / (10 s) of span V,
+    and L moves its part in V by about cut / 10: the last step keeps it.  That
+    step decides every direction V keeps, so tau and the draw of the a's set
+    only the size of V, and so the cost.  A direction with a nonzero singular
+    value under the cut is kept in V only mixed with S's other small
+    directions, so a singular value near the cut can be decided otherwise than
+    by an SVD of L.  S is never whole, and no block of it is alive on entry to
+    the eigensolve, when G, numpy's copy of it, the eigenvectors and LAPACK's
+    workspace, each about cols^2 entries, set the peak.
     """
-    sketch = build_sketch()
-    r, block_rows, cols = sketch.shape
-    factor = np.linalg.qr(sketch.reshape(-1, cols), mode="r")
-    del sketch  # R has S's singular values and right singular vectors
-    s_sketch, vh = _right_singular(factor)
-    x, top = vh[0].conj(), 0.0
+    gram = np.zeros((shape[1], shape[1]), dtype=complex)
+    for r, block in enumerate(build_sketch(), 1):
+        gram += block.conj().T @ block
+    block_rows = len(block)
+    del block  # G is all the eigensolve reads
+    lam, q = np.linalg.eigh(gram)
+    x, top = q[:, -1], 0.0
     for _ in range(POWER_STEPS):
         z = adjoint(apply(x[:, None], slice(None))[:, 0])
         size = np.linalg.norm(z)
         if size == 0.0:
             break  # L x = 0: the estimate stays 0, and the cutoff falls to the floor ``scale``
         top, x = np.sqrt(size), z / size
-    v = vh[_rank(s_sketch, shape, np.sqrt(r) * tol, scale, top) :].conj().T
-    del vh, factor  # not needed by the fold below, which sets the peak when V is large
+    cut = svd_cutoff(np.array([top]), shape, tol, scale)
+    tau_acc = 10 * (r * block_rows + shape[1]) * np.finfo(float).eps * lam[-1] * top / cut if cut else 0.0
+    v = q[:, : np.count_nonzero(lam <= max(r * cut**2, tau_acc))].copy(order="F")  # columns contiguous for ``apply``
+    del gram, q, x  # x may be a column of q; the fold below, which sets the peak when V is large, reads none
     if v.shape[1] == 0:
         return v
-    step = max(1, cols * cols // (block_rows * v.shape[1]))
+    step = max(1, shape[1] ** 2 // (block_rows * v.shape[1]))
     factor = np.zeros((0, v.shape[1]), dtype=complex)
     for i in range(0, shape[0] // block_rows, step):
         factor = np.linalg.qr(np.vstack([factor, apply(v, slice(i, i + step))]), mode="r")
@@ -192,8 +192,7 @@ def complex_gaussians(seed: int, stream: int, shape) -> np.ndarray:
 
 def nullspace(a, tol: float, scale: float = 0.0) -> np.ndarray:
     """Orthonormal basis (columns) of {x : a @ x = 0}: the one-matrix case of ``nullspaces``."""
-    bases, dims = nullspaces(as_complex(a)[None], tol, scale)
-    return bases[0, :, : dims[0]]
+    return nullspaces(as_complex(a)[None], tol, scale)[0][0]
 
 
 def nullspaces(stack, tol: float, scales) -> tuple[np.ndarray, np.ndarray]:
@@ -203,19 +202,18 @@ def nullspaces(stack, tol: float, scales) -> tuple[np.ndarray, np.ndarray]:
     matrices) and one stacked SVD, then the cutoffs and ranks as arrays, each
     matrix's cutoff with its own floor from ``scales``, exactly as
     ``nullspace`` would.  Returns the bases as one (k, cols, w) array, w the
-    widest nullity, with matrix i's basis in its first ``dims[i]`` columns
-    and zero columns after them, and the nullities ``dims``.
+    widest nullity, with matrix i's basis in its last ``dims[i]`` columns
+    and zero columns before them, and the nullities ``dims``.
     """
     stack = as_complex(stack)
     _, rows, cols = stack.shape
     s, vh = _right_singular(stack)
     ranks = _rank(s, (rows, cols), tol, scales)
-    dims = cols - ranks
-    # column t of basis i is row ranks[i] + t of vh[i], where that row exists, and zero past it
-    picked = ranks[:, None] + np.arange(int(dims.max(initial=0)))
-    bases = vh[np.arange(len(vh))[:, None], np.minimum(picked, cols - 1)]
-    bases[picked >= cols] = 0
-    return bases.conj().transpose(0, 2, 1), dims
+    # column t of basis i is row low + t of vh[i], low the least rank, and zero while that row is under ranks[i]
+    low = ranks.min(initial=cols)
+    bases = vh[:, low:]
+    bases[np.arange(low, cols) < ranks[:, None]] = 0
+    return bases.conj().transpose(0, 2, 1), cols - ranks
 
 
 def column_space(a, tol: float, scale: float = 0.0) -> np.ndarray:

@@ -119,18 +119,20 @@ def matrix_unit_algebra(family, k):
 
 def power_estimates(monkeypatch):
     """The list that each later ``linalg.sketched_nullspace`` appends its estimate of s_max
-    to: the ``top`` it hands to ``linalg._rank``, once for the sketch's cut and once for the
-    restricted system's when the sketch's kernel is not zero."""
+    to, once per call: the ``top`` from which it takes the cutoff ``cut`` of the whole system
+    (by ``linalg.svd_cutoff``), which sets the sketch's threshold and the restricted system's cut."""
+    import sys
+
     import tpw.linalg
 
-    tops, rank = [], tpw.linalg._rank
+    tops, cutoff = [], tpw.linalg.svd_cutoff
 
-    def spy(singular_values, shape, tol, scale=0.0, top=None):
-        if top is not None:
-            tops.append(top)
-        return rank(singular_values, shape, tol, scale, top)
+    def spy(singular_values, shape, tol, scale=0.0):
+        if sys._getframe(1).f_code.co_name == "sketched_nullspace":
+            tops.append(float(singular_values[0]))
+        return cutoff(singular_values, shape, tol, scale)
 
-    monkeypatch.setattr(tpw.linalg, "_rank", spy)
+    monkeypatch.setattr(tpw.linalg, "svd_cutoff", spy)
     return tops
 
 

@@ -189,7 +189,8 @@ def test_leibniz_map_adjoint_and_sketch_are_the_reference_matrix(corpus, rng):
         assert np.allclose(_leibniz_adjoint(c, y), system.conj().T @ y, atol=1e-12), alg.name
         elements = np.array([random_element(rng, n), random_element(rng, n)])
         want = np.einsum("ti,irc->trc", elements, system.reshape(n, n * n, n * n))
-        assert np.allclose(_leibniz_sketch(c, elements), want, atol=1e-12), alg.name
+        got = np.array([_leibniz_sketch(c, a) for a in elements])
+        assert np.allclose(got, want, atol=1e-12), alg.name
 
 
 def leibniz_oracle_algebras(corpus):
@@ -205,29 +206,44 @@ def leibniz_oracle_algebras(corpus):
     return algebras
 
 
+def assert_matches_the_whole_system(label, alg, tol, tops):
+    """The sketched solve against the SVD of the whole Leibniz system under its own cutoff at
+    ``tol``: the same dimension and span, every basis map a derivation, and the power-step
+    estimate of s_max, which the solve appends to ``tops`` once, within [0.5, 1] of the exact one."""
+    tops.clear()
+    space = derivation_space(alg, tol)
+    assert len(tops) == 1, (label, tol, tops)
+    system = reference_leibniz_matrix(alg)
+    _, s, vh = np.linalg.svd(system, full_matrices=False)
+    want = vh[int(np.sum(s > svd_cutoff(s, system.shape, tol, alg.cutoff_scale))) :].conj().T
+    got = np.array(space.der_basis).reshape(-1, alg.dim**2).T
+    assert space.dim_der == want.shape[1], (label, tol)
+    equal, residual = subspaces_equal(got, want, 1e-10)
+    assert equal, (label, tol, residual)
+    for d in space.der_basis:
+        assert leibniz_residual(alg, d) <= 10 * tol, (label, tol)
+    if s[0] == 0.0:
+        assert tops[0] == 0.0, label
+    else:
+        assert 0.5 <= tops[0] / s[0] <= 1.0 + 1e-12, (label, tol, tops[0] / s[0])
+
+
 def test_sketched_derivation_space_matches_the_whole_system(corpus, monkeypatch):
-    """The sketched solve against the SVD of the whole Leibniz system under its own cutoff:
-    the same dimension and span on all 82 algebras, every basis map a derivation, and the
-    power-step estimate of s_max within [0.5, 1] of the exact one."""
+    """``assert_matches_the_whole_system`` on all 82 algebras at TOL."""
     tops = power_estimates(monkeypatch)
     algebras = leibniz_oracle_algebras(corpus)
     assert len(algebras) == 82
     for label, alg in algebras:
-        tops.clear()
-        space = derivation_space(alg, TOL)
-        system = reference_leibniz_matrix(alg)
-        _, s, vh = np.linalg.svd(system, full_matrices=False)
-        want = vh[int(np.sum(s > svd_cutoff(s, system.shape, TOL, alg.cutoff_scale))) :].conj().T
-        got = np.array(space.der_basis).reshape(-1, alg.dim**2).T
-        assert space.dim_der == want.shape[1], label
-        equal, residual = subspaces_equal(got, want, 1e-10)
-        assert equal, (label, residual)
-        for d in space.der_basis:
-            assert leibniz_residual(alg, d) <= 10 * TOL, label
-        if s[0] == 0.0:
-            assert tops[0] == 0.0, label
-        else:
-            assert 0.5 <= tops[0] / s[0] <= 1.0 + 1e-12, (label, tops[0] / s[0])
+        assert_matches_the_whole_system(label, alg, TOL, tops)
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-10, 1e-7])
+def test_sketched_derivation_space_matches_the_whole_system_at_other_tolerances(corpus, monkeypatch, tol):
+    """The same on rebased M3, T4, T5 and M4 at tolerances from 1e-12, where the Gram matrix's
+    rounding lies far above the squared sketch cut and its floor tau_acc keeps V whole, to 1e-7."""
+    tops = power_estimates(monkeypatch)
+    for label, alg in leibniz_oracle_algebras(corpus)[-4:]:
+        assert_matches_the_whole_system(label, alg, tol, tops)
 
 
 @pytest.mark.parametrize("family,k", [("M", 4), ("T", 5)])

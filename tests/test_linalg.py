@@ -13,9 +13,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tpw import amenability
 from tpw.amenability import derivation_space
-from tpw.linalg import (column_space, column_spaces, complex_gaussians, nullspace, sketched_nullspace, subspaces_equal,
-                        svd_cutoff)
+from tpw.linalg import (column_space, column_spaces, complex_gaussians, nullspace, nullspaces, sketched_nullspace,
+                        subspaces_equal, svd_cutoff)
 
 from conftest import TOL, matrix_unit_algebra, power_estimates, random_unitary, rebased, zero_product_algebra
 
@@ -101,14 +102,38 @@ def test_sketched_nullspace_matches_full_svd_reference(scale):
         assert np.allclose(got.conj().T @ got, np.eye(got.shape[1]), atol=1e-12), label
 
 
+def test_sketch_keeps_null_directions_that_the_gram_matrix_rounds_over_the_cut():
+    """At tol 1e-12 a rank-7 system of 6 row blocks of 5 x 12 has null directions whose
+    computed Gram eigenvalues, rounding of size eps lam_max, lie above r cut^2, the squared
+    sketch cut, and under the floor tau_acc; the kernel has the full SVD's rank and span."""
+    rng, tol, scale = np.random.default_rng(19), 1e-12, 1.0
+    a = gaussian(rng, 30, 7) @ gaussian(rng, 7, 12)
+    blocks, elements = a.reshape(6, 5, 12), gaussian(rng, 2, 6)
+    elements /= np.sqrt(np.sum(np.abs(elements) ** 2, axis=1, keepdims=True))
+    sketch = np.einsum("ti,irc->trc", elements, blocks)
+    got = sketched_nullspace(lambda: sketch, lambda x, i: blocks[i].reshape(-1, 12) @ x,
+                             lambda y: a.conj().T @ y, a.shape, tol, scale)
+    want = reference_nullspace(a, tol, scale)
+    assert got.shape == want.shape == (12, 5)
+    assert subspaces_equal(got, want, 1e-10)[0]
+    # G as the solver sums it; cut <= tol * s_max * 30, and with s_max(L) >= 2 scale the estimate's
+    # factor s / cut is 1 / (30 tol), so tau_acc = 10 (10 + 12) eps lam_max / (30 tol)
+    lam = np.linalg.eigh(sum(block.conj().T @ block for block in sketch))[0]
+    s_max = np.linalg.svd(a, compute_uv=False)[0]
+    assert s_max >= 2 * scale
+    tau_acc = 10 * (10 + 12) * np.finfo(float).eps * lam[-1] / (30 * tol)
+    assert np.any((lam[:5] > 2 * (tol * s_max * 30) ** 2) & (lam[:5] <= tau_acc)), lam[:5]
+
+
 def test_derivation_space_sketches_at_most_two_n_squared_rows(monkeypatch):
-    """Every QR or SVD input with n^2 columns has at most 2 n^2 rows (the sketch of two
-    elements), the restricted system has dim Der columns and is folded into its R factor in
-    chunks of at most n^4 entries, and the n^3 x n^2 system is never formed: not on rebased M4,
-    whose n^3 x 15 restricted system is one chunk, nor on Z16, where every one of the n^2 maps
-    is a derivation and a chunk is one row block of n^2 rows."""
+    """The sketch is two n^2 x n^2 blocks, one per element, added one at a time into the
+    n^2 x n^2 Gram matrix, whose eigensolve is the only step over n^2 columns; the restricted
+    system has dim Der columns and is folded into its R factor in chunks of at most n^4
+    entries, and the n^3 x n^2 system is never formed: not on rebased M4, whose n^3 x 15
+    restricted system is one chunk, nor on Z16, where every one of the n^2 maps is a
+    derivation and a chunk is one row block of n^2 rows."""
     shapes = []
-    qr, svd = np.linalg.qr, np.linalg.svd
+    qr, eigh, svd, sketch = np.linalg.qr, np.linalg.eigh, np.linalg.svd, amenability._leibniz_sketch
 
     def counted(fn, name):
         def wrapper(a, *args, **kwargs):
@@ -117,13 +142,24 @@ def test_derivation_space_sketches_at_most_two_n_squared_rows(monkeypatch):
             return fn(a, *args, **kwargs)
         return wrapper
 
+    def counted_block(c, a):
+        block = sketch(c, a)
+        shapes.append(("block", block.shape))
+        return block
+
     monkeypatch.setattr(np.linalg, "qr", counted(qr, "qr"))
+    monkeypatch.setattr(np.linalg, "eigh", counted(eigh, "eigh"))
     monkeypatch.setattr(np.linalg, "svd", counted(svd, "svd"))
+    monkeypatch.setattr(amenability, "_leibniz_sketch", counted_block)
     m4 = matrix_unit_algebra("M", 4)
     m4_restricted = [("qr", (16**3, 15))]
     z16_restricted = [("qr", (256, 256))] + [("qr", (512, 256))] * 15
-    for alg, dims, restricted in ((rebased(m4, random_unitary(np.random.default_rng(4), m4.dim)), (15, 15), m4_restricted),
-                                  (zero_product_algebra(16), (256, 0), z16_restricted)):
+    # traced peaks in units of n^4 entries: on M4 the Gram build's G, one block, its conjugate and
+    # their product (4.005 measured, 5.07 with a QR of the whole sketch); on Z16 the fold's R factor
+    # so far, one row block, their stack and numpy's copies of it (7.08 measured)
+    for alg, dims, restricted, bound in (
+            (rebased(m4, random_unitary(np.random.default_rng(4), m4.dim)), (15, 15), m4_restricted, 4.1),
+            (zero_product_algebra(16), (256, 0), z16_restricted, 7.1)):
         n = alg.dim
         shapes.clear()
         tracemalloc.start()
@@ -133,29 +169,28 @@ def test_derivation_space_sketches_at_most_two_n_squared_rows(monkeypatch):
         finally:
             tracemalloc.stop()
         assert (space.dim_der, space.dim_inner) == dims, alg.name
-        # the sketch's QR and the SVD of its R factor; then the system restricted to the sketch's
-        # kernel, chunk by chunk on top of the R factor so far, and the SVD of its R factor
+        # two sketch blocks and the eigensolve of their Gram matrix; then the system restricted to
+        # the sketch's kernel, chunk by chunk on top of the R factor so far, and the SVD of its R factor
         k = dims[0]
-        assert shapes == [("qr", (2 * n * n, n * n)), ("svd", (n * n, n * n)), *restricted, ("svd", (k, k))], alg.name
-        # the 2 n^4 sketch, numpy's copy of it for the QR and the n^4 factors, against n^5 for the whole system
-        assert peak < 8 * n**4 * 16 < n**5 * 16, (alg.name, peak)
+        blocks = [("block", (n * n, n * n))] * 2
+        assert shapes == [*blocks, ("eigh", (n * n, n * n)), *restricted, ("svd", (k, k))], alg.name
+        assert peak < bound * n**4 * 16 < n**5 * 16, (alg.name, peak / (n**4 * 16))
 
 
-def test_sketch_is_released_before_the_svd_of_its_r_factor(monkeypatch):
-    """On rebased M4, the traced memory on entry to the SVD of the sketch's n^2 x n^2 R factor
-    is under 2 n^4 * 16 B: R (n^4 entries) and small arrays, and not the 2 n^4 entries of the
-    sketch, which nothing reads after its QR."""
-    svd, on_entry = np.linalg.svd, []
+def test_sketch_is_released_before_the_eigensolve_of_its_gram_matrix(monkeypatch):
+    """On rebased M4, the traced memory on entry to the eigensolve of the sketch's n^2 x n^2 Gram
+    matrix is under 2 n^4 * 16 B: G (n^4 entries) and small arrays, and not the n^4 entries of
+    the last sketch block, which nothing reads once it is added into G."""
+    eigh, on_entry = np.linalg.eigh, []
     m4 = matrix_unit_algebra("M", 4)
     alg = rebased(m4, random_unitary(np.random.default_rng(4), m4.dim))
     n = alg.dim
 
     def spy(a, *args, **kwargs):
-        if np.shape(a) == (n * n, n * n):
-            on_entry.append(tracemalloc.get_traced_memory()[0])
-        return svd(a, *args, **kwargs)
+        on_entry.append(tracemalloc.get_traced_memory()[0])
+        return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", spy)
+    monkeypatch.setattr(np.linalg, "eigh", spy)
     tracemalloc.start()
     try:
         space = derivation_space(alg, TOL)
@@ -208,8 +243,8 @@ def test_nullspace_never_forms_a_tall_u(monkeypatch):
     m4 = matrix_unit_algebra("M", 4)
     space = derivation_space(rebased(m4, random_unitary(np.random.default_rng(4), m4.dim)), TOL)
     assert space.dim_der == space.dim_inner == 15
-    # the 64 x 16 matrix's R factor; the sketch's 256 x 256 R factor; the 16^3 x 15 restricted system's R factor
-    assert shapes == [(16, 16), (256, 256), (15, 15)]
+    # the 64 x 16 matrix's R factor; the 16^3 x 15 restricted system's R factor
+    assert shapes == [(16, 16), (15, 15)]
     assert all(rows <= cols for rows, cols in shapes)
 
 
@@ -227,7 +262,7 @@ def test_derivation_dims_closed_forms(k, monkeypatch):
             assert (space.dim_der, space.dim_inner) == expected, (candidate.name, space.dim_der, space.dim_inner)
             assert tops and np.all(np.isfinite(tops)), candidate.name
             if family == "Z":
-                assert tops == [0.0, 0.0], candidate.name
+                assert tops == [0.0], candidate.name
 
 
 def test_derivation_dims_closed_form_rebased_m5():
@@ -265,3 +300,22 @@ def test_column_spaces_match_per_matrix(rng):
     assert bases.shape == (3, 5, 0) and ranks.tolist() == [0, 0, 0]
     assert column_space(np.zeros((5, 0)), TOL).shape == (5, 0)
 
+
+
+def test_nullspaces_match_per_matrix(rng):
+    """Full rank, rank 2, zero and tiny 7 x 4 systems at two floors, and a wide 2 x 4 stack: each
+    basis is the last dims[i] columns of its padded block, bit for bit the one-matrix solve's
+    basis, with zero columns before it, and an empty stack gives an empty block."""
+    tiny = 1e-12 * gaussian(rng, 7, 4)
+    stack = np.stack([gaussian(rng, 7, 4), gaussian(rng, 7, 2) @ gaussian(rng, 2, 4), np.zeros((7, 4)), tiny, tiny])
+    scales = np.array([0.0, 1.0, 0.0, 1.0, 0.0])
+    for systems, floors, want_dims in ((stack, scales, [0, 2, 4, 4, 0]), (gaussian(rng, 6, 4).reshape(3, 2, 4), 0.0, [2] * 3)):
+        bases, dims = nullspaces(systems, TOL, floors)
+        assert dims.tolist() == want_dims and bases.shape == (len(systems), 4, max(want_dims))
+        for basis, d, a, floor in zip(bases, dims, systems, np.broadcast_to(floors, len(systems))):
+            single = nullspace(a, TOL, floor)
+            assert single.shape == (4, d) and not basis[:, : basis.shape[1] - d].any()
+            assert np.array_equal(basis[:, basis.shape[1] - d :], single)
+            assert np.allclose(a @ single, 0, atol=1e-10 * max(1.0, np.abs(a).max()))
+    bases, dims = nullspaces(np.zeros((0, 7, 4)), TOL, 1.0)
+    assert bases.shape == (0, 4, 0) and dims.tolist() == []
