@@ -21,6 +21,7 @@ functional is the one-row case of each stacked function.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -137,10 +138,12 @@ class CharacterEnumeration:
     def __len__(self):
         return len(self.characters)
 
-    @property
+    @cached_property
     def functionals(self) -> np.ndarray:
-        """The characters' functionals as the rows of a (k, n) stack."""
-        return np.array([ch.functional for ch in self.characters], dtype=complex).reshape(-1, self.algebra.dim)
+        """The characters' functionals as the rows of a read-only (k, n) stack, built on first read."""
+        fs = np.array([ch.functional for ch in self.characters], dtype=complex).reshape(-1, self.algebra.dim)
+        fs.setflags(write=False)
+        return fs
 
 
 def _distances(fs: np.ndarray, gs: np.ndarray) -> np.ndarray:

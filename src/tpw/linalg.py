@@ -102,8 +102,11 @@ def sketched_nullspace(build_sketch, apply, adjoint, shape, tol: float, scale: f
     blocks B_t of a sketch S, each the combination sum_i a_i (row block i of L)
     for a unit vector a.  Then |S x| <= sqrt(r) |L x|, and S's kernel contains L's.
 
-    * One Hermitian eigensolve of S's Gram matrix G = sum_t B_t^H B_t, built one
-      block at a time, gives its eigenvalues lam and a start for the power steps;
+    * One Hermitian eigensolve of S's Gram matrix G = sum_t B_t^H B_t gives its
+      eigenvalues lam and a start for the power steps.  G is built one block at
+      a time, an eighth of its rows per product, and each block is dropped
+      before the next is built, so only G, one block and two pieces of an
+      eighth of G's size are alive;
     * ``POWER_STEPS`` steps of x -> L^H L x estimate s_max(L) from below, by
       s = sqrt(|L^H L x|) for a unit x, and L's cutoff cut is
       tol * max(s, scale) * max(shape), the rule of ``svd_cutoff``;
@@ -125,11 +128,12 @@ def sketched_nullspace(build_sketch, apply, adjoint, shape, tol: float, scale: f
     the eigensolve, when G, numpy's copy of it, the eigenvectors and LAPACK's
     workspace, each about cols^2 entries, set the peak.
     """
-    gram = np.zeros((shape[1], shape[1]), dtype=complex)
-    for r, block in enumerate(build_sketch(), 1):
-        gram += block.conj().T @ block
-    block_rows = len(block)
-    del block  # G is all the eigensolve reads
+    gram, step, r = np.zeros((shape[1], shape[1]), dtype=complex), max(1, shape[1] // 8), 0
+    for block in build_sketch():
+        r, block_rows = r + 1, len(block)
+        for i in range(0, shape[1], step):
+            gram[i : i + step] += block[:, i : i + step].conj().T @ block
+        del block  # before the next block is built: G is all the eigensolve reads
     lam, q = np.linalg.eigh(gram)
     x, top = q[:, -1], 0.0
     for _ in range(POWER_STEPS):

@@ -22,7 +22,8 @@ from tpw.errors import CharacterRejected
 from tpw.linalg import SPLITTER_STREAM, column_space, complex_gaussians, max_abs, subspaces_equal
 from tpw.product import AlgebraHom, build_product
 
-from conftest import TOL, matrix_unit_algebra, random_unitary, rebased, right_mult_operator, stacking_triples
+from conftest import (TOL, matrix_unit_algebra, random_unitary, rebased, rebased_triple, right_mult_operator,
+                      stacking_triples)
 
 
 def oracle_cn_characters(n):
@@ -256,6 +257,24 @@ def test_pullback_lands_in_spectrum_or_zero(corpus):
                 continue
             defect, _ = character_defect(entry.algebra_b, pullback)
             assert defect <= 10 * TOL
+
+
+def test_pullback_defect_is_bounded_by_its_lifted_members_defect(corpus):
+    """The pullback lemma needs no claim of its own: phi o T is the second block of the lifted
+    member (phi, phi o T), whose defect on the product's B x B block is phi o T's defect on B.
+    So on every ``stacking_triples`` product and a rebased copy, each nonzero pullback's defect
+    is at most its lifted member's, which ``lifted-family-verified`` holds to tol.  Disjointness
+    needs none either: ``decomposition_ok`` is never True while the families overlap."""
+    rng = np.random.default_rng(5)
+    for label, a, b, hom in stacking_triples(corpus):
+        for copy, triple in (("", (a, b, hom)), ("-copy", rebased_triple(a, b, hom, rng))):
+            product = build_product(*triple, TOL)
+            pc = product_characters(product, TOL, seed=0)
+            for member in pc.lifted:
+                pullback = member.functional[product.dim_a :]
+                if max_abs(pullback) > TOL:
+                    assert character_defect(product.b, pullback)[0] <= member.residual + 1e-15, label + copy
+            assert not (pc.decomposition_ok and not pc.disjoint), label + copy
 
 
 def reference_cluster(values, tol):
