@@ -28,6 +28,10 @@ B^2, and B -> A' likewise).  So dim Der(P) = dim Der(A) + dim Der(B) +
 2 codim(A^2) codim(B^2) and dim Inn(P) = dim Inn(A) + dim Inn(B).  This is
 used only when the product's shear gap is within 10 tol, the bound of the
 suite's shear claim; otherwise the product's own Leibniz system is solved.
+The product's character decomposition (``ProductAnalysis.decomposition``) is
+one fact of the run: the product solves the invariant elements of its own
+characters, as every algebra does, and each member of the lifted and the
+pure family takes the solution of the character it matches within 10 tol.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .arens import arens_tables, stacked_side_system
-from .characters import CharacterEnumeration, enumerate_characters
+from .characters import CharacterEnumeration, ProductCharacterReport, character_decomposition, enumerate_characters
 from .core import FiniteAlgebra, center, find_left_identity, find_right_identity
 from .errors import NotADerivation
 from .linalg import (SKETCH_STREAM, as_complex, column_space, column_spaces, complex_gaussians, max_abs, nullspace,
@@ -307,23 +311,20 @@ def solve_tli(alg: FiniteAlgebra, phi, side: str, tol: float) -> TliSolution | t
     of them of shape (k, n), which gives one solution per row; a single
     vector is the one-row case and gives a single solution.  The linear
     systems are slices of the first Arens table over the element basis, and
-    a stack is solved as one (``linalg.nullspaces``) in parts of n rows,
-    each system with the cutoff floor max(cutoff_scale, max |phi|).
+    a stack is solved as one (``linalg.nullspaces``), each system with the
+    cutoff floor max(cutoff_scale, max |phi|).  A stack holds at most n
+    rows: an algebra's distinct characters are linearly independent.
     ``exists_nonvanishing`` reports whether phi fails to annihilate the
     solution space (a rank test on the pairing row).
     """
     phis, single = alg.coerce_rows(phi)
     size = np.max(np.abs(phis), axis=1)
-    # n systems at a time, as many as an algebra of dim n can have characters: numpy's QR copies its
-    # input, and the product's characters with both families (up to 2n systems) would peak at twice that
-    scales, solutions = np.maximum(alg.cutoff_scale, size), []
-    for part in (slice(start, start + alg.dim) for start in range(0, len(phis), alg.dim)):
-        bases, dims = nullspaces(_tli_system(alg, phis[part], side), tol, scales[part])
-        # the padding columns of ``bases`` pair to zero with every functional
-        pairing = np.max(np.abs((phis[part, None, :] @ bases)[:, 0]), axis=1, initial=0.0)
-        solutions += [TliSolution(basis=basis[:, basis.shape[1] - d :], exists_nonvanishing=bool(nv))
-                      for basis, d, nv in zip(bases, dims, pairing > tol * np.maximum(1.0, size[part]))]
-    return solutions[0] if single else tuple(solutions)
+    bases, dims = nullspaces(_tli_system(alg, phis, side), tol, np.maximum(alg.cutoff_scale, size))
+    # the padding columns of ``bases`` pair to zero with every functional
+    pairing = np.max(np.abs((phis[:, None, :] @ bases)[:, 0]), axis=1, initial=0.0)
+    solutions = tuple(TliSolution(basis=basis[:, basis.shape[1] - d :], exists_nonvanishing=bool(nv))
+                      for basis, d, nv in zip(bases, dims, pairing > tol * np.maximum(1.0, size)))
+    return solutions[0] if single else solutions
 
 
 def _padded(bases: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -469,21 +470,16 @@ class Analysis:
         return find_right_identity(self.algebra, self.tol)
 
     @cached_property
-    def tli_functionals(self) -> np.ndarray:
-        """The functionals whose invariant elements are solved, as one stack: the enumerated characters."""
-        return self.characters.functionals
-
-    @cached_property
     def left_tli(self) -> tuple[TliSolution, ...]:
-        return solve_tli(self.algebra, self.tli_functionals, "left", self.tol)
+        return solve_tli(self.algebra, self.characters.functionals, "left", self.tol)
 
     @cached_property
     def right_tli(self) -> tuple[TliSolution, ...]:
-        return solve_tli(self.algebra, self.tli_functionals, "right", self.tol)
+        return solve_tli(self.algebra, self.characters.functionals, "right", self.tol)
 
     def tli(self, side: str) -> tuple[TliSolution, ...]:
         """Invariant-element solutions on ``side``, one per enumerated character."""
-        return (self.left_tli if side == "left" else self.right_tli)[: len(self.characters)]
+        return self.left_tli if side == "left" else self.right_tli
 
     @cached_property
     def weakly_amenable(self) -> bool:
@@ -526,8 +522,11 @@ class ProductAnalysis(Analysis):
 
     Its derivation space is carried from the factors' through the shear when
     the product's shear gap is within 10 tol; otherwise it is solved from the
-    product's own Leibniz system.  Its invariant elements are solved for its
-    characters and the lifted and pure families in one stack per side.
+    product's own Leibniz system.  Its character decomposition is one fact of
+    the run, and the lifted and pure families read their invariant elements
+    through its matching: a member within 10 tol of an enumerated character
+    shares that character's solution, and the members that match none are
+    solved as one extra stack.
     """
 
     def __init__(self, product: MorphismProduct, factors: tuple[Analysis, Analysis], tol: float, seed: int = 0):
@@ -536,21 +535,18 @@ class ProductAnalysis(Analysis):
         object.__setattr__(self, "factors", factors)
 
     @cached_property
-    def families(self) -> tuple[np.ndarray, np.ndarray]:
-        """The lifted family (phi, phi o T) and the pure family (0, psi) of the factors' characters, as stacks."""
-        an_a, an_b = self.factors
-        return self.product.lift_first(an_a.characters.functionals), self.product.lift_second(an_b.characters.functionals)
-
-    @cached_property
-    def tli_functionals(self) -> np.ndarray:
-        """The enumerated characters, then the lifted and the pure family: one invariant-element stack per side."""
-        return np.vstack([self.characters.functionals, *self.families])
+    def decomposition(self) -> ProductCharacterReport:
+        return character_decomposition(self.product, *(an.characters for an in self.factors), self.characters,
+                                       self.tol)
 
     def family_tli(self, side: str) -> tuple[tuple[TliSolution, ...], tuple[TliSolution, ...]]:
-        """The invariant-element solutions of the lifted and of the pure family on ``side``."""
-        solutions, start = self.left_tli if side == "left" else self.right_tli, len(self.characters)
-        middle = start + len(self.families[0])
-        return solutions[start:middle], solutions[middle:]
+        """The invariant-element solutions of the lifted and of the pure family on ``side``: a matched
+        member's is its character's own solution object; the unmatched are solved as one stack."""
+        pc, own = self.decomposition, self.tli(side)
+        members = [ch.functional for ch, i in zip(pc.lifted + pc.pure_b, pc.match) if i < 0]
+        extra = iter(solve_tli(self.algebra, np.array(members), side, self.tol) if members else ())
+        solutions = tuple(own[i] if i >= 0 else next(extra) for i in pc.match)
+        return solutions[: len(pc.lifted)], solutions[len(pc.lifted) :]
 
     @cached_property
     def derivations(self) -> DerivationSpace:
@@ -652,7 +648,8 @@ def inner_amenability_suite(product: MorphismProduct, tol: float, seed: int = 0,
 
     an_a, an_b, an_p = analyses or product_analyses(product, tol, seed)
     sigma_a, sigma_b = an_a.characters, an_b.characters
-    phis, psis, (lifted, pure), ka = sigma_a.functionals, sigma_b.functionals, an_p.families, len(sigma_a)
+    phis, psis, ka = sigma_a.functionals, sigma_b.functionals, len(sigma_a)
+    lifted, pure = product.lift_first(phis), product.lift_second(psis)
     phi_ts = lifted[:, na:]
     # every mean the claims ask for, one contraction per algebra: the product's for the lifted and
     # the pure characters, the second factor's for the pulled-back phi o T and for its own psi

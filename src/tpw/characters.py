@@ -230,7 +230,11 @@ def enumerate_characters(alg: FiniteAlgebra, tol: float, seed: int = 0) -> Chara
 
 @dataclass
 class ProductCharacterReport:
-    """Lifted and pure-B character families of a product, with the decomposition check."""
+    """Lifted and pure-B character families of a product, with the decomposition check.
+
+    ``match`` holds, for each member, lifted then pure, the index of the
+    nearest enumerated product character within 10 tol, or -1.
+    """
 
     lifted: tuple[Character, ...]
     pure_b: tuple[Character, ...]
@@ -240,6 +244,7 @@ class ProductCharacterReport:
     decomposition_ok: bool | None
     disjoint: bool
     mismatch: np.ndarray | None
+    match: np.ndarray
 
     @property
     def complete(self) -> bool:
@@ -260,8 +265,12 @@ def character_decomposition(product: MorphismProduct, sigma_a: CharacterEnumerat
     product's characters.
 
     ``sigma_a``, ``sigma_b`` and ``enumerated`` enumerate A, B and the product.
-    ``decomposition_ok`` is None (unknown) when any enumeration is flagged
-    incomplete; membership of the constructed families is still checked.
+    One distance matrix between the enumerated characters and the members
+    gives ``match`` (each member's nearest enumerated character within
+    10 tol, or -1), also when an enumeration is incomplete, and the
+    decomposition check.  ``decomposition_ok`` is None (unknown) when any
+    enumeration is flagged incomplete; membership of the constructed families
+    is still checked.
     """
     palg = product.algebra
     lifted, pure_b = product.lift_first(sigma_a.functionals), product.lift_second(sigma_b.functionals)
@@ -269,15 +278,17 @@ def character_decomposition(product: MorphismProduct, sigma_a: CharacterEnumerat
     # recorded with their defects, not verified: a wrong product fails the claim instead of raising
     members = tuple(Character(palg, f, float(r)) for f, r in zip(combined, character_defect(palg, combined)[0]))
     disjoint = bool(np.all(_distances(lifted, pure_b) > 10 * tol))
+    found = enumerated.functionals
+    distances = _distances(found, combined)
+    close = distances <= 10 * tol
+    match = np.where(close.any(axis=0), distances.argmin(axis=0) if len(found) else -1, -1)
 
     mismatch = decomposition_ok = None
     if sigma_a.complete and sigma_b.complete and enumerated.complete:
-        found = enumerated.functionals
-        close = _distances(found, combined) <= 10 * tol
         # the first enumerated character no member matches, else the first member no enumerated one matches
-        unmatched = [*found[~close.any(axis=1)], *combined[~close.any(axis=0)]]
+        unmatched = [*found[~close.any(axis=1)], *combined[match < 0]]
         mismatch = unmatched[0] if unmatched else None
         decomposition_ok = mismatch is None and disjoint
 
     return ProductCharacterReport(members[: len(lifted)], members[len(lifted) :], enumerated, sigma_a, sigma_b,
-                                  decomposition_ok, disjoint, mismatch)
+                                  decomposition_ok, disjoint, mismatch, match)

@@ -156,10 +156,6 @@ class MorphismProduct:
     def join(self, x, y) -> np.ndarray:
         return np.concatenate([self.a.coerce(x), self.b.coerce(y)])
 
-    def split(self, v) -> tuple[np.ndarray, np.ndarray]:
-        v = self.algebra.coerce(v)
-        return v[: self.dim_a].copy(), v[self.dim_a :].copy()
-
     @cached_property
     def shear(self) -> np.ndarray:
         """S = [[I, M], [0, I]], read-only; its rows are the multiplicative

@@ -36,6 +36,12 @@ Group 05 has three claims: both families verified and the decomposition
 exhaustive.  The pullback lemma (phi o T is a character of B or zero) is the
 B x B block of each lifted member's defect, and the families' disjointness
 is a conjunct of ``decomposition_ok``, so neither is a claim of its own.
+The decomposition is the product analysis's, made once per run.  Group 07
+reads each family member's product-level invariant elements through its
+matching: the product's own solution for the character that the member
+lies within 10 tol of, which group 05 identifies with it, or, for a member
+that matches none, a solve of its own.  It compares them with the family
+built from the factor's own solution.
 Every claim kind fails alone under some mutation of the registry in
 ``tests/test_liveness.py``, except these, which stay:
 ``01-construction/shear-onto-direct-sum`` fails with
@@ -87,7 +93,6 @@ from .arens import (
     hom_adjoints,
     topological_center,
 )
-from .characters import character_decomposition
 from .core import FiniteAlgebra
 from .errors import ValidationError
 from .linalg import max_abs
@@ -178,7 +183,7 @@ def _check_topological_centers(report: CheckReport, product: MorphismProduct, to
 
 
 def _check_characters(report: CheckReport, product: MorphismProduct, analyses: tuple[Analysis, ...], tol: float):
-    pc = character_decomposition(product, *(an.characters for an in analyses), tol)
+    pc = analyses[2].decomposition
     for family, members, origin in (("lifted", pc.lifted, "lifted from the first factor"),
                                      ("pure", pc.pure_b, "supported on the second factor")):
         report.add(f"05-characters/{family}-family-verified", all(ch.residual <= tol for ch in members),
@@ -254,7 +259,7 @@ def _check_tli(report: CheckReport, product: MorphismProduct, analyses: tuple[An
             detail="factor character enumeration incomplete; characterization checked on verified characters only",
         )
     for side in sides:
-        # the product's solutions for the lifted and the pure family come from its one stack per side
+        # the product's solutions for the lifted and the pure family are its matched characters' own
         for an, kind, prefix, product_tli in zip((an_a, an_b), ("lifted", "pure"), ("first-factor", "second-factor"),
                                                   an_p.family_tli(side)):
             subs = tli_product_characterization(product, an.characters.functionals, kind, tol, side, an.tli(side),

@@ -83,6 +83,12 @@ def dual_actions(alg, f, a):
     return alg.left_mult_operator(a).T @ f, right_mult_operator(alg, a).T @ f
 
 
+def split(product, v):
+    """The A-block and the B-block of a vector of the product, as copies."""
+    v = product.algebra.coerce(v)
+    return v[: product.dim_a].copy(), v[product.dim_a :].copy()
+
+
 def random_unitary(rng, n):
     """Haar-distributed unitary: QR of a complex Gaussian, phases fixed by diag(R)."""
     q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))

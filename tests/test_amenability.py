@@ -31,7 +31,7 @@ from tpw.corpus import algebra_null1, algebra_row2, algebra_ut2, hom_identity, h
 from tpw.errors import NotADerivation
 from tpw.linalg import column_space, max_abs, nullspace, subspaces_equal, svd_cutoff
 from tpw.product import build_product
-from tpw.suite import RunConfig, verify_theorems
+from tpw.suite import RunConfig, verify_product, verify_theorems
 
 from conftest import (
     TOL,
@@ -556,8 +556,8 @@ def test_run_solves_each_fact_once_per_algebra(monkeypatch, capsys, corpus):
     passes its shear claim, so its space is carried from its factors'.  A
     ladder-shaped rung (C5 x C5, one object, identity hom) solves the
     invariant-element systems in 4 stacks: one per side for the factor, and
-    one per side for the product, whose stack holds its enumerated
-    characters, the lifted family and the pure family together.
+    one per side for the product's own characters, whose solutions the
+    lifted and the pure family read through the decomposition's matching.
     """
     import sys
 
@@ -616,6 +616,69 @@ def test_run_solves_each_fact_once_per_algebra(monkeypatch, capsys, corpus):
     # c-c-id, c-c-zero and c2-c2-swap take one object as both factors
     assert (calls["enumerate_characters"], calls["center"]) == (21, 21)
     assert calls["derivation_space"] == sum(len({id(e.algebra_a), id(e.algebra_b)}) for e in corpus) == 13
+
+
+def spy_solve_tli(monkeypatch) -> list:
+    """The list that each later ``solve_tli`` call made from ``tpw`` appends (algebra, stack, side) to."""
+    import sys
+
+    calls, real = [], solve_tli
+
+    def spy(alg, phi, side, tol):
+        calls.append((alg, np.reshape(phi, (-1, alg.dim)), side))
+        return real(alg, phi, side, tol)
+
+    for name, module in list(sys.modules.items()):
+        if name == "tpw" or name.startswith("tpw."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, spy)
+    return calls
+
+
+def ladder_triples(ks):
+    """(label, A, A, identity) on rebased C_k, the shape of the benchmark's ladder rungs."""
+    rng = np.random.default_rng(5)
+    for k in ks:
+        c = rebased(matrix_unit_algebra("C", k), random_unitary(rng, k), f"C{k}")
+        yield f"C{k}", c, c, hom_identity(c)
+
+
+def test_product_solves_one_system_per_character_and_its_families_share_them(monkeypatch, corpus):
+    """The product's invariant-element stack has one row per enumerated product character on each
+    side, every family member matches a character there, and its solution is that character's own
+    solution object."""
+    calls = spy_solve_tli(monkeypatch)
+    for label, a, b, hom in [*stacking_triples(corpus), *ladder_triples(range(2, 6))]:
+        product = build_product(a, b, hom, TOL)
+        analyses = product_analyses(product, TOL)
+        calls.clear()
+        verify_product(product, analyses, RunConfig())
+        an_a, an_b, an_p = analyses
+        own = [(len(phis), side) for alg, phis, side in calls if alg is product.algebra]
+        assert own == [(len(an_p.characters), side) for side in ("left", "right")], label
+        match = an_p.decomposition.match
+        assert len(match) == len(an_a.characters) + len(an_b.characters) and np.all(match >= 0), label
+        for side in ("left", "right"):
+            lifted, pure = an_p.family_tli(side)
+            assert len(lifted) == len(an_a.characters), label
+            assert all(sol is an_p.tli(side)[i] for sol, i in zip(lifted + pure, match)), (label, side)
+
+
+def test_every_solve_tli_stack_has_at_most_dim_rows(monkeypatch, capsys, corpus):
+    """Counted guard: no ``solve_tli`` call from ``tpw`` stacks more systems than the algebra's
+    dimension, on the built-in ``corpus run``, every ``stacking_triples`` triple and the ladder
+    shapes C2 x C2 to C8 x C8, so one ``nullspaces`` call per stack holds at most n systems."""
+    from tpw.cli import main
+
+    calls = spy_solve_tli(monkeypatch)
+    monkeypatch.delenv("TPW_CORPUS_DIR", raising=False)
+    assert main(["corpus", "run", "--format", "json"]) == 0
+    capsys.readouterr()
+    for _, a, b, hom in [*stacking_triples(corpus), *ladder_triples(range(2, 9))]:
+        verify_theorems(a, b, hom, RunConfig())
+    over = [(alg.name, len(phis)) for alg, phis, _ in calls if len(phis) > alg.dim]
+    assert calls and not over, over
 
 
 def reference_characterization(product, chi, kind, side):

@@ -16,7 +16,7 @@ from tpw.corpus import hom_identity, hom_zero
 from tpw.linalg import max_abs
 from tpw.product import build_product
 
-from conftest import TOL, dual_actions, random_element, stacking_triples
+from conftest import TOL, dual_actions, random_element, split, stacking_triples
 
 
 def test_dual_actions_pointwise(alg_c2):
@@ -70,9 +70,9 @@ def test_product_dual_actions_agree_on_basis(corpus):
         product = build_product(a, b, hom, TOL)
         n = product.algebra.dim
         for i in range(n):
-            fa, fb = product.split(np.eye(n, dtype=complex)[:, i])
+            fa, fb = split(product, np.eye(n, dtype=complex)[:, i])
             for j in range(n):
-                xa, xb = product.split(np.eye(n, dtype=complex)[:, j])
+                xa, xb = split(product, np.eye(n, dtype=complex)[:, j])
                 acts = product_dual_actions(product, fa, fb, xa, xb)
                 assert acts.agreement_residual == 0.0, (label, i, j)
 

@@ -34,7 +34,7 @@ from tpw.corpus import builtin_corpus
 from tpw.suite import RunConfig, verify_product, verify_theorems
 
 from conftest import (TOL, dual_actions, matrix_unit_algebra, random_element, random_unitary, rebased,
-                      rebased_triple, right_mult_operator)
+                      rebased_triple, right_mult_operator, split)
 
 
 class ReferenceChain:
@@ -178,7 +178,7 @@ def test_theta_residual_matches_reference(corpus):
             worst = 0.0
             for p in range(product.algebra.dim):
                 for q in range(product.algebra.dim):
-                    (phi1, psi1), (phi2, psi2) = product.split(e[p]), product.split(e[q])
+                    (phi1, psi1), (phi2, psi2) = split(product, e[p]), split(product, e[q])
                     a_part = op_a(phi1, phi2) + op_a(phi1, m @ psi2) + op_a(m @ psi1, phi2)
                     block = np.concatenate([a_part, op_b(psi1, psi2)])
                     worst = max(worst, max_abs(block - op_p(e[p], e[q])))
@@ -189,7 +189,7 @@ def test_theta_residual_matches_reference(corpus):
 def reference_product_dual_actions(product, fg, ab):
     """Direct and block dual actions of one basis pair, from the multiplication operators."""
     m = product.hom.matrix
-    (f, g), (a, b) = product.split(fg), product.split(ab)
+    (f, g), (a, b) = split(product, fg), split(product, ab)
     fa, af = dual_actions(product.a, f, a)
     ftb, tbf = dual_actions(product.a, f, m @ b)
     gb, bg = dual_actions(product.b, g, b)
@@ -209,7 +209,7 @@ def test_dual_action_tables_match_per_pair_loop(corpus):
         worst = got = 0.0
         for i in range(product.algebra.dim):
             for j in range(product.algebra.dim):
-                acts = product_dual_actions(product, *product.split(e[i]), *product.split(e[j]))
+                acts = product_dual_actions(product, *split(product, e[i]), *split(product, e[j]))
                 ref = reference_product_dual_actions(product, e[i], e[j])
                 for key, value in ref.items():
                     assert max_abs(getattr(acts, key) - value) <= bound(a, b, product.algebra), key

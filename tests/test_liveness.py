@@ -45,6 +45,7 @@ from tpw.report import FAIL, UNKNOWN
 from tpw.suite import RunConfig, verify_product, verify_theorems
 
 from conftest import TOL, direct_sum, stacking_triples
+from test_amenability import reference_characterization, spy_solve_tli
 
 
 def _corpus_triple(entry_id):
@@ -182,15 +183,15 @@ def tli_rows(side: str, rows, change):
     return alter
 
 
-def family_row(which: str, side: str):
-    """The product's solution for the first member of the lifted (``which`` "first") or the pure
-    family with its nonvanishing flag flipped: its stack is the product's characters, then the
-    lifted family of the first factor's characters, then the pure family of the second's."""
+def family_row(which: str, side: str, member: int):
+    """The product's own solution on ``side`` for the character that member ``member`` of the lifted
+    (``which`` "first") or the pure family matches, found through the decomposition's ``match``,
+    with its nonvanishing flag flipped: a matched member reads its character's solution."""
     def apply(monkeypatch, product):
-        ka, kb = (len(tpw.amenability.enumerate_characters(alg, TOL)) for alg in (product.a, product.b))
-        row = (lambda sols: {len(sols) - ka - kb}) if which == "first" else (lambda sols: {len(sols) - kb})
+        pc = product_analyses(product, TOL)[2].decomposition
+        row = int(pc.match[member if which == "first" else len(pc.lifted) + member])
         flip = lambda sol: TliSolution(sol.basis, not sol.exists_nonvanishing)  # noqa: E731
-        return solver("solve_tli", "algebra", tli_rows(side, row, flip))(monkeypatch, product)
+        return solver("solve_tli", "algebra", tli_rows(side, lambda sols: {row}, flip))(monkeypatch, product)
     return apply
 
 
@@ -296,9 +297,11 @@ MUTATIONS = (
     Mutation("first-factor-square-annihilator-moved", "csum-null1-zero",
              solver("square_annihilator", "a", moved_annihilator),
              {**BASELINE["csum-null1-zero"], WEAK.format("cross-derivations"): FAIL}),
-    *(Mutation(f"product-{which}-family-{side}-flag-flipped", "ut2-c2-diag", family_row(which, side),
+    # the member whose character's flip leaves the product's character amenability (group 08) as it is
+    *(Mutation(f"product-{which}-family-{side}-flag-flipped", "ut2-c2-diag", family_row(which, side, member),
                failing(*tli(which, (side,), ("nonvanishing-agreement",))))
-      for which in ("first", "second") for side in ("left", "right")),
+      for which, side, member in (("first", "left", 0), ("first", "right", 1), ("second", "left", 0),
+                                  ("second", "right", 0))),
     *(Mutation(f"{factor}-factor-{side}-solution-column-dropped", "ut2-c2-diag",
                solver("solve_tli", on, tli_rows(side, first_nonvanishing, without_first_column)),
                failing(*tli(factor, (side,), ("solution-space-equality",))))
@@ -351,6 +354,28 @@ def test_every_triple_passes_unmutated():
 def test_mutation_fails_exactly_its_kinds(monkeypatch, mutation):
     product = build_product(*TRIPLES[mutation.triple](), TOL)
     assert outcome(mutation.apply(monkeypatch, product), mutation.tags) == mutation.outcome
+
+
+def test_unmatched_family_members_are_solved_as_one_extra_stack(monkeypatch):
+    """With the product's tensor that of A + B, the lifted member (phi, phi o T) of C x_T UT2
+    (T onto) matches no product character: per side, the product solves its own characters and
+    then that member alone, and group 07's statuses are those of the per-character oracle."""
+    product = direct_sum_tensor(monkeypatch, build_product(*TRIPLES["c-ut2-onto"](), TOL))
+    analyses = product_analyses(product, TOL)
+    calls = spy_solve_tli(monkeypatch)
+    report = verify_product(product, analyses, RunConfig())
+    pc = analyses[2].decomposition
+    assert (pc.match < 0).tolist() == [True, False, False]
+    assert [(len(phis), side) for alg, phis, side in calls if alg is product.algebra] == [
+        (len(pc.enumerated), "left"), (1, "left"), (len(pc.enumerated), "right"), (1, "right")]
+    got = {v.claim: v.status for v in report.verdicts if v.claim.startswith("07-invariant-elements/")}
+    want = {}
+    for an, kind, prefix in zip(analyses, ("lifted", "pure"), ("first-factor", "second-factor")):
+        for idx, chi in enumerate(an.characters.functionals):
+            for side in ("left", "right"):
+                for claim, (status, _, _) in reference_characterization(product, chi, kind, side).items():
+                    want[f"07-invariant-elements/{prefix}-{idx}/{claim}"] = status
+    assert got == want and FAIL in got.values()
 
 
 def test_every_emitted_claim_kind_has_a_mutation(monkeypatch, capsys, corpus):
