@@ -254,12 +254,6 @@ def is_weakly_amenable(alg: FiniteAlgebra, tol: float) -> bool:
     return Analysis(alg, tol).weakly_amenable
 
 
-def inner_derivation(alg: FiniteAlgebra, f) -> np.ndarray:
-    """The matrix of ad_f : a -> a.f - f.a."""
-    f = alg.coerce(f)
-    return (_inner_map(alg) @ f).reshape(alg.dim, alg.dim)
-
-
 def lift_derivation(d: np.ndarray, which: str, product: MorphismProduct, tol: float) -> np.ndarray:
     """Pull a factor derivation back to the product: D = P' o d o P, the one-map case of ``_lifted``.
 

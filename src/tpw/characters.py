@@ -1,18 +1,22 @@
 """Character spaces: verification, enumeration, and the product decomposition.
 
-Characters kill every commutator (and the two-sided ideal commutators
-generate), so enumeration works on the commutative quotient, where finding
-all characters reduces to a simultaneous eigenproblem for the transposed
-left-multiplication operators: a joint eigenvalue functional is linear and
-multiplicative, and every character arises as one.  This is chosen over
+Characters kill the radical rad A and every commutator (and so the two-sided
+ideal I that commutators generate), and Q = A / (rad A + I) is isomorphic to
+C^k, so A has exactly k = n - dim(rad A + I) characters.  rad A is read off
+one trace form (Dickson's criterion: L. E. Dickson, *Algebras and Their
+Arithmetics*, 1923; Cohen, Ivanyos and Wales, J. Pure Appl. Algebra 117-118,
+1997).  Enumeration splits Q into its k lines by the eigenvectors of one
+random element's transposed left-multiplication operator, on which every
+basis operator acts by a character's value.  This is chosen over
 polynomial-system solving for robustness and determinism.
 
-Enumeration is certified complete only when every terminal joint eigenspace
-is one-dimensional; otherwise the result is flagged incomplete and callers
-must downgrade any "for every character" verdict to unknown.
+Enumeration is certified complete only when it finds exactly k characters and
+the computed radical is nilpotent at tol; otherwise the result is flagged
+incomplete and callers must downgrade any "for every character" verdict to
+unknown.
 
 Every per-character fact is one stacked numpy call per algebra: the
-candidates of all branches are lifted, verified (``character_defect`` on a
+candidates of all lines are lifted, verified (``character_defect`` on a
 (k, n) stack) and deduplicated together, and the product decomposition
 compares its families through broadcast distance matrices.  A single
 functional is the one-row case of each stacked function.
@@ -27,7 +31,7 @@ import numpy as np
 
 from .core import FiniteAlgebra
 from .errors import CharacterRejected
-from .linalg import SPLITTER_STREAM, column_space, complex_gaussians, nullspace
+from .linalg import SPLITTER_STREAM, column_space, complex_gaussians, joint_eigenvalues, max_abs, nullspace
 from .product import MorphismProduct
 
 
@@ -98,37 +102,6 @@ def commutator_ideal(alg: FiniteAlgebra, tol: float) -> np.ndarray:
 
 
 @dataclass
-class CommutativeQuotient:
-    """A/[commutator ideal], realised on the orthogonal complement."""
-
-    quotient: FiniteAlgebra | None  # None when the ideal is everything
-    section: np.ndarray  # n x m orthonormal complement basis
-
-
-def commutative_quotient(alg: FiniteAlgebra, tol: float) -> CommutativeQuotient:
-    """Quotient structure constants on the orthogonal complement of the ideal.
-
-    For w1, w2 in the complement W, the class of w1 w2 is represented by its
-    orthogonal projection back onto W; this is well defined because the
-    projected-away part lies in the ideal.
-    """
-    ideal = commutator_ideal(alg, tol)
-    section = nullspace(ideal.conj().T, tol) if ideal.shape[1] else np.eye(alg.dim, dtype=complex)
-    m = section.shape[1]
-    if m == 0:
-        return CommutativeQuotient(quotient=None, section=section)
-    # cq[p, q] = section^H (s_p s_q), for the columns s_p of the section, as three matrix products
-    n = alg.dim
-    cq = section.T @ ((section.T @ alg.structure.reshape(n, n * n)).reshape(m, n, n) @ section.conj())
-    quotient = FiniteAlgebra(
-        name=f"{alg.name}.commutative-quotient",
-        basis_labels=tuple(f"q{i}" for i in range(m)),
-        structure=cq,
-    )
-    return CommutativeQuotient(quotient=quotient, section=section)
-
-
-@dataclass
 class CharacterEnumeration:
     algebra: FiniteAlgebra
     characters: tuple[Character, ...]
@@ -151,80 +124,79 @@ def _distances(fs: np.ndarray, gs: np.ndarray) -> np.ndarray:
     return np.max(np.abs(fs[:, None, :] - gs[None, :, :]), axis=2, initial=0.0)
 
 
-def _joint_eigenvalue_branches(operators: list[np.ndarray], dim: int, cluster_tol: float):
-    """Refine C^dim into joint eigenspaces of the (commuting) operators.
+# the trace form's rank cut, relative to its largest singular value: rounding level, not tol,
+# since the form is quadratic in the structure constants and a cut at tol would take a
+# character of size sqrt(tol) for radical
+TRACE_FORM_TOL = 1e3 * np.finfo(float).eps
 
-    Returns (basis, eigenvalue tuple) per terminal branch.  Only strict
-    eigenspaces are kept: defective directions carry no characters.  Operators
-    labeled None are splitters whose eigenvalues are not recorded.  A branch
-    splits at the means of its eigenvalue clusters, with the nullspaces of
-    all its shifted restrictions from one stacked SVD.  A branch of dimension
-    1 cannot split: its eigenvalue is the 1 x 1 restriction b^H op b itself,
-    which is what the eigensolve, the clustering and the nullspace would
-    return for it.  So once every branch is a line, which a splitter brings
-    about unless eigenvalues coincide, one contraction reads the eigenvalues
-    of all remaining operators on all branches.
+
+def radical(alg: FiniteAlgebra) -> np.ndarray:
+    """Orthonormal basis (columns) of rad A, the null space of the trace form's transpose.
+
+    By Dickson's criterion rad A = {x : tr L_xy = 0 for every y}; the form is
+    T[i, j] = tr L_{e_i e_j} = sum_k c[i, j, k] t_k with t_k = tr L_{e_k}, one
+    n^3 contraction, and its rank is cut at ``TRACE_FORM_TOL`` with the floor
+    (max |c|)^2.  An x in the null space has tr L_x^m = 0 for every m >= 2, so
+    L_x is nilpotent, also without a unit.
     """
-    branches = [(np.eye(dim, dtype=complex), ())]
-    for step, (label, op) in enumerate(operators):
-        if all(basis.shape[1] == 1 for basis, _ in branches):
-            lines = np.hstack([basis for basis, _ in branches])
-            rest = np.array([op for label, op in operators[step:] if label is not None]).reshape(-1, dim, dim)
-            read = np.sum(lines.conj() * (rest @ lines), axis=1).T  # [b, j] = b^H op_j b
-            return [(basis, values + tuple(row)) for (basis, values), row in zip(branches, read)]
-        refined = []
-        for basis, values in branches:
-            restricted = basis.conj().T @ op @ basis
-            d = restricted.shape[0]
-            if d == 1:
-                refined.append((basis, values + (complex(restricted[0, 0]),) if label is not None else values))
-                continue
-            eigs = np.linalg.eigvals(restricted)
-            cutoff = cluster_tol * max(1.0, float(np.max(np.abs(eigs))))
-            # chain clustering in (real, imag) order: a value within cutoff of the one before joins its cluster
-            ordered = eigs[np.lexsort((eigs.imag, eigs.real))]
-            starts = np.flatnonzero(np.r_[True, np.abs(np.diff(ordered)) > cutoff])
-            mus = np.add.reduceat(ordered, starts) / np.diff(np.r_[starts, len(ordered)])
-            _, s, vh = np.linalg.svd(restricted - mus[:, None, None] * np.eye(d))
-            for mu, r, v in zip(mus, np.sum(s > cutoff, axis=1), vh):
-                if r < d:
-                    refined.append((basis @ v[r:].conj().T, values + (mu,) if label is not None else values))
-        branches = refined
-    return branches
+    c = alg.structure
+    form = c @ np.einsum("kjj->k", c)
+    return nullspace(form.T, TRACE_FORM_TOL, max_abs(c) ** 2)
+
+
+def _is_nilpotent(alg: FiniteAlgebra, basis: np.ndarray, tol: float) -> bool:
+    """Whether the span R of ``basis`` is nilpotent: the chain R, R R, R R R, ... reaches 0,
+    each power a ``column_space`` at tol with the floor ``cutoff_scale``, before its
+    dimension stalls."""
+    n, power = alg.dim, basis
+    while power.shape[1]:
+        # column (p, q) is the product of column p of the power and column q of the basis
+        products = (basis.T @ (power.T @ alg.structure.reshape(n, n * n)).reshape(-1, n, n)).reshape(-1, n).T
+        grown = column_space(products, tol, alg.cutoff_scale)
+        if grown.shape[1] == power.shape[1]:
+            return False
+        power = grown
+    return True
 
 
 def enumerate_characters(alg: FiniteAlgebra, tol: float, seed: int = 0) -> CharacterEnumeration:
-    """All characters of the algebra, via the commutative quotient.
+    """All characters of the algebra, via Q = A / (rad A + I), I the commutator ideal.
 
-    A seeded random splitting element separates joint eigenspaces before the
-    basis operators refine them.  The candidates of all branches are lifted
-    back in one product, merged with any declared characters the algebra
-    carries, verified in one stacked defect contraction and deduplicated by
-    one pairwise-distance matrix: a candidate within max-norm distance
-    10*tol of an earlier verified one is dropped.
+    Every character kills rad A and I, and Q is isomorphic to C^k, so A has
+    exactly k = n - dim(rad A + I) characters.  Q is realised on the orthogonal
+    complement of rad A + I, and the eigenvectors of one seeded random
+    element's operator split it into k lines.  The candidates are lifted back
+    in one product, merged with any declared characters the algebra carries,
+    verified in one stacked defect contraction and deduplicated by one
+    pairwise-distance matrix: a candidate within max-norm distance 10*tol of
+    an earlier verified one is dropped.
+
+    The enumeration is certified complete when it finds exactly k characters
+    and the computed radical R is nilpotent at tol.  A character that does
+    not kill R has phi(x^j) = phi(x)^j != 0 for some x in R and every j, so
+    R^j != 0: a cut that puts a character in R leaves R not nilpotent, and a
+    cut that leaves radical directions out leaves fewer than k found.
     """
-    cq = commutative_quotient(alg, tol)
-    notes: list[str] = []
-    found = np.zeros((0, alg.dim), dtype=complex)
-    if cq.quotient is not None:
-        q = cq.quotient
-        m = q.dim
-        splitter = complex_gaussians(seed, SPLITTER_STREAM, m)
-        # the transposed left-multiplication operator of a is sum_i a_i structure[i]
-        ops: list[tuple[int | None, np.ndarray]] = [(None, np.einsum("i,ijk->jk", splitter, q.structure))]
-        ops += [(j, q.structure[j]) for j in range(m)]
-        branches = _joint_eigenvalue_branches(ops, m, max(np.sqrt(tol), 100 * tol))
-        notes = [f"joint eigenspace of dimension {basis.shape[1]} could not be split further; enumeration incomplete"
-                 for basis, _ in branches if basis.shape[1] != 1]
-        # lift chi(pi(x)) back: the functional e_i -> lam . (section^H e_i), for every branch at once
-        found = np.array([values for _, values in branches], dtype=complex).reshape(-1, m) @ cq.section.conj().T
+    n, rad = alg.dim, radical(alg)
+    section = nullspace(np.hstack([rad, commutator_ideal(alg, tol)]).conj().T, tol)
+    k = section.shape[1]
+    # cq[p, q] = section^H (s_p s_q), for the columns s_p of the section, as three matrix products:
+    # the part projected away lies in the ideal rad A + I, so this is Q's product
+    cq = section.T @ ((section.T @ alg.structure.reshape(n, n * n)).reshape(k, n, n) @ section.conj())
+    # the transposed left-multiplication operator of a quotient element a is sum_i a_i cq[i]
+    values = joint_eigenvalues(cq, complex_gaussians(seed, SPLITTER_STREAM, k))
+    # lift chi(pi(x)) back: the functional e_i -> chi . (section^H e_i), for every line at once
+    found = values @ section.conj().T
 
     accepted = verify_character(alg, np.vstack([found, *alg.declared_characters]), tol)
-    fs = np.array([ch.functional for ch in accepted], dtype=complex).reshape(-1, alg.dim)
+    fs = np.array([ch.functional for ch in accepted], dtype=complex).reshape(-1, n)
     kept = ~np.tril(_distances(fs, fs) <= 10 * tol, -1).any(axis=1)
     # sorted by the functionals' coordinates rounded to 9 digits, real part before imaginary
-    keys = np.round(np.stack([fs.real, fs.imag], axis=2).reshape(len(fs), 2 * alg.dim), 9)
+    keys = np.round(np.stack([fs.real, fs.imag], axis=2).reshape(len(fs), 2 * n), 9)
     order = [i for i in np.lexsort(keys.T[::-1]) if kept[i]]
+    notes = [f"found {len(order)} of {k} characters; enumeration incomplete"] if len(order) != k else []
+    if not _is_nilpotent(alg, rad, tol):
+        notes.append("radical not nilpotent at tol; enumeration incomplete")
     return CharacterEnumeration(alg, tuple(accepted[i] for i in order), complete=not notes, notes=tuple(notes))
 
 

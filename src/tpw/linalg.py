@@ -3,11 +3,7 @@
 This module turns singular values into a rank by one rule: a singular
 value counts when it exceeds tol * max(largest singular value, scale) *
 max(matrix dimension, 1), the rule of ``numpy.linalg.matrix_rank`` with a
-floor, stated by ``svd_cutoff`` and counted by ``_rank``.  One rank is still
-taken elsewhere, by a rule of its own: ``characters._joint_eigenvalue_branches``
-clusters eigenvalues and splits a branch at each cluster by counting the
-singular values s > cutoff, where the cutoff is the clustering bound with an
-absolute floor of 1.  ROADMAP item 7 takes that rank through ``_rank``.
+floor, stated by ``svd_cutoff`` and counted by ``_rank``.
 
 ``nullspaces`` solves a stack of systems of one shape, such as the
 invariant-element systems of every character of an algebra, by one stacked
@@ -234,6 +230,19 @@ def column_spaces(stack, tol: float, scales) -> tuple[np.ndarray, np.ndarray]:
     u, s, _ = np.linalg.svd(stack, full_matrices=False)
     ranks = _rank(s, stack.shape[1:], tol, scales)
     return u * (np.arange(u.shape[2]) < ranks[:, None])[:, None, :], ranks
+
+
+def joint_eigenvalues(operators, weights) -> np.ndarray:
+    """The eigenvalues of k commuting diagonalizable operators (k, m, m) on their m common
+    eigenvectors, as an (m, k) array: row b holds b^H op_i b for every i, for the unit
+    eigenvectors b of the one combination sum_i weights[i] op_i.
+
+    For weights in general position the combination's eigenvalues are distinct, so each of
+    its eigenvectors spans a joint eigenspace; no rank is decided here.
+    """
+    ops = as_complex(operators)
+    _, vectors = np.linalg.eig(np.tensordot(weights, ops, axes=1))
+    return np.sum(vectors.conj() * (ops @ vectors), axis=1).T
 
 
 def projector(basis: np.ndarray) -> np.ndarray:

@@ -76,6 +76,12 @@ def right_mult_operator(alg, a):
     return np.einsum("j,ijk->ki", alg.coerce(a), alg.structure)
 
 
+def inner_derivation(alg, f):
+    """The matrix of ad_f : a -> a.f - f.a: the reference inner derivation of the tests."""
+    c = alg.structure
+    return ((c - c.transpose(1, 0, 2)).reshape(-1, alg.dim) @ alg.coerce(f)).reshape(alg.dim, alg.dim)
+
+
 def dual_actions(alg, f, a):
     """Both module actions of a on the functional f, (f.a, a.f), from the multiplication operators:
     f.a is the functional x -> f(a x) and a.f is x -> f(x a).  A reference for the tables."""
@@ -147,6 +153,21 @@ def zero_product_algebra(n):
     return FiniteAlgebra(name=f"Z{n}", basis_labels=tuple(f"z{i}" for i in range(n)), structure=np.zeros((n, n, n)))
 
 
+def c2_eps(eps):
+    """C2_eps, with e1 e1 = e1 and e2 e2 = eps e2: C2 in the basis (e1, e2 / eps) for every eps != 0.
+    Its second character has size eps, and the trace form sees eps^2.  Where eps is over tol but
+    eps^2 is under the form's rounding-level cut (up to about 7e-7), no count can be certified."""
+    c = np.zeros((2, 2, 2))
+    c[0, 0, 0], c[1, 1, 1] = 1.0, eps
+    return FiniteAlgebra(name=f"C2_{eps:g}", basis_labels=("e1", "e2"), structure=c)
+
+
+def undecidable_triple():
+    """C2_eps x_0 C at eps = 1e-7, whose first factor's enumeration is incomplete at tol 1e-9."""
+    a, c = c2_eps(1e-7), algebra_c()
+    return a, c, AlgebraHom(source=c, target=a, matrix=np.zeros((2, 1)))
+
+
 def rebased_triple(a, b, hom, rng):
     """(A, B, T) in random unitary bases, one per algebra object, with T's matrix moved along."""
     ua = random_unitary(rng, a.dim)
@@ -181,8 +202,8 @@ def stacking_triples(corpus):
     """(label, A, B, T) for the stacked-versus-loop reference tests: every corpus entry and a
     rebased copy, both cross-term triples, C + UT2 as either factor with C and the zero hom
     (its characters' invariant elements have dimensions 2, 0 and 1 on the left), each plain
-    and rebased, and Z2 and Z3 (whose enumerations are incomplete) as a factor of C2 and of C
-    with the zero hom."""
+    and rebased, and Z2 and Z3 (zero characters, certified by the trace form's count) as a factor
+    of C2 and of C with the zero hom."""
     rng = np.random.default_rng(11)
     triples = [(e.entry_id, e.algebra_a, e.algebra_b, e.hom) for e in corpus]
     triples += [(f"cross-{image}", *cross_term_triple(image)) for image in ("E02", "E01")]

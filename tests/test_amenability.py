@@ -14,7 +14,6 @@ from tpw.amenability import (
     commutation_residual,
     derivation_space,
     inner_amenability_suite,
-    inner_derivation,
     is_character_amenable,
     is_character_inner_amenable,
     is_weakly_amenable,
@@ -36,6 +35,7 @@ from tpw.suite import RunConfig, verify_product, verify_theorems
 from conftest import (
     TOL,
     cross_term_triple,
+    inner_derivation,
     matrix_unit_algebra,
     power_estimates,
     random_element,

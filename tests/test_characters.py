@@ -10,20 +10,20 @@ from tpw.characters import (
     CharacterEnumeration,
     character_decomposition,
     character_defect,
-    commutative_quotient,
     commutator_ideal,
     enumerate_characters,
     product_characters,
+    radical,
     verify_character,
 )
 from tpw.core import FiniteAlgebra
 from tpw.corpus import algebra_cn, hom_identity, hom_zero
 from tpw.errors import CharacterRejected
-from tpw.linalg import SPLITTER_STREAM, column_space, complex_gaussians, max_abs, subspaces_equal
+from tpw.linalg import SPLITTER_STREAM, column_space, complex_gaussians, max_abs, nullspace, subspaces_equal
 from tpw.product import AlgebraHom, build_product
 
-from conftest import (TOL, matrix_unit_algebra, random_unitary, rebased, rebased_triple, right_mult_operator,
-                      stacking_triples)
+from conftest import (TOL, c2_eps, cross_term_triple, matrix_unit_algebra, random_unitary, rebased, rebased_triple,
+                      right_mult_operator, stacking_triples)
 
 
 def oracle_cn_characters(n):
@@ -95,34 +95,6 @@ def test_commutator_ideal_matches_per_basis_loop(corpus):
         assert subspaces_equal(ideal, ref, 1e-12)[0], alg.name
 
 
-def test_quotient_operators_match_left_mult_operators(monkeypatch, corpus):
-    """The operators enumeration refines by are the transposed left-multiplication
-    operators of the seeded splitter and of each quotient basis vector."""
-    seen = []
-
-    def record(operators, dim, cluster_tol):
-        seen.append(operators)
-        return branches(operators, dim, cluster_tol)
-
-    branches = tpw.characters._joint_eigenvalue_branches
-    monkeypatch.setattr(tpw.characters, "_joint_eigenvalue_branches", record)
-    for alg in contraction_algebras(corpus):
-        q = commutative_quotient(alg, TOL).quotient
-        seen.clear()
-        enumerate_characters(alg, TOL, seed=3)
-        if q is None:
-            assert not seen, alg.name
-            continue
-        splitter = complex_gaussians(3, SPLITTER_STREAM, q.dim)
-        want = [(None, q.left_mult_operator(splitter).T)]
-        want += [(j, q.left_mult_operator(q.basis_vector(j)).T) for j in range(q.dim)]
-        (ops,) = seen
-        assert [label for label, _ in ops] == [label for label, _ in want], alg.name
-        bound = 1e-12 * max(1.0, max_abs(q.structure)) * max(1.0, max_abs(splitter))
-        for (_, op), (_, ref) in zip(ops, want):
-            assert max_abs(op - ref) <= bound, alg.name
-
-
 def test_commutator_ideal_row2(alg_row2):
     # [E11, E12] = E12 generates span{E12}
     basis = commutator_ideal(alg_row2, TOL)
@@ -132,7 +104,6 @@ def test_commutator_ideal_row2(alg_row2):
 
 def test_commutator_ideal_m2_is_everything(alg_m2):
     assert commutator_ideal(alg_m2, TOL).shape[1] == 4
-    assert commutative_quotient(alg_m2, TOL).quotient is None
 
 
 def test_commutator_ideal_commutative_is_trivial(alg_c2, alg_z2):
@@ -171,12 +142,13 @@ def test_enumerate_null1(alg_null1):
     assert len(enum.characters) == 0
 
 
-def test_enumerate_zero_product_dim2_incomplete():
-    """All joint eigenspaces stay 2-dimensional, so the verdict is incomplete."""
+def test_enumerate_zero_product_dim2_complete():
+    """Z2 has no character: the trace form is 0, so rad Z2 is all of Z2, which is nilpotent
+    (Z2 Z2 = 0), and the count n - dim(rad + I) is 0, which the empty enumeration meets."""
     enum = enumerate_characters(zero_product_algebra(2), TOL, seed=0)
-    assert not enum.complete
+    assert enum.complete
     assert len(enum.characters) == 0
-    assert enum.notes
+    assert not enum.notes
 
 
 def test_enumerate_deterministic(alg_ut2):
@@ -315,47 +287,16 @@ def reference_branches(operators, dim, cluster_tol):
     return branches
 
 
-def test_refinement_matches_eigensolve_on_every_branch(monkeypatch, corpus):
-    """Skipping the eigensolve on one-dimensional branches changes no branch and no character."""
-    seen = []
-
-    def record(operators, dim, cluster_tol):
-        seen.append((operators, dim, cluster_tol))
-        return branches(operators, dim, cluster_tol)
-
-    branches = tpw.characters._joint_eigenvalue_branches
-    monkeypatch.setattr(tpw.characters, "_joint_eigenvalue_branches", record)
-    algebras = [*contraction_algebras(corpus), zero_product_algebra(2)]
-    enumerations = [enumerate_characters(alg, TOL, seed=3) for alg in algebras]
-    refined = [alg for alg in algebras if commutative_quotient(alg, TOL).quotient is not None]
-    assert len(refined) == len(seen)
-    for alg, args in zip(refined, seen):
-        got, want = branches(*args), reference_branches(*args)
-        assert len(got) == len(want), alg.name
-        for (basis, values), (ref_basis, ref_values) in zip(got, want):
-            assert basis.shape == ref_basis.shape and len(values) == len(ref_values), alg.name
-            assert max_abs(np.array(values) - np.array(ref_values)) <= 1e-12, alg.name
-            assert subspaces_equal(basis, ref_basis, 1e-12)[0], alg.name
-
-    monkeypatch.setattr(tpw.characters, "_joint_eigenvalue_branches", reference_branches)
-    for alg, enum in zip(algebras, enumerations):
-        ref = enumerate_characters(alg, TOL, seed=3)
-        assert (enum.complete, len(enum), enum.notes) == (ref.complete, len(ref), ref.notes), alg.name
-        for ch, ref_ch in zip(enum.characters, ref.characters):
-            assert max_abs(ch.functional - ref_ch.functional) <= 1e-12, alg.name
-    assert not enumerations[-1].complete and len(enumerations[-1]) == 0
-
-
 def test_one_eigensolve_per_enumeration_with_a_complete_splitter(monkeypatch):
-    """Counted guard: on rebased C5 and C5 x C5 the splitter separates every joint
-    eigenspace, so each enumeration takes one eigensolve, on the whole quotient."""
-    eigvals, calls = np.linalg.eigvals, []
+    """Counted guard: on rebased C5 and C5 x C5 the quotient A / (rad A + I) has order k,
+    the number of characters, and each enumeration takes one eigensolve, of order k."""
+    eig, calls = np.linalg.eig, []
 
     def counted(a):
         calls.append(a.shape)
-        return eigvals(a)
+        return eig(a)
 
-    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    monkeypatch.setattr(np.linalg, "eig", counted)
     c5 = rebased(matrix_unit_algebra("C", 5), random_unitary(np.random.default_rng(3), 5), "C5")
     product = build_product(c5, c5, AlgebraHom(source=c5, target=c5, matrix=np.eye(5)), TOL)
     for alg, count in ((c5, 5), (product.algebra, 10)):
@@ -365,21 +306,31 @@ def test_one_eigensolve_per_enumeration_with_a_complete_splitter(monkeypatch):
         assert calls == [(count, count)]
 
 
+def reference_quotient(alg, tol):
+    """A / [commutator ideal] as an algebra on the ideal's orthogonal complement, and that
+    complement's orthonormal basis, the section; the algebra is None when the ideal is all of A."""
+    ideal = commutator_ideal(alg, tol)
+    section = nullspace(ideal.conj().T, tol) if ideal.shape[1] else np.eye(alg.dim, dtype=complex)
+    m = section.shape[1]
+    if m == 0:
+        return None, section
+    cq = np.einsum("ip,jq,ijk,kr->pqr", section, section, alg.structure, section.conj())
+    return FiniteAlgebra(name=f"{alg.name}.q", basis_labels=tuple(f"q{i}" for i in range(m)), structure=cq), section
+
+
 def reference_enumeration(alg, tol, seed):
-    """Enumeration one branch, one candidate and one character at a time: the eigensolve
-    refinement on every branch, one verification per candidate, deduplication against the
-    characters accepted so far, and a sort key built coordinate by coordinate."""
-    cq = commutative_quotient(alg, tol)
-    found, notes = [], []
-    if cq.quotient is not None:
-        q = cq.quotient
+    """The branch refinement on the commutative quotient, one branch, one candidate and one
+    character at a time: an eigensolve, a clustering and a nullspace on every branch,
+    one verification per candidate, deduplication against the characters accepted so far,
+    and a sort key built coordinate by coordinate.  Complete when every branch is a line."""
+    q, section = reference_quotient(alg, tol)
+    found, complete = [], True
+    if q is not None:
         splitter = complex_gaussians(seed, SPLITTER_STREAM, q.dim)
         ops = [(None, np.einsum("i,ijk->jk", splitter, q.structure))] + [(j, q.structure[j]) for j in range(q.dim)]
         for basis, values in reference_branches(ops, q.dim, max(np.sqrt(tol), 100 * tol)):
-            if basis.shape[1] != 1:
-                notes.append(f"joint eigenspace of dimension {basis.shape[1]} could not be split further; "
-                             "enumeration incomplete")
-            found.append(cq.section.conj() @ np.array(values, dtype=complex))
+            complete = complete and basis.shape[1] == 1
+            found.append(section.conj() @ np.array(values, dtype=complex))
     accepted = []
     for f in found + list(alg.declared_characters):
         try:
@@ -389,7 +340,7 @@ def reference_enumeration(alg, tol, seed):
         if not any(max_abs(ch.functional - other.functional) <= 10 * tol for other in accepted):
             accepted.append(ch)
     accepted.sort(key=lambda ch: tuple((round(z.real, 9), round(z.imag, 9)) for z in ch.functional))
-    return accepted, not notes, tuple(notes)
+    return accepted, complete
 
 
 def stacking_algebras(corpus):
@@ -404,16 +355,84 @@ def stacking_algebras(corpus):
 
 
 def test_enumeration_matches_per_candidate_loop(corpus):
-    """The stacked enumeration gives the loop reference's characters to 1e-12, in the
-    same order, with the same completeness and notes, on every stacking algebra."""
+    """On every stacking algebra, the trace-form enumeration loses no character of the branch
+    refinement, to 1e-12, and no completeness: wherever the refinement is complete, the
+    enumeration is too, with the same characters and residuals in the same order."""
     for alg in stacking_algebras(corpus):
         for seed in (0, 3):
             enum = enumerate_characters(alg, TOL, seed)
-            ref, complete, notes = reference_enumeration(alg, TOL, seed)
-            assert (enum.complete, enum.notes, len(enum)) == (complete, notes, len(ref)), alg.name
-            for ch, want in zip(enum.characters, ref):
-                assert max_abs(ch.functional - want.functional) <= 1e-12, alg.name
-                assert abs(ch.residual - want.residual) <= 1e-12, alg.name
+            ref, complete = reference_enumeration(alg, TOL, seed)
+            for want in ref:
+                gap = min((max_abs(ch.functional - want.functional) for ch in enum.characters), default=np.inf)
+                assert gap <= 1e-12, alg.name
+            if complete:
+                assert enum.complete and not enum.notes and len(enum) == len(ref), alg.name
+                for ch, want in zip(enum.characters, ref):
+                    assert max_abs(ch.functional - want.functional) <= 1e-12, alg.name
+                    assert abs(ch.residual - want.residual) <= 1e-12, alg.name
+
+
+def closed_form_counts():
+    """(algebra, number of characters, dim rad A): C_k, T_k, N_k and M_k for k = 2..4, plain
+    and rebased, Z1-Z4, both cross-term triples' factors and products, plain and rebased,
+    and the products with a zero-product factor, C2 x_0 Z2 and Z3 x_0 C."""
+    rng = np.random.default_rng(6)
+    for family in "CTNM":
+        for k in range(2, 5):
+            alg = matrix_unit_algebra(family, k)
+            count, rad = (k if family in "CT" else 0), (k * (k - 1) // 2 if family in "TN" else 0)
+            yield from ((alg, count, rad), (rebased(alg, random_unitary(rng, alg.dim)), count, rad))
+    for n in range(1, 5):
+        yield zero_product_algebra(n), 0, n
+    for image in ("E02", "E01"):
+        triple = cross_term_triple(image)
+        for a, b, hom in (triple, rebased_triple(*triple, rng)):
+            yield from ((a, 0, 3), (b, 0, 1), (build_product(a, b, hom, TOL).algebra, 0, 4))
+    c, c2 = algebra_cn(1), algebra_cn(2)
+    z2, z3 = zero_product_algebra(2), zero_product_algebra(3)
+    yield build_product(c2, z2, AlgebraHom(source=z2, target=c2, matrix=np.zeros((2, 2))), TOL).algebra, 2, 2
+    yield build_product(z3, c, AlgebraHom(source=c, target=z3, matrix=np.zeros((3, 1))), TOL).algebra, 1, 3
+
+
+def test_enumeration_certifies_the_closed_form_counts():
+    """Every algebra with a closed-form count is certified complete with that many characters,
+    and its radical has the closed-form dimension; among them are the nilpotent algebras and
+    the products with cross derivations that the branch refinement left incomplete."""
+    for alg, count, rad in closed_form_counts():
+        for seed in (0, 3):
+            enum = enumerate_characters(alg, TOL, seed)
+            assert (enum.complete, len(enum), enum.notes) == (True, count, ()), alg.name
+        assert radical(alg).shape[1] == rad, alg.name
+
+
+def test_a_split_that_misses_a_line_is_not_certified(monkeypatch):
+    """The count certifies the split.  With a splitter of zeros, the operator is 0 and its
+    eigenvectors are the quotient's coordinate vectors, which in a random basis of C3 carry
+    no character, so fewer than 3 of the 3 are found and the enumeration is incomplete."""
+    monkeypatch.setattr(tpw.characters, "complex_gaussians", lambda seed, stream, shape: np.zeros(shape, complex))
+    alg = rebased(matrix_unit_algebra("C", 3), random_unitary(np.random.default_rng(8), 3))
+    enum = enumerate_characters(alg, TOL)
+    assert not enum.complete and len(enum) < 3
+    assert enum.notes == (f"found {len(enum)} of 3 characters; enumeration incomplete",)
+
+
+@pytest.mark.parametrize("eps, count, complete", [(1.0, 2, True), (1e-2, 2, True), (1e-4, 2, True),
+                                                  (1e-6, 2, True), (1e-7, 1, False), (1e-8, 1, False),
+                                                  (1e-10, 1, True)])
+def test_c2_eps_sweep(eps, count, complete):
+    """C2_eps at tol 1e-9.  From eps = 1e-6 up, the trace form keeps e2 and both characters are
+    found.  At 1e-7 and 1e-8 the form, quadratic in eps, puts e2 in the radical, and its square
+    eps e2 is not zero at tol, so the one character found is not certified.  At 1e-10 the
+    second character (0, eps) is itself under tol.  A certified enumeration misses no
+    functional that ``verify_character`` accepts."""
+    alg = c2_eps(eps)
+    enum = enumerate_characters(alg, TOL)
+    assert (len(enum), enum.complete) == (count, complete)
+    assert enum.notes == (() if complete else ("radical not nilpotent at tol; enumeration incomplete",))
+    if complete:
+        candidates = np.array([[a, b] for a in (0.0, 1.0) for b in (0.0, eps)], dtype=complex)
+        for ch in verify_character(alg, candidates, TOL):
+            assert min((max_abs(ch.functional - got.functional) for got in enum.characters), default=np.inf) <= 10 * TOL
 
 
 def reference_decomposition(product, sigma_a, sigma_b, enumerated, tol):

@@ -79,9 +79,8 @@ def test_every_private_name_is_referenced():
     assert unreferenced_private_names(sources) == []
 
 
-# np.linalg calls outside linalg, by the function that makes them: the branch split clusters eigenvalues
-# and counts s > cutoff under its own rule, until ROADMAP item 7 takes that rank through linalg
-LINALG_EXCEPTIONS = {"characters.py:_joint_eigenvalue_branches"}
+# np.linalg calls outside linalg, by the function that makes them: none
+LINALG_EXCEPTIONS = set()
 
 
 def linalg_uses(module: str, source: str) -> list[str]:

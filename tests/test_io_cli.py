@@ -29,7 +29,7 @@ from tpw.io import (
 )
 from tpw.report import dump_json
 
-from conftest import TOL
+from conftest import TOL, c2_eps, undecidable_triple
 
 
 @pytest.fixture()
@@ -147,13 +147,13 @@ def test_cli_characters_m2_empty_exit_zero(files, capsys):
 
 
 def test_cli_characters_incomplete_exit_3(tmp_path, capsys):
-    from tpw.core import FiniteAlgebra
-
-    alg = FiniteAlgebra(name="zero2", basis_labels=("z1", "z2"), structure=np.zeros((2, 2, 2)))
-    path = tmp_path / "zero2.json"
-    save_algebra(alg, str(path))
-    assert main(["characters", "--algebra", str(path)]) == 3
-    assert "INCOMPLETE" in capsys.readouterr().out
+    """C2_eps at eps = 1e-7 cannot be decided at tol 1e-9: its trace form puts e2 in the radical,
+    whose square eps e2 is not zero at tol, so the one character found is not certified."""
+    path = tmp_path / "c2eps.json"
+    save_algebra(c2_eps(1e-7), str(path))
+    assert main(["characters", "--algebra", str(path), "--tol", "1e-9"]) == 3
+    out = capsys.readouterr().out
+    assert "INCOMPLETE" in out and "radical not nilpotent" in out
 
 
 def test_cli_check_commands(files, capsys):
@@ -294,16 +294,14 @@ def test_cli_corpus_run_exits_with_its_worst_report(tmp_path, monkeypatch, capsy
     and 1 when both kinds of entry are present, in either file order.
 
     The failing entry is C x_id C tagged non-weakly-amenable.  The undecidable one is
-    zero2 x_0 C, whose zero product leaves the character enumeration incomplete, tagged
-    char-inner-amenable: its tag check is undecidable too.  One run passes a valid ``--tol``.
+    C2_eps x_0 C at eps = 1e-7, whose first factor's character enumeration is incomplete,
+    tagged weakly-amenable, which passes, and char-inner-amenable: its tag check is
+    undecidable too.  One run passes a valid ``--tol``.
     """
-    from tpw.core import FiniteAlgebra
-    from tpw.corpus import hom_zero
-
-    c, zero2 = algebra_c(), FiniteAlgebra(name="zero2", basis_labels=("z1", "z2"), structure=np.zeros((2, 2, 2)))
+    c = algebra_c()
     entries = {
         "mistagged": ("c-c-id", c, c, hom_identity(c), ["non-weakly-amenable"]),
-        "undecidable": ("zero2-c-zero", zero2, c, hom_zero(c, zero2), ["non-weakly-amenable", "char-inner-amenable"]),
+        "undecidable": ("c2eps-c-zero", *undecidable_triple(), ["weakly-amenable", "char-inner-amenable"]),
     }
 
     def run(*names, extra=()):
@@ -323,9 +321,9 @@ def test_cli_corpus_run_exits_with_its_worst_report(tmp_path, monkeypatch, capsy
     assert code == 1 and ("10-corpus-tags/weakly_amenable", "fail") in verdicts
     code, verdicts, reports = run("undecidable", extra=("--tol", "1e-9"))
     assert code == 3 and ("10-corpus-tags/char_inner_amenable", "unknown") in verdicts
-    assert reports["zero2-c-zero"]["summary"] == {"pass": 22, "fail": 0, "unknown": 4, "skip": 0}
+    assert reports["c2eps-c-zero"]["summary"] == {"pass": 27, "fail": 0, "unknown": 6, "skip": 2}
     assert all(report["summary"]["unknown"] == report["summary"]["fail"] == 0
-               for entry_id, report in reports.items() if entry_id != "zero2-c-zero")
+               for entry_id, report in reports.items() if entry_id != "c2eps-c-zero")
     assert run("mistagged", "undecidable")[0] == run("undecidable", "mistagged")[0] == 1
 
 

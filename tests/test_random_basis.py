@@ -2,8 +2,8 @@
 
 Conjugating every algebra by a well-conditioned random matrix preserves all
 the structure theory but destroys the exact 0/1 tensors of the corpus, so
-the tolerance machinery (singular-value cutoffs, eigenvalue clustering,
-scale floors) is actually exercised.
+the tolerance machinery (singular-value cutoffs, the trace form's
+rounding-level cut, scale floors) is actually exercised.
 """
 
 import numpy as np

@@ -240,7 +240,7 @@ def test_corpus_run_counts_multiply_and_operator_calls(monkeypatch, capsys):
     builds no multiplication operator, and solves two topological centers per triple.
 
     Group 01's shear, group 02's cross-check, the Leibniz residual, the
-    commutator ideal and the commutative quotient's operators are all
+    commutator ideal, the trace form and the character quotient are all
     contractions over the structure tensor; group 04 asks only for the
     product's center on each side.
     """
