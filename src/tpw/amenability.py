@@ -5,6 +5,9 @@ a Banach-algebra notion:
 
 * weak amenability: every derivation into the dual module is inner, decided
   by comparing the dimensions of the derivation space and its inner subspace;
+  a semisimple algebra, whose trace form gives rad A = 0 at tol
+  (``characters.radical``), takes its space from the inner map, since
+  Der = Inn there, and any other solves its Leibniz system;
 * character amenability: a one-sided identity (the finite-dimensional stand-in
   for a bounded one-sided approximate identity) plus, for every character, an
   invariant bidual element not annihilated by it;
@@ -27,7 +30,9 @@ derivation A -> B' vanishes on A^2 and takes values in the annihilator of
 B^2, and B -> A' likewise).  So dim Der(P) = dim Der(A) + dim Der(B) +
 2 codim(A^2) codim(B^2) and dim Inn(P) = dim Inn(A) + dim Inn(B).  This is
 used only when the product's shear gap is within 10 tol, the bound of the
-suite's shear claim; otherwise the product's own Leibniz system is solved.
+suite's shear claim; otherwise the product's own space is found as any
+algebra's is.  So a product of semisimple factors takes the inner map's
+space through its factors, or through its own trace form.
 The product's character decomposition (``ProductAnalysis.decomposition``) is
 one fact of the run: the product solves the invariant elements of its own
 characters, as every algebra does, and each member of the lifted and the
@@ -42,7 +47,8 @@ from functools import cached_property
 import numpy as np
 
 from .arens import arens_tables, stacked_side_system
-from .characters import CharacterEnumeration, ProductCharacterReport, character_decomposition, enumerate_characters
+from .characters import (CharacterEnumeration, ProductCharacterReport, character_decomposition, enumerate_characters,
+                         radical)
 from .core import FiniteAlgebra, center, find_left_identity, find_right_identity
 from .errors import NotADerivation
 from .linalg import (SKETCH_STREAM, as_complex, column_space, column_spaces, complex_gaussians, max_abs, nullspace,
@@ -70,17 +76,20 @@ CENTER_REDUCTION_CAVEAT = (
 class DerivationSpace:
     """Solutions of the Leibniz identity into the dual module, with the inner ones.
 
-    ``parts`` is None for a space solved from the algebra's own Leibniz
-    system.  For a product's space carried from its factors through the
-    shear, it splits ``der_basis`` by origin: "p1" and "p2" hold the lifted
-    bases of the first and the second factor, and "cross" the maps from the
-    cross blocks of A + B, which no factor derivation accounts for.
+    ``parts`` is None for an algebra's own space.  For a product's space
+    carried from its factors through the shear, it splits ``der_basis`` by
+    origin: "p1" and "p2" hold the lifted bases of the first and the second
+    factor, and "cross" the maps from the cross blocks of A + B, which no
+    factor derivation accounts for.
+    ``semisimple`` is True when rad A = 0 decided the space: ``der_basis``
+    is then ``inner_basis``, and no Leibniz system was solved.
     """
 
     algebra: FiniteAlgebra
     der_basis: tuple[np.ndarray, ...]
     inner_basis: tuple[np.ndarray, ...]
     parts: dict[str, tuple[np.ndarray, ...]] | None = None
+    semisimple: bool = False
 
     @property
     def dim_der(self) -> int:
@@ -165,6 +174,30 @@ def leibniz_residual(alg: FiniteAlgebra, d: np.ndarray) -> float:
 
 
 def derivation_space(alg: FiniteAlgebra, tol: float, seed: int = 0) -> DerivationSpace:
+    """The derivations into the dual module and their inner subspace.
+
+    When the trace form gives rad A = 0 at tol (``characters.radical``), A
+    is semisimple, so amenable, and every derivation into A' is inner
+    (B. E. Johnson, Mem. AMS 127, 1972): the space is the inner map's column
+    space, with no Leibniz system.  Otherwise ``_leibniz_space`` solves the
+    Leibniz system.  The form is quadratic in the structure constants, so a
+    direction of size eps shows in it as eps^2, and its cut at tol asks more
+    than the Leibniz system's, which sees eps: an algebra within about
+    sqrt(tol) of one with a radical takes the Leibniz system.
+    """
+    if radical(alg, tol).shape[1]:
+        return _leibniz_space(alg, tol, seed)
+    inner = _inner_basis(alg, tol)
+    return DerivationSpace(algebra=alg, der_basis=inner, inner_basis=inner, semisimple=True)
+
+
+def _inner_basis(alg: FiniteAlgebra, tol: float) -> tuple[np.ndarray, ...]:
+    """An orthonormal basis of the inner derivations, the inner map's column space, as n x n maps."""
+    n, flat = alg.dim, column_space(_inner_map(alg), tol, scale=alg.cutoff_scale)
+    return tuple(flat[:, k].reshape(n, n) for k in range(flat.shape[1]))
+
+
+def _leibniz_space(alg: FiniteAlgebra, tol: float, seed: int = 0) -> DerivationSpace:
     """Solve the Leibniz system and the inner-derivation image.
 
     The Leibniz system has n^3 equations (i, j, m) in the n^2 unknowns D[m, k],
@@ -184,7 +217,8 @@ def derivation_space(alg: FiniteAlgebra, tol: float, seed: int = 0) -> Derivatio
     peak.  The restricted system, n^3 x dim V, is applied to as many basis
     indices i at a time (n^2 rows each) as fit in n^4 entries and folded into
     its R factor, so it is formed whole only when it is that small, and not
-    when every map is a derivation.
+    when every map is a derivation.  It is the oracle of the semisimple case
+    of ``derivation_space`` in the tests.
     """
     n, c = alg.dim, alg.structure
     der_flat = sketched_nullspace(
@@ -193,10 +227,8 @@ def derivation_space(alg: FiniteAlgebra, tol: float, seed: int = 0) -> Derivatio
         lambda y: _leibniz_adjoint(c, y),
         (n**3, n * n), tol, scale=alg.cutoff_scale,
     )
-    inner_flat = column_space(_inner_map(alg), tol, scale=alg.cutoff_scale)
     der = tuple(der_flat[:, k].reshape(n, n) for k in range(der_flat.shape[1]))
-    inner = tuple(inner_flat[:, k].reshape(n, n) for k in range(inner_flat.shape[1]))
-    return DerivationSpace(algebra=alg, der_basis=der, inner_basis=inner)
+    return DerivationSpace(algebra=alg, der_basis=der, inner_basis=_inner_basis(alg, tol))
 
 
 def square_annihilator(alg: FiniteAlgebra, tol: float) -> np.ndarray:
@@ -515,8 +547,8 @@ class ProductAnalysis(Analysis):
     """The analysis of ``product.algebra``, which also holds the product and its factors' analyses.
 
     Its derivation space is carried from the factors' through the shear when
-    the product's shear gap is within 10 tol; otherwise it is solved from the
-    product's own Leibniz system.  Its character decomposition is one fact of
+    the product's shear gap is within 10 tol; otherwise it is the product's
+    own ``derivation_space``.  Its character decomposition is one fact of
     the run, and the lifted and pure families read their invariant elements
     through its matching: a member within 10 tol of an enumerated character
     shares that character's solution, and the members that match none are

@@ -130,18 +130,20 @@ def _distances(fs: np.ndarray, gs: np.ndarray) -> np.ndarray:
 TRACE_FORM_TOL = 1e3 * np.finfo(float).eps
 
 
-def radical(alg: FiniteAlgebra) -> np.ndarray:
+def radical(alg: FiniteAlgebra, tol: float = TRACE_FORM_TOL) -> np.ndarray:
     """Orthonormal basis (columns) of rad A, the null space of the trace form's transpose.
 
     By Dickson's criterion rad A = {x : tr L_xy = 0 for every y}; the form is
     T[i, j] = tr L_{e_i e_j} = sum_k c[i, j, k] t_k with t_k = tr L_{e_k}, one
-    n^3 contraction, and its rank is cut at ``TRACE_FORM_TOL`` with the floor
-    (max |c|)^2.  An x in the null space has tr L_x^m = 0 for every m >= 2, so
-    L_x is nilpotent, also without a unit.
+    n^3 contraction, and its rank is cut at ``tol``, by default
+    ``TRACE_FORM_TOL``, with the floor (max |c|)^2.  An x in the null space has
+    tr L_x^m = 0 for every m >= 2, so L_x is nilpotent, also without a unit.
+    A cut at the run's tol counts as radical every direction under about
+    sqrt(tol), so an empty result there is a strict test of rad A = 0.
     """
     c = alg.structure
     form = c @ np.einsum("kjj->k", c)
-    return nullspace(form.T, TRACE_FORM_TOL, max_abs(c) ** 2)
+    return nullspace(form.T, tol, max_abs(c) ** 2)
 
 
 def _is_nilpotent(alg: FiniteAlgebra, basis: np.ndarray, tol: float) -> bool:

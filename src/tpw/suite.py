@@ -12,7 +12,9 @@ groups move characters, invariant elements and means with the product's
 block maps and read the hom's facts from ``product.hom_report``.
 Group 06 reads the product's derivation space from its analysis, which
 carries it from the factors' through the shear when the shear claim's gap
-is within bound and solves it directly otherwise.  A carried space's own
+is within bound and finds it as any algebra's otherwise; the equivalence's
+detail names each algebra whose space is the inner map's because its trace
+form gives rad A = 0.  A carried space's own
 maps are checked against the product's Leibniz identity, so a wrong
 transport fails a claim: its lifted factor derivations in
 ``derivation-lift-*`` and its cross derivations, built from the
@@ -202,6 +204,8 @@ def _check_weak_amenability(report: CheckReport, product: MorphismProduct, analy
                             tol: float):
     an_a, an_b, an_p = analyses
     ds_a, ds_b, ds_p = an_a.derivations, an_b.derivations, an_p.derivations
+    # the algebras whose space is the inner map's, each named once
+    semisimple = list(dict.fromkeys(ds.algebra.name for ds in (ds_a, ds_b, ds_p) if ds.semisimple))
     ok = an_p.weakly_amenable == (an_a.weakly_amenable and an_b.weakly_amenable)
     report.add(
         "06-weak-amenability/equivalence",
@@ -214,6 +218,7 @@ def _check_weak_amenability(report: CheckReport, product: MorphismProduct, analy
         detail=(
             f"product {ds_p.dim_der}/{ds_p.dim_inner}, "
             f"factors {ds_a.dim_der}/{ds_a.dim_inner} and {ds_b.dim_der}/{ds_b.dim_inner} (der/inner)"
+            + (f"; Der = Inn from rad A = 0 on {', '.join(semisimple)}" if semisimple else "")
         ),
     )
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from tpw import amenability
-from tpw.amenability import derivation_space
+from tpw.amenability import _leibniz_space, derivation_space
 from tpw.linalg import (column_space, column_spaces, complex_gaussians, nullspace, nullspaces, sketched_nullspace,
                         subspaces_equal, svd_cutoff)
 
@@ -164,7 +164,7 @@ def test_derivation_space_sketches_at_most_two_n_squared_rows(monkeypatch):
         shapes.clear()
         tracemalloc.start()
         try:
-            space = derivation_space(alg, TOL)
+            space = _leibniz_space(alg, TOL)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -193,7 +193,7 @@ def test_sketch_is_released_before_the_eigensolve_of_its_gram_matrix(monkeypatch
     monkeypatch.setattr(np.linalg, "eigh", spy)
     tracemalloc.start()
     try:
-        space = derivation_space(alg, TOL)
+        space = _leibniz_space(alg, TOL)
     finally:
         tracemalloc.stop()
     assert space.dim_der == space.dim_inner == 15
@@ -227,8 +227,8 @@ def test_nullspace_of_zero_rows_is_everything():
 
 
 def test_nullspace_never_forms_a_tall_u(monkeypatch):
-    """Every SVD that ``nullspace`` and ``derivation_space`` take sees rows <= cols, so its U
-    has at most cols^2 entries."""
+    """Every SVD that ``nullspace`` and the Leibniz solve ``_leibniz_space`` take sees rows <= cols,
+    so its U has at most cols^2 entries."""
     shapes = []
     svd = np.linalg.svd
 
@@ -241,7 +241,7 @@ def test_nullspace_never_forms_a_tall_u(monkeypatch):
     tall = gaussian(np.random.default_rng(4), 64, 16)
     assert nullspace(tall, TOL).shape == (16, 0)
     m4 = matrix_unit_algebra("M", 4)
-    space = derivation_space(rebased(m4, random_unitary(np.random.default_rng(4), m4.dim)), TOL)
+    space = _leibniz_space(rebased(m4, random_unitary(np.random.default_rng(4), m4.dim)), TOL)
     assert space.dim_der == space.dim_inner == 15
     # the 64 x 16 matrix's R factor; the 16^3 x 15 restricted system's R factor
     assert shapes == [(16, 16), (15, 15)]
@@ -258,7 +258,7 @@ def test_derivation_dims_closed_forms(k, monkeypatch):
         alg = zero_product_algebra(k) if family == "Z" else matrix_unit_algebra(family, k)
         for candidate in (alg, rebased(alg, random_unitary(rng, alg.dim))):
             tops.clear()
-            space = derivation_space(candidate, TOL)
+            space = _leibniz_space(candidate, TOL)
             assert (space.dim_der, space.dim_inner) == expected, (candidate.name, space.dim_der, space.dim_inner)
             assert tops and np.all(np.isfinite(tops)), candidate.name
             if family == "Z":

@@ -12,7 +12,8 @@ on a small fixed triple in one of three ways, and no other:
 * one named solver returning a wrong but well-formed result:
   ``enumerate_characters``, ``center``, ``derivation_space``,
   ``square_annihilator``, ``solve_tli`` or ``find_*_identity``, patched
-  where ``amenability.Analysis`` reads it and wrong on one algebra only.
+  where ``amenability.Analysis`` reads it, or ``radical``, patched where
+  ``amenability.derivation_space`` reads it, each wrong on one algebra only.
 
 No mutation touches a claim's own check (``character_defect``,
 ``leibniz_residual``, ``subspace_contains``, ``CheckReport``).  Each entry
@@ -75,6 +76,8 @@ TRIPLES = {
     "c-ut2-zero": lambda: _c_ut2([0.0, 0.0, 0.0]),
     # (C + null1) x_0 null1: both squares proper, so the product has cross derivations
     "csum-null1-zero": lambda: _with_zero_hom(direct_sum(algebra_c(), algebra_null1()), algebra_null1()),
+    # null1 x_0 null1: every factor map is an outer derivation, and the product has 2 cross derivations
+    "null1-null1-zero": lambda: (lambda a: _with_zero_hom(a, a))(algebra_null1()),
 }
 BASELINE = {name: {} for name in TRIPLES}
 
@@ -235,6 +238,11 @@ def onto(monkeypatch, product):
     return replace(product, hom_report=replace(product.hom_report, surjective=True))
 
 
+def no_radical(basis, tol):
+    """The radical read as 0: the shortcut Der = Inn is taken."""
+    return basis[:, :0]
+
+
 def with_zero_column(basis, tol):
     return np.hstack([basis, np.zeros((len(basis), 1))])
 
@@ -289,6 +297,9 @@ MUTATIONS = (
              failing(WEAK.format("derivation-lift-p1"))),
     Mutation("second-factor-derivation-moved", "c-ut2-onto", solver("derivation_space", "b", moved_derivation),
              failing(WEAK.format("derivation-lift-p2"))),
+    # both factors read Der = Inn = 0, while the product keeps its cross derivations, which are outer
+    Mutation("factor-radical-read-zero", "null1-null1-zero", solver("radical", "a", no_radical),
+             failing(WEAK.format("equivalence"))),
     Mutation("square-annihilator-zero-column", "c-c-id", solver("square_annihilator", "a", with_zero_column),
              failing(WEAK.format("equivalence"))),
     Mutation("first-factor-square-annihilator-moved", "csum-null1-zero",
