@@ -103,6 +103,10 @@ class DerivationSpace:
 # random elements per Leibniz sketch: with one, its kernel was up to 3x too large on T_k and M_k
 SKETCH_DRAWS = 2
 
+# entries of a two-sided ``solve_tli`` stack above which one stack per side is faster: both sides of the
+# ladder's dim-8 product (8192 entries) solve faster as one stack, those of its dim-10 product (20000) slower
+TLI_STACK_ENTRIES = 16384
+
 
 def _leibniz_map(c: np.ndarray, d: np.ndarray, i: slice = slice(None)) -> np.ndarray:
     """The Leibniz system applied to maps D: A -> A', one matmul per term, on the rows (i, j, m)
@@ -315,56 +319,62 @@ class TliSolution:
         return int(self.basis.shape[1])
 
 
-def _tli_system(alg: FiniteAlgebra, phi: np.ndarray, side: str) -> np.ndarray:
-    """Phi [] e_j - phi(e_j) Phi (left) or e_j [] Phi - phi(e_j) Phi (right), stacked over j.
+def _tli_system(alg: FiniteAlgebra, phi: np.ndarray, sides: tuple[str, ...]) -> np.ndarray:
+    """Phi [] e_j - phi(e_j) Phi (left) or e_j [] Phi - phi(e_j) Phi (right), stacked over j, per side.
 
     ``phi`` may be a stack of functionals of shape (k, n); the systems then
-    come as one stack of shape (k, n^2, n): copies of the side system, each
-    with phi(e_j) taken off the diagonal of block j in place.
+    come as one stack of shape (len(sides), k, n^2, n): copies of each side's
+    system, each with phi(e_j) taken off the diagonal of block j in place.
     """
     n, phi = alg.dim, as_complex(phi)
-    system = np.empty(phi.shape[:-1] + (n * n, n), dtype=complex)
-    system[...] = stacked_side_system(arens_tables(alg).first, side)
+    system = np.empty((len(sides),) + phi.shape[:-1] + (n * n, n), dtype=complex)
+    for block, side in zip(system, sides):
+        block[...] = stacked_side_system(arens_tables(alg).first, side)
     # entry (j n + i, i) of a system is its flat entry j n^2 + i (n + 1): a strided view of the diagonals
-    system.reshape(phi.shape[:-1] + (n, n * n))[..., :: n + 1] -= phi[..., :, None]
+    system.reshape(system.shape[:-2] + (n, n * n))[..., :: n + 1] -= phi[..., :, None]
     return system
 
 
-def solve_tli(alg: FiniteAlgebra, phi, side: str, tol: float) -> TliSolution | tuple[TliSolution, ...]:
+def solve_tli(alg: FiniteAlgebra, phi, side, tol: float):
     """Solve Phi [] a = phi(a) Phi (left) or a [] Phi = phi(a) Phi (right).
 
     ``phi`` may be a verified character or the zero functional, or a stack
     of them of shape (k, n), which gives one solution per row; a single
-    vector is the one-row case and gives a single solution.  The linear
-    systems are slices of the first Arens table over the element basis, and
-    a stack is solved as one (``linalg.nullspaces``), each system with the
-    cutoff floor max(cutoff_scale, max |phi|).  A stack holds at most n
-    rows: an algebra's distinct characters are linearly independent.
+    vector is the one-row case and gives a single solution.  A tuple of
+    sides gives one result per side.  The linear systems are slices of the
+    first Arens table over the element basis, solved as one stack
+    (``linalg.nullspaces``), or one per side past ``TLI_STACK_ENTRIES``,
+    each with the cutoff floor max(cutoff_scale, max |phi|).  A stack holds
+    at most n rows per side: distinct characters are linearly independent.
     ``exists_nonvanishing`` reports whether phi fails to annihilate the
     solution space (a rank test on the pairing row).
     """
     phis, single = alg.coerce_rows(phi)
-    size = np.max(np.abs(phis), axis=1)
-    bases, dims = nullspaces(_tli_system(alg, phis, side), tol, np.maximum(alg.cutoff_scale, size))
-    # the padding columns of ``bases`` pair to zero with every functional
-    pairing = np.max(np.abs((phis[:, None, :] @ bases)[:, 0]), axis=1, initial=0.0)
-    solutions = tuple(TliSolution(basis=basis[:, basis.shape[1] - d :], exists_nonvanishing=bool(nv))
-                      for basis, d, nv in zip(bases, dims, pairing > tol * np.maximum(1.0, size)))
-    return solutions[0] if single else solutions
+    sides = (side,) if isinstance(side, str) else side
+    (k, n), size = phis.shape, np.tile(np.max(np.abs(phis), axis=1), len(sides))
+    rows, floors, solutions = np.tile(phis, (len(sides), 1)), np.maximum(alg.cutoff_scale, size), []
+    for group in [(one,) for one in sides] if len(sides) * k * n**3 > TLI_STACK_ENTRIES else [sides]:
+        m = len(group) * k
+        bases, dims = nullspaces(_tli_system(alg, phis, group).reshape(-1, n * n, n), tol, floors[:m])
+        # the padding columns of ``bases`` pair to zero with every functional
+        pairing = np.abs((rows[:m, None, :] @ bases)[:, 0]).max(axis=1, initial=0.0)
+        solutions += [TliSolution(basis=basis[:, basis.shape[1] - d :], exists_nonvanishing=bool(nv))
+                      for basis, d, nv in zip(bases, dims, pairing > tol * np.maximum(1.0, size[:m]))]
+    per_side = tuple(solutions[i * k] if single else tuple(solutions[i * k : (i + 1) * k]) for i in range(len(sides)))
+    return per_side[0] if isinstance(side, str) else per_side
 
 
-def _padded(bases: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(n, d_i) bases as one (k, n, max d_i) stack padded with zero columns, and the d_i."""
-    dims = np.array([basis.shape[1] for basis in bases], dtype=int)
-    stack = np.zeros((len(bases), n, int(dims.max(initial=0))), dtype=complex)
+def _padded(bases: list[np.ndarray], n: int) -> np.ndarray:
+    """(n, d_i) bases as one (k, n, max d_i) stack padded with zero columns."""
+    stack = np.zeros((len(bases), n, max((basis.shape[1] for basis in bases), default=0)), dtype=complex)
     for row, basis in zip(stack, bases):
         row[:, : basis.shape[1]] = basis
-    return stack, dims
+    return stack
 
 
-def tli_product_characterization(product: MorphismProduct, factor_character, kind: str, tol: float, side: str = "left",
-                                 factor_solution=None, product_solution=None) -> CheckReport | tuple[CheckReport, ...]:
-    """Verify the invariant-element characterization for one product character.
+def tli_product_characterization(product: MorphismProduct, factor_character, kind, tol: float, side="left",
+                                 solutions=None, report: CheckReport | None = None, prefix: str = "") -> CheckReport:
+    """Verify the invariant-element characterization for product characters.
 
     For a character lifted from the first factor the invariant elements with
     nonzero pairing are exactly the embedded first-factor ones (second block
@@ -373,55 +383,60 @@ def tli_product_characterization(product: MorphismProduct, factor_character, kin
     inclusions are checked at once as subspace equality, which is equivalent
     whenever the pairing does not vanish identically on either side; when it
     vanishes on both, the characterization is vacuous and the claim is
-    skipped.  ``factor_solution`` is the factor's own solution for this
-    character and side, and ``product_solution`` the product's for its lift,
-    when the caller holds them; otherwise they are solved here.
+    skipped.  Spaces of different dimensions fail with no residual.
 
-    ``factor_character`` may be a stack of shape (k, n), with sequences of
-    solutions, which gives one report per row, checked as one stack: the
-    solution spaces are padded to the widest with zero columns, which add
-    nothing to a projector and fall below every cutoff, and each claimed
-    family is orthonormalized at floor 0 by ``linalg.column_spaces``.
+    ``factor_character`` is a character of the factor of ``kind`` or a (k, m)
+    stack; with tuples of kinds (a stack each) and of sides, every pair is
+    checked, from the caller's ``solutions`` of each (kind, side) if given.
+    All rows are checked as one stack, padded to the widest space with zero
+    columns, which fall below every cutoff; each claimed family is
+    orthonormalized at floor 0 by ``linalg.column_spaces``.  The verdicts go
+    to ``report``, or a new one, each claim after ``prefix`` formatted with
+    the row's ``family`` and ``index``.
     """
     palg, n = product.algebra, product.algebra.dim
-    tag = "embedded-first-factor" if kind == "lifted" else "second-factor-graph"
-    factor = product.a if kind == "lifted" else product.b
-    chis, single = factor.coerce_rows(factor_character)
-
-    def given(solution, alg, fs):
-        return solve_tli(alg, fs, side, tol) if solution is None else (solution,) if single else tuple(solution)
-
-    factor_sols = given(factor_solution, factor, chis)
-    prod_sols = given(product_solution, palg, product.lift_first(chis) if kind == "lifted" else product.lift_second(chis))
-    f_bases, _ = _padded([sol.basis for sol in factor_sols], factor.dim)
-    p_bases, p_dims = _padded([sol.basis for sol in prod_sols], n)
-    k, w = f_bases.shape[0], f_bases.shape[2]
-    # every claimed family as columns of one matrix: the embedded (x, 0) or the graphs (-T''(x), x)
-    columns = f_bases.transpose(1, 0, 2).reshape(factor.dim, k * w)
-    claimed = (product.embed_a(columns) if kind == "lifted" else product.graph(columns)).reshape(n, k, w)
+    kind, factor_character = ((kind,), (factor_character,)) if isinstance(kind, str) else (kind, factor_character)
+    sides = (side,) if isinstance(side, str) else side
+    report = report or CheckReport(subject=f"invariant elements of {palg.name} ({'/'.join(kind)}, {'/'.join(sides)})")
+    rows, claimed = [], []  # rows: (kind, side, index, factor solution, product solution)
+    for one, chis in zip(kind, factor_character):
+        factor = product.a if one == "lifted" else product.b
+        if solutions is None:
+            chis = factor.coerce_rows(chis)[0]
+            lifts = product.lift_first(chis) if one == "lifted" else product.lift_second(chis)
+            pairs = zip(solve_tli(factor, chis, sides, tol), solve_tli(palg, lifts, sides, tol))
+        else:
+            pairs = (solutions[one, s] for s in sides)
+        start = len(rows)
+        rows += [(one, s, idx, f, p) for s, pair in zip(sides, pairs) for idx, (f, p) in enumerate(zip(*pair))]
+        # every claimed family of the kind as columns of one matrix: the embedded (x, 0) or the graphs (-T''(x), x)
+        f_bases = _padded([row[3].basis for row in rows[start:]], factor.dim)
+        columns = f_bases.transpose(1, 0, 2).reshape(factor.dim, -1)
+        family = product.embed_a(columns) if one == "lifted" else product.graph(columns)
+        claimed += list(family.reshape(n, len(f_bases), f_bases.shape[2]).transpose(1, 0, 2))
+    p_bases = _padded([row[4].basis for row in rows], n)
     # each family's own shape is (n, dim) with dim < n, so the stack's (n, w) shape gives its cutoff
-    claimed, ranks = column_spaces(claimed.transpose(1, 0, 2), tol, 0.0)
+    claimed, ranks = column_spaces(_padded(claimed, n), tol, 0.0)
     claimed_ok, to_claimed = subspace_contains(claimed, p_bases, 100 * tol)
     prod_ok, to_prod = subspace_contains(p_bases, claimed, 100 * tol)
-    same_dim = p_dims == ranks
-    equal, residual = same_dim & claimed_ok & prod_ok, np.where(same_dim, np.maximum(to_claimed, to_prod), np.inf)
-
-    reports = []
-    for i, (f_sol, p_sol) in enumerate(zip(factor_sols, prod_sols)):
-        report = CheckReport(subject=f"invariant elements of {palg.name} ({kind}, {side})")
+    residuals = np.maximum(to_claimed, to_prod).tolist()
+    for (one, s, idx, f_sol, p_sol), rank, ok, residual in zip(rows, ranks.tolist(), claimed_ok & prod_ok, residuals):
+        tag, family = {"lifted": ("embedded-first-factor", "first-factor"),
+                       "pure": ("second-factor-graph", "second-factor")}[one]
+        claim = prefix.format(family=family, index=idx) + f"tli/{s}/{tag}/"
         nv_prod, nv_factor = p_sol.exists_nonvanishing, f_sol.exists_nonvanishing
-        report.add(f"tli/{side}/{tag}/nonvanishing-agreement", nv_prod == nv_factor,
+        report.add(claim + "nonvanishing-agreement", nv_prod == nv_factor,
                    witness=None if nv_prod == nv_factor else {"product": nv_prod, "factor": nv_factor},
                    detail="an invariant element with nonzero pairing exists on one level iff on the other")
-        if nv_prod or nv_factor:
-            report.add(f"tli/{side}/{tag}/solution-space-equality", bool(equal[i]), residual=float(residual[i]),
-                       witness=None if equal[i] else {"product_dim": p_sol.dim, "claimed_dim": int(ranks[i])},
-                       detail="product-level solutions coincide with the characterized family")
-        else:
-            report.skip(f"tli/{side}/{tag}/solution-space-equality",
+        if not (nv_prod or nv_factor):
+            report.skip(claim + "solution-space-equality",
                         detail="pairing vanishes on both solution spaces; the characterization is vacuous here")
-        reports.append(report)
-    return reports[0] if single else tuple(reports)
+            continue
+        same_dim = p_sol.dim == rank
+        report.add(claim + "solution-space-equality", same_dim and bool(ok), residual=residual if same_dim else None,
+                   witness=None if same_dim and ok else {"product_dim": p_sol.dim, "claimed_dim": rank},
+                   detail="product-level solutions coincide with the characterized family")
+    return report
 
 
 @dataclass
@@ -496,16 +511,10 @@ class Analysis:
         return find_right_identity(self.algebra, self.tol)
 
     @cached_property
-    def left_tli(self) -> tuple[TliSolution, ...]:
-        return solve_tli(self.algebra, self.characters.functionals, "left", self.tol)
-
-    @cached_property
-    def right_tli(self) -> tuple[TliSolution, ...]:
-        return solve_tli(self.algebra, self.characters.functionals, "right", self.tol)
-
-    def tli(self, side: str) -> tuple[TliSolution, ...]:
-        """Invariant-element solutions on ``side``, one per enumerated character."""
-        return self.left_tli if side == "left" else self.right_tli
+    def tli(self) -> dict[str, tuple[TliSolution, ...]]:
+        """Invariant-element solutions by side, one per enumerated character, both sides one stack."""
+        sides = ("left", "right")
+        return dict(zip(sides, solve_tli(self.algebra, self.characters.functionals, sides, self.tol)))
 
     @cached_property
     def weakly_amenable(self) -> bool:
@@ -516,7 +525,7 @@ class Analysis:
         enum, caveats = self.characters, (BAI_CAVEAT, ZERO_CHARACTER_CAVEAT)
         if (self.left_identity if side == "left" else self.right_identity) is None:
             return CharacterAmenability(self.algebra, side, False, False, enum, None, caveats)
-        verdict, failing = _for_every_character(enum, (sol.exists_nonvanishing for sol in self.tli(side)))
+        verdict, failing = _for_every_character(enum, (sol.exists_nonvanishing for sol in self.tli[side]))
         return CharacterAmenability(self.algebra, side, verdict, True, enum, failing, caveats)
 
     def inner_means(self, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -565,14 +574,17 @@ class ProductAnalysis(Analysis):
         return character_decomposition(self.product, *(an.characters for an in self.factors), self.characters,
                                        self.tol)
 
-    def family_tli(self, side: str) -> tuple[tuple[TliSolution, ...], tuple[TliSolution, ...]]:
-        """The invariant-element solutions of the lifted and of the pure family on ``side``: a matched
+    @cached_property
+    def family_tli(self) -> dict[str, tuple[tuple[TliSolution, ...], tuple[TliSolution, ...]]]:
+        """The invariant-element solutions of the lifted and of the pure family by side: a matched
         member's is its character's own solution object; the unmatched are solved as one stack."""
-        pc, own = self.decomposition, self.tli(side)
+        pc, own, out = self.decomposition, self.tli, {}
         members = [ch.functional for ch, i in zip(pc.lifted + pc.pure_b, pc.match) if i < 0]
-        extra = iter(solve_tli(self.algebra, np.array(members), side, self.tol) if members else ())
-        solutions = tuple(own[i] if i >= 0 else next(extra) for i in pc.match)
-        return solutions[: len(pc.lifted)], solutions[len(pc.lifted) :]
+        extra = solve_tli(self.algebra, np.array(members), tuple(own), self.tol) if members else ((), ())
+        for side, solved in zip(own, map(iter, extra)):
+            solutions = tuple(own[side][i] if i >= 0 else next(solved) for i in pc.match)
+            out[side] = solutions[: len(pc.lifted)], solutions[len(pc.lifted) :]
+        return out
 
     @cached_property
     def derivations(self) -> DerivationSpace:
@@ -648,7 +660,8 @@ def add_transfer_claim(report: CheckReport, claim: str, verdicts: tuple, detail:
 
 
 def inner_amenability_suite(product: MorphismProduct, tol: float, seed: int = 0,
-                            analyses: tuple[Analysis, Analysis, ProductAnalysis] | None = None) -> CheckReport:
+                            analyses: tuple[Analysis, Analysis, ProductAnalysis] | None = None,
+                            report: CheckReport | None = None, prefix: str = "") -> CheckReport:
     """Verify the inner-mean transfer claims between the product and its factors.
 
     Per first-factor character phi (with its lift (phi, phi o T)):
@@ -666,9 +679,10 @@ def inner_amenability_suite(product: MorphismProduct, tol: float, seed: int = 0,
     to the whole stack, the mask of the rows where it applies, and the skip
     detail of the others; ``_check_means`` checks the kinds of one algebra.
     ``analyses`` are the run's ``product_analyses`` of (A, B, product), or None for fresh ones.
+    The verdicts go to ``report``, or to a new one, each claim after ``prefix``.
     """
     palg, na, epi = product.algebra, product.dim_a, product.hom_report.surjective
-    report = CheckReport(subject=f"inner amenability transfer for {palg.name}")
+    report = report or CheckReport(subject=f"inner amenability transfer for {palg.name}")
     report.caveat(CENTER_REDUCTION_CAVEAT)
     report.caveat(BAI_CAVEAT)
 
@@ -682,7 +696,7 @@ def inner_amenability_suite(product: MorphismProduct, tol: float, seed: int = 0,
     a_means, a_ok = an_a.inner_means(phis)
     p_means, p_ok = an_p.inner_means(np.vstack([lifted, pure]))
     b_means, b_ok = an_b.inner_means(np.vstack([phi_ts, psis]))
-    first, second = "inner/first-factor-character-{}/", "inner/second-factor-character-{}/"
+    first, second = prefix + "inner/first-factor-character-{}/", prefix + "inner/second-factor-character-{}/"
     for label, factor_ok, product_ok, detail in (
         (first, a_ok, p_ok[:ka], "the factor has a mean for phi iff the product has one for the lifted character"),
         (second, b_ok[ka:], p_ok[ka:], "the product has a mean for (0, psi) iff the second factor has one for psi"),
@@ -715,7 +729,7 @@ def inner_amenability_suite(product: MorphismProduct, tol: float, seed: int = 0,
     ):
         _check_means(report, alg, kinds, tol)
     add_transfer_claim(
-        report, "inner/character-inner-amenability-equivalence",
+        report, prefix + "inner/character-inner-amenability-equivalence",
         tuple(an.character_inner_amenability.verdict for an in (an_a, an_b, an_p)),
         "the product is character inner amenable iff both factors are",
         "some character enumeration is incomplete",

@@ -31,7 +31,8 @@ import numpy as np
 
 from .core import FiniteAlgebra
 from .errors import CharacterRejected
-from .linalg import SPLITTER_STREAM, column_space, complex_gaussians, joint_eigenvalues, max_abs, nullspace
+from .linalg import (SPLITTER_STREAM, column_space, complex_gaussians, joint_eigenvalues, max_abs, nullspace,
+                     nullspace_cuts)
 from .product import MorphismProduct
 
 
@@ -139,11 +140,11 @@ def radical(alg: FiniteAlgebra, tol: float = TRACE_FORM_TOL) -> np.ndarray:
     ``TRACE_FORM_TOL``, with the floor (max |c|)^2.  An x in the null space has
     tr L_x^m = 0 for every m >= 2, so L_x is nilpotent, also without a unit.
     A cut at the run's tol counts as radical every direction under about
-    sqrt(tol), so an empty result there is a strict test of rad A = 0.
+    sqrt(tol), so an empty result there is a strict test of rad A = 0.  The
+    form's SVD is kept on the algebra object, and every tol cuts that one.
     """
     c = alg.structure
-    form = c @ np.einsum("kjj->k", c)
-    return nullspace(form.T, tol, max_abs(c) ** 2)
+    return alg.kept("_trace_form", lambda: nullspace_cuts((c @ np.einsum("kjj->k", c)).T, max_abs(c) ** 2))(tol)
 
 
 def _is_nilpotent(alg: FiniteAlgebra, basis: np.ndarray, tol: float) -> bool:

@@ -192,7 +192,13 @@ def complex_gaussians(seed: int, stream: int, shape) -> np.ndarray:
 
 def nullspace(a, tol: float, scale: float = 0.0) -> np.ndarray:
     """Orthonormal basis (columns) of {x : a @ x = 0}: the one-matrix case of ``nullspaces``."""
-    return nullspaces(as_complex(a)[None], tol, scale)[0][0]
+    return nullspace_cuts(a, scale)(tol)
+
+
+def nullspace_cuts(a, scale: float = 0.0):
+    """The function tol -> ``nullspace(a, tol, scale)``, every cut taken from one SVD of a."""
+    s, vh = _right_singular(as_complex(a))
+    return lambda tol: vh[_rank(s, np.shape(a), tol, scale) :].conj().T
 
 
 def nullspaces(stack, tol: float, scales) -> tuple[np.ndarray, np.ndarray]:

@@ -1,14 +1,16 @@
 """Check reports and deterministic serialization.
 
 JSON output is byte-stable for fixed inputs: keys are sorted, floats are
-rendered with fixed 12-digit scientific notation, and complex numbers are
-emitted as two-element [re, im] arrays.
+rendered with fixed 12-digit scientific notation (a non-finite one as null),
+and complex numbers are emitted as two-element [re, im] arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 import numpy as np
 
@@ -42,10 +44,7 @@ class CheckReport:
 
     def add(self, claim: str, ok, residual: float | None = None, witness=None, detail: str = ""):
         """Record a verdict; ok may be True/False or None for unknown."""
-        if ok is None:
-            status = UNKNOWN
-        else:
-            status = PASS if ok else FAIL
+        status = UNKNOWN if ok is None else PASS if ok else FAIL
         if status == FAIL and witness is None:
             witness = {"claim": claim, "detail": detail or "no further witness data"}
         self.verdicts.append(Verdict(claim=claim, status=status, residual=residual, witness=witness, detail=detail))
@@ -83,16 +82,7 @@ class CheckReport:
             "subject": self.subject,
             "caveats": sorted(self.caveats),
             "summary": self.counts(),
-            "verdicts": [
-                {
-                    "claim": v.claim,
-                    "status": v.status,
-                    "residual": v.residual,
-                    "witness": v.witness,
-                    "detail": v.detail,
-                }
-                for v in self.sorted_verdicts()
-            ],
+            "verdicts": [dict(vars(v)) for v in self.sorted_verdicts()],
         }
 
     def to_text(self) -> str:
@@ -112,46 +102,43 @@ class CheckReport:
         return "\n".join(lines)
 
 
-def _emit(value, out: list):
-    """Append the JSON text of value: numbers, numpy types and objects with ``to_dict``
-    are normalized on the way, strings escaped as ``json.dumps`` escapes them."""
+# a dict with exactly a verdict record's keys (``CheckReport.to_dict``), the bulk of a report, is one format
+_RECORD_KEYS = {"claim", "detail", "residual", "status", "witness"}
+_RECORD_FIELDS = itemgetter(*sorted(_RECORD_KEYS))
+_RECORD = '{"claim":%s,"detail":%s,"residual":%s,"status":%s,"witness":%s}'
+
+
+def _text(value) -> str:
+    """The JSON text of value: numbers, numpy types and objects with ``to_dict`` are normalized
+    on the way, strings escaped as ``json.dumps`` escapes them, a non-finite float written as null."""
     if value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, (int, np.integer)):
-        out.append(str(int(value)))
-    elif isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif isinstance(value, (float, np.floating)):
-        out.append(format(float(value), ".12e"))
-    elif isinstance(value, (complex, np.complexfloating)):
-        _emit([float(value.real), float(value.imag)], out)
-    elif isinstance(value, np.ndarray):
-        _emit(value.tolist(), out)
-    elif isinstance(value, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(value, key=str)):
-            out.append(("," if i else "") + encode_basestring_ascii(str(key)) + ":")
-            _emit(value[key], out)
-        out.append("}")
-    elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(value):
-            if i:
-                out.append(",")
-            _emit(item, out)
-        out.append("]")
-    elif hasattr(value, "to_dict"):
-        _emit(value.to_dict(), out)
-    else:
-        out.append(encode_basestring_ascii(str(value)))
+        return "null"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".12e") if math.isfinite(value) else "null"
+    if isinstance(value, dict):
+        if value.keys() == _RECORD_KEYS:
+            return _RECORD % tuple(map(_text, _RECORD_FIELDS(value)))
+        return "{" + ",".join(encode_basestring_ascii(str(key)) + ":" + _text(value[key])
+                              for key in sorted(value, key=str)) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(map(_text, value)) + "]"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (complex, np.complexfloating)):
+        return _text([float(value.real), float(value.imag)])
+    if isinstance(value, np.ndarray):
+        return _text(value.tolist())
+    if hasattr(value, "to_dict"):
+        return _text(value.to_dict())
+    return encode_basestring_ascii(str(value))
 
 
 def dump_json(data) -> str:
     """Deterministic JSON text: sorted keys, fixed 12-digit float formatting, in one pass."""
-    out: list[str] = []
-    _emit(data, out)
-    return "".join(out)
+    return _text(data)

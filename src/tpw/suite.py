@@ -43,7 +43,8 @@ reads each family member's product-level invariant elements through its
 matching: the product's own solution for the character that the member
 lies within 10 tol of, which group 05 identifies with it, or, for a member
 that matches none, a solve of its own.  It compares them with the family
-built from the factor's own solution.
+built from the factor's own solution, for both kinds and every side in one
+stacked pass that writes its verdicts straight into the run's report.
 Every claim kind fails alone under some mutation of the registry in
 ``tests/test_liveness.py``, except these, which stay:
 ``01-construction/shear-onto-direct-sum`` fails with
@@ -99,7 +100,7 @@ from .core import FiniteAlgebra
 from .errors import ValidationError
 from .linalg import max_abs
 from .product import AlgebraHom, MorphismProduct, build_product
-from .report import CheckReport, Verdict
+from .report import CheckReport
 
 
 @dataclass(frozen=True)
@@ -119,13 +120,6 @@ class RunConfig:
     @property
     def sides(self) -> tuple[str, ...]:
         return ("left", "right") if self.side == "both" else (self.side,)
-
-
-def _merge_prefixed(report: CheckReport, sub: CheckReport, prefix: str):
-    for v in sub.verdicts:
-        report.verdicts.append(Verdict(prefix + v.claim, v.status, v.residual, v.witness, v.detail))
-    for c in sub.caveats:
-        report.caveat(c)
 
 
 def _check_construction(report: CheckReport, product: MorphismProduct, tol: float):
@@ -263,14 +257,12 @@ def _check_tli(report: CheckReport, product: MorphismProduct, analyses: tuple[An
             None,
             detail="factor character enumeration incomplete; characterization checked on verified characters only",
         )
-    for side in sides:
-        # the product's solutions for the lifted and the pure family are its matched characters' own
-        for an, kind, prefix, product_tli in zip((an_a, an_b), ("lifted", "pure"), ("first-factor", "second-factor"),
-                                                  an_p.family_tli(side)):
-            subs = tli_product_characterization(product, an.characters.functionals, kind, tol, side, an.tli(side),
-                                                product_tli)
-            for idx, sub in enumerate(subs):
-                _merge_prefixed(report, sub, f"07-invariant-elements/{prefix}-{idx}/")
+    # the product's solutions for the lifted and the pure family are its matched characters' own
+    solutions = {(kind, side): (an.tli[side], product_tli) for side in sides
+                 for an, kind, product_tli in zip((an_a, an_b), ("lifted", "pure"), an_p.family_tli[side])}
+    tli_product_characterization(product, (an_a.characters.functionals, an_b.characters.functionals),
+                                 ("lifted", "pure"), tol, sides, solutions, report,
+                                 "07-invariant-elements/{family}-{index}/")
 
 
 def _check_character_amenability(report: CheckReport, analyses: tuple[Analysis, ...], sides: tuple[str, ...]):
@@ -305,5 +297,5 @@ def verify_product(product: MorphismProduct, analyses: tuple[Analysis, Analysis,
     _check_weak_amenability(report, product, analyses, config.tol)
     _check_tli(report, product, analyses, config.tol, config.sides)
     _check_character_amenability(report, analyses, config.sides)
-    _merge_prefixed(report, inner_amenability_suite(product, config.tol, config.seed, analyses), "09-")
+    inner_amenability_suite(product, config.tol, config.seed, analyses, report, "09-")
     return report

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tpw.amenability import (
+    TLI_STACK_ENTRIES,
     Analysis,
     _leibniz_adjoint,
     _leibniz_map,
@@ -625,9 +626,10 @@ def test_run_solves_each_fact_once_per_algebra(monkeypatch, capsys, corpus):
     spaces are solved for the distinct factor objects only: every product
     passes its shear claim, so its space is carried from its factors'.  A
     ladder-shaped rung (C5 x C5, one object, identity hom) solves the
-    invariant-element systems in 4 stacks: one per side for the factor, and
-    one per side for the product's own characters, whose solutions the
-    lifted and the pure family read through the decomposition's matching.
+    invariant-element systems in 2 ``solve_tli`` calls, each of both sides:
+    one for the factor, and one for the product's own characters, whose
+    solutions the lifted and the pure family read through the
+    decomposition's matching.
     """
     import sys
 
@@ -676,7 +678,7 @@ def test_run_solves_each_fact_once_per_algebra(monkeypatch, capsys, corpus):
     calls.clear()
     verify_theorems(c5, c5, AlgebraHom(source=c5, target=c5, matrix=np.eye(5)), RunConfig())
     assert (calls["enumerate_characters"], calls["center"], calls["derivation_space"]) == (2, 2, 1)
-    assert calls["solve_tli"] == 4
+    assert calls["solve_tli"] == 2
 
     monkeypatch.delenv("TPW_CORPUS_DIR", raising=False)
     calls.clear()
@@ -715,9 +717,9 @@ def ladder_triples(ks):
 
 
 def test_product_solves_one_system_per_character_and_its_families_share_them(monkeypatch, corpus):
-    """The product's invariant-element stack has one row per enumerated product character on each
-    side, every family member matches a character there, and its solution is that character's own
-    solution object."""
+    """The product's invariant-element stack has one row per enumerated product character, both
+    sides solved in one call, every family member matches a character there, and its solution is
+    that character's own solution object."""
     calls = spy_solve_tli(monkeypatch)
     for label, a, b, hom in [*stacking_triples(corpus), *ladder_triples(range(2, 6))]:
         product = build_product(a, b, hom, TOL)
@@ -726,13 +728,13 @@ def test_product_solves_one_system_per_character_and_its_families_share_them(mon
         verify_product(product, analyses, RunConfig())
         an_a, an_b, an_p = analyses
         own = [(len(phis), side) for alg, phis, side in calls if alg is product.algebra]
-        assert own == [(len(an_p.characters), side) for side in ("left", "right")], label
+        assert own == [(len(an_p.characters), ("left", "right"))], label
         match = an_p.decomposition.match
         assert len(match) == len(an_a.characters) + len(an_b.characters) and np.all(match >= 0), label
         for side in ("left", "right"):
-            lifted, pure = an_p.family_tli(side)
+            lifted, pure = an_p.family_tli[side]
             assert len(lifted) == len(an_a.characters), label
-            assert all(sol is an_p.tli(side)[i] for sol, i in zip(lifted + pure, match)), (label, side)
+            assert all(sol is an_p.tli[side][i] for sol, i in zip(lifted + pure, match)), (label, side)
 
 
 def test_every_solve_tli_stack_has_at_most_dim_rows(monkeypatch, capsys, corpus):
@@ -768,7 +770,7 @@ def reference_characterization(product, chi, kind, side):
     if nv_p or nv_f:
         equal, residual = subspaces_equal(prod_sol.basis, claimed, 100 * TOL)
         witness = None if equal else {"product_dim": prod_sol.dim, "claimed_dim": int(claimed.shape[1])}
-        out[equality] = ("pass" if equal else "fail", residual, witness)
+        out[equality] = ("pass" if equal else "fail", residual if prod_sol.dim == claimed.shape[1] else None, witness)
     else:
         out[equality] = ("skip", None, None)
     return out
@@ -795,6 +797,57 @@ def test_group_07_matches_per_character_loop(corpus):
             assert (v.status, v.witness) == (status, witness), (label, claim)
             assert (v.residual is None) == (residual is None), (label, claim)
             assert residual is None or residual == v.residual or abs(residual - v.residual) <= 1e-12, (label, claim)
+
+
+def test_stacked_tli_and_group_07_match_the_per_side_and_per_kind_calls(corpus):
+    """Each analysis's two-sided solve gives, per side, what ``solve_tli`` on that side alone
+    gives, and group 07's one pass over both kinds and both sides gives the statuses, witnesses
+    and residuals (to 1e-12) of one ``tli_product_characterization`` per kind and side, which
+    solves its own systems: on every ``stacking_triples`` triple, plain and rebased, and on the
+    ladder shapes C4 x C4 and C5 x C5, whose products fall on either side of ``TLI_STACK_ENTRIES``."""
+    for label, a, b, hom in [*stacking_triples(corpus), *ladder_triples((4, 5))]:
+        product = build_product(a, b, hom, TOL)
+        analyses = product_analyses(product, TOL)
+        for an in analyses:
+            for side in ("left", "right"):
+                alone = solve_tli(an.algebra, an.characters.functionals, side, TOL)
+                assert [(sol.dim, sol.exists_nonvanishing) for sol in an.tli[side]] == [
+                    (sol.dim, sol.exists_nonvanishing) for sol in alone], (label, side)
+                assert all(np.array_equal(got.basis, want.basis) for got, want in zip(an.tli[side], alone)), label
+        got = {v.claim: v for v in verify_product(product, analyses, RunConfig()).verdicts
+               if v.claim.startswith("07-invariant-elements/") and not v.claim.endswith("character-coverage")}
+        want = {}
+        for an, kind in zip(analyses, ("lifted", "pure")):
+            for side in ("left", "right"):
+                one = tli_product_characterization(product, an.characters.functionals, kind, TOL, side,
+                                                   prefix="07-invariant-elements/{family}-{index}/")
+                want.update((v.claim, v) for v in one.verdicts)
+        assert got.keys() == want.keys(), label
+        for claim, v in want.items():
+            assert (got[claim].status, got[claim].witness) == (v.status, v.witness), (label, claim)
+            assert (got[claim].residual is None) == (v.residual is None), (label, claim)
+            assert v.residual is None or abs(got[claim].residual - v.residual) <= 1e-12, (label, claim)
+
+
+def test_two_sided_tli_is_one_stack_up_to_the_entry_limit_and_one_per_side_past_it(monkeypatch):
+    """Counted guard: an algebra's left and right invariant-element systems are one ``nullspaces``
+    stack while they hold at most ``TLI_STACK_ENTRIES`` entries (2 k n^3), and one stack per side
+    past it: the ladder products of dim 8 (8192 entries) and dim 10 (20000)."""
+    import tpw.amenability
+
+    stacks, real = [], tpw.amenability.nullspaces
+
+    def spy(stack, tol, scales):
+        stacks.append(np.shape(stack))
+        return real(stack, tol, scales)
+
+    monkeypatch.setattr(tpw.amenability, "nullspaces", spy)
+    for (_, a, b, hom), want in zip(ladder_triples((4, 5)), ([(16, 64, 8)], [(10, 100, 10)] * 2)):
+        analysis = product_analyses(build_product(a, b, hom, TOL), TOL)[2]
+        stacks.clear()
+        assert len(analysis.tli["left"]) == len(analysis.tli["right"]) == analysis.algebra.dim
+        assert stacks == want
+    assert 2 * 8 * 8**3 <= TLI_STACK_ENTRIES < 2 * 10 * 10**3
 
 
 def reference_inner_mean(alg, phi):

@@ -7,6 +7,7 @@ import pytest
 
 import tpw.characters
 from tpw.characters import (
+    TRACE_FORM_TOL,
     CharacterEnumeration,
     character_decomposition,
     character_defect,
@@ -477,3 +478,43 @@ def test_decomposition_matches_per_pair_loop(corpus):
             assert mismatch is None or max_abs(pc.mismatch - mismatch) <= 1e-12, label
             if enumerated is not sigmas[2] and enumerated.complete and found:
                 assert ok is False, label
+
+
+def test_trace_form_is_decomposed_once_per_algebra(monkeypatch, capsys):
+    """Counted guard: the trace form and its SVD are made once per algebra object and cut at every
+    tol asked of it.  One ladder-shaped run (C5 x C5, one object, identity hom) takes two, C5's and
+    the product's, though C5's enumeration cuts it at ``TRACE_FORM_TOL`` and its derivation space
+    at the run's tol; a built-in ``corpus run`` takes one per algebra object that ``radical`` is
+    asked about, fewer than the cuts.  Each cut equals a fresh ``nullspace`` of the form."""
+    import sys
+
+    from tpw.cli import main
+    from tpw.suite import RunConfig, verify_theorems
+
+    made, asked, make, cut = [], [], tpw.characters.nullspace_cuts, tpw.characters.radical
+
+    def counted_make(a, scale=0.0):
+        made.append(a)
+        return make(a, scale)
+
+    def counted_cut(alg, *args):
+        asked.append(alg)
+        return cut(alg, *args)
+
+    monkeypatch.setattr(tpw.characters, "nullspace_cuts", counted_make)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tpw.") and vars(module).get("radical") is cut:
+            monkeypatch.setattr(module, "radical", counted_cut)
+    c5 = rebased(matrix_unit_algebra("C", 5), random_unitary(np.random.default_rng(3), 5), "C5")
+    verify_theorems(c5, c5, hom_identity(c5), RunConfig())
+    assert (len(made), len(asked)) == (2, 3)
+    monkeypatch.delenv("TPW_CORPUS_DIR", raising=False)
+    made.clear(), asked.clear()
+    assert main(["corpus", "run", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert len(made) == len({id(alg) for alg in asked}) < len(asked)
+    for alg in (c5, matrix_unit_algebra("T", 3), c2_eps(1e-5)):
+        c = alg.structure
+        form = (c @ np.einsum("kjj->k", c)).T
+        for tol in (TRACE_FORM_TOL, 1e-9, 1e-5):
+            assert np.array_equal(radical(alg, tol), nullspace(form, tol, max_abs(c) ** 2)), (alg.name, tol)

@@ -1,6 +1,7 @@
 """File formats, loaders, the command-line interface, and its exit-code contract."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -489,7 +490,7 @@ def reference_jsonable(value):
 
 
 def reference_emit(value, out):
-    """The second pass of the two-pass emitter, over plain data."""
+    """The second pass of the two-pass emitter, over plain data; a non-finite float is null, which JSON can parse."""
     if value is None:
         out.append("null")
     elif value is True:
@@ -499,7 +500,7 @@ def reference_emit(value, out):
     elif isinstance(value, int):
         out.append(str(value))
     elif isinstance(value, float):
-        out.append(format(value, ".12e"))
+        out.append(format(value, ".12e") if math.isfinite(value) else "null")
     elif isinstance(value, str):
         out.append(json.dumps(value))
     elif isinstance(value, dict):

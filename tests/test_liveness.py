@@ -174,12 +174,12 @@ def moved_derivation(space, *args):
 
 
 def tli_rows(side: str, rows, change):
-    """``solve_tli`` on ``side`` with ``change`` applied to the solutions that ``rows(solutions)`` picks."""
-    def alter(solutions, phi, solve_side, tol):
-        if solve_side != side:
-            return solutions
-        picked = rows(solutions)
-        return tuple(change(sol) if i in picked else sol for i, sol in enumerate(solutions))
+    """``solve_tli`` with ``change`` applied to the solutions on ``side`` that ``rows(solutions)`` picks.
+    Every call from ``tpw`` solves both sides at once and gives one tuple of solutions per side."""
+    def alter(per_side, phi, sides, tol):
+        picked = {one: rows(solutions) if one == side else set() for one, solutions in zip(sides, per_side)}
+        return tuple(tuple(change(sol) if i in picked[one] else sol for i, sol in enumerate(solutions))
+                     for one, solutions in zip(sides, per_side))
     return alter
 
 
@@ -366,8 +366,9 @@ def test_mutation_fails_exactly_its_kinds(monkeypatch, mutation):
 
 def test_unmatched_family_members_are_solved_as_one_extra_stack(monkeypatch):
     """With the product's tensor that of A + B, the lifted member (phi, phi o T) of C x_T UT2
-    (T onto) matches no product character: per side, the product solves its own characters and
-    then that member alone, and group 07's statuses are those of the per-character oracle."""
+    (T onto) matches no product character: the product solves its own characters on both sides
+    as one stack, and then that member alone on both sides, and group 07's statuses are those of
+    the per-character oracle."""
     product = direct_sum_tensor(monkeypatch, build_product(*TRIPLES["c-ut2-onto"](), TOL))
     analyses = product_analyses(product, TOL)
     calls = spy_solve_tli(monkeypatch)
@@ -375,7 +376,7 @@ def test_unmatched_family_members_are_solved_as_one_extra_stack(monkeypatch):
     pc = analyses[2].decomposition
     assert (pc.match < 0).tolist() == [True, False, False]
     assert [(len(phis), side) for alg, phis, side in calls if alg is product.algebra] == [
-        (len(pc.enumerated), "left"), (1, "left"), (len(pc.enumerated), "right"), (1, "right")]
+        (len(pc.enumerated), ("left", "right")), (1, ("left", "right"))]
     got = {v.claim: v.status for v in report.verdicts if v.claim.startswith("07-invariant-elements/")}
     want = {}
     for an, kind, prefix in zip(analyses, ("lifted", "pure"), ("first-factor", "second-factor")):
