@@ -10,7 +10,11 @@ a Banach-algebra notion:
   Der = Inn there, and any other solves its Leibniz system;
 * character amenability: a one-sided identity (the finite-dimensional stand-in
   for a bounded one-sided approximate identity) plus, for every character, an
-  invariant bidual element not annihilated by it;
+  invariant bidual element not annihilated by it; a semisimple algebra reads
+  its unit and the line of each character's central idempotent off one solve
+  with its trace form (``semisimple_solutions``), confirmed on the systems,
+  and any other, or one that fails confirmation, solves the invariant-element
+  systems (``solve_tli``) and the identity systems (``core.find_*_identity``);
 * character inner amenability: for every character phi, a central element m
   with <m, phi> = 1 ("phi non-vanishing on the center").
 
@@ -48,7 +52,7 @@ import numpy as np
 
 from .arens import arens_tables, stacked_side_system
 from .characters import (CharacterEnumeration, ProductCharacterReport, character_decomposition, enumerate_characters,
-                         radical)
+                         radical, trace_form)
 from .core import FiniteAlgebra, center, find_left_identity, find_right_identity
 from .errors import NotADerivation
 from .linalg import (SKETCH_STREAM, as_complex, column_space, column_spaces, complex_gaussians, max_abs, nullspace,
@@ -364,6 +368,89 @@ def solve_tli(alg: FiniteAlgebra, phi, side, tol: float):
     return per_side[0] if isinstance(side, str) else per_side
 
 
+@dataclass
+class SemisimpleSolutions:
+    """The invariant elements and the one-sided identities of a semisimple algebra, read off its trace form."""
+
+    tli: dict[str, tuple[TliSolution, ...]]
+    left_identity: np.ndarray | None
+    right_identity: np.ndarray | None
+
+
+def semisimple_solutions(alg: FiniteAlgebra, phis: np.ndarray, tol: float) -> SemisimpleSolutions | None:
+    """The invariant elements of every character (the rows of ``phis``) on both sides and the unit, from
+    one solve with the kept trace form, or None when rad A != 0 at tol or any row fails confirmation.
+
+    With rad A = 0, A is semisimple, and by Wedderburn's theorem a character
+    phi is the coordinate of a one-dimensional block C e_phi, e_phi a
+    central idempotent.  Then T(e_phi, x) = tr L_{e_phi x} = phi(x) and
+    T(u, x) = tr L_x = t(x) for the unit u, so T^T X = [phi^T | t] is one
+    solve with the SVD that ``characters.trace_form`` keeps.  The line of
+    e_phi is every invariant element on either side: m a = phi(a) m for
+    every a gives m = m u = m e_phi = phi(m) e_phi.
+
+    Each row is confirmed, and an algebra with any failing row takes
+    ``solve_tli`` and ``find_*_identity``.  The unit must solve both
+    identity systems of ``core.find_*_identity`` to tol, the bound of
+    ``linalg.solve_consistent``.  The unit vector m of e_phi must solve both
+    invariant-element systems of ``solve_tli`` in 2-norm to within
+    tol * floor * n^2, the floor max(cutoff_scale, max |phi|): the stacked
+    solve's cut with the floor for the largest singular value, so no looser.
+    And the line must be the whole space at the cut with the system's
+    Frobenius norm for its largest singular value: the system's row blocks
+    combined by the coordinates of a = u - e_phi map m to
+    m - phi(m) e_phi on either side, of norm at least |m| for m orthogonal
+    to e_phi, so the second smallest singular value is at least 1 / |a|,
+    and 2 |a| times that cut must be at most 1.  ``exists_nonvanishing``
+    is the pairing test of ``solve_tli``.  An algebra near one with a
+    radical, such as C2_eps with eps a little over sqrt(tol), can pass the
+    gate and fail confirmation.
+    """
+    if radical(alg, tol).shape[1]:
+        return None
+    n, c, first = alg.dim, alg.structure, arens_tables(alg).first
+    x = trace_form(alg).solve(np.vstack([phis, np.einsum("kjj->k", c)]).T, tol).T
+    # one squaring: x^2 is e_phi + d^2 for x = e_phi + d, d in the other blocks, and 2 u - u^2 is 1 - d^2 for u = 1 + d
+    squares = (x[:, None, :] @ (x @ c.reshape(n, n * n)).reshape(-1, n, n))[:, 0]
+    e, u = squares[:-1], 2 * x[-1] - squares[-1]
+    # (u e_j)_k and (e_j u)_k at [j, k], against the identity
+    if np.abs(np.stack([(u @ c.reshape(n, n * n)).reshape(n, n), c.transpose(0, 2, 1) @ u]) - np.eye(n)).max() > tol:
+        return None
+    sizes, gaps, phi_sizes = _norms(np.stack([e, u - e, phis]), 2)
+    m = e / np.where(sizes > 0, sizes, 1.0)[:, None]
+    largest = np.abs(phis).max(axis=1, initial=0.0)
+    floors = np.maximum(alg.cutoff_scale, largest)
+    top = np.maximum(_norms(first, (0, 1, 2)) + np.sqrt(n) * phi_sizes, floors)
+    if not np.all((sizes > 0) & (_tli_residuals(first, phis, m) <= tol * floors * n * n)
+                  & (2 * gaps * tol * top * n * n <= 1)):
+        return None
+    nonvanishing = (np.abs((phis * m).sum(axis=1)) > tol * np.maximum(1.0, largest)).tolist()
+    solutions = tuple(TliSolution(basis=row[:, None], exists_nonvanishing=nv) for row, nv in zip(m, nonvanishing))
+    return SemisimpleSolutions({"left": solutions, "right": solutions}, u, u)
+
+
+def _tli_residuals(first: np.ndarray, phis: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """For each row m_i of ``m``, the larger 2-norm of the left and the right system of ``solve_tli``
+    for phi_i applied to it, read off the first Arens table one side at a time."""
+    n = len(first)
+    # (m_i [] e_j)_k - phi_i(e_j) m_ik at [i, j, k]
+    left = (m @ first.reshape(n, n * n)).reshape(-1, n, n)
+    left -= phis[:, :, None] * m[:, None, :]
+    worst = _norms(left, (1, 2))
+    del left
+    # (e_j [] m_i)_k - phi_i(e_j) m_ik at [j, k, i]
+    right = first.transpose(0, 2, 1) @ m.T
+    right -= phis.T[:, None, :] * m.T[None, :, :]
+    return np.maximum(worst, _norms(right, (0, 1)))
+
+
+def _norms(a: np.ndarray, axis) -> np.ndarray:
+    """2-norms of ``a`` over ``axis``."""
+    squares = np.abs(a)
+    squares *= squares
+    return np.sqrt(squares.sum(axis=axis))
+
+
 def _padded(bases: list[np.ndarray], n: int) -> np.ndarray:
     """(n, d_i) bases as one (k, n, max d_i) stack padded with zero columns."""
     stack = np.zeros((len(bases), n, max((basis.shape[1] for basis in bases), default=0)), dtype=complex)
@@ -503,16 +590,25 @@ class Analysis:
         return square_annihilator(self.algebra, self.tol)
 
     @cached_property
+    def semisimple(self) -> SemisimpleSolutions | None:
+        """The identities and invariant elements read off the trace form, or None when rad A != 0 at
+        tol or a row fails confirmation."""
+        return semisimple_solutions(self.algebra, self.characters.functionals, self.tol)
+
+    @cached_property
     def left_identity(self) -> np.ndarray | None:
-        return find_left_identity(self.algebra, self.tol)
+        return self.semisimple.left_identity if self.semisimple else find_left_identity(self.algebra, self.tol)
 
     @cached_property
     def right_identity(self) -> np.ndarray | None:
-        return find_right_identity(self.algebra, self.tol)
+        return self.semisimple.right_identity if self.semisimple else find_right_identity(self.algebra, self.tol)
 
     @cached_property
     def tli(self) -> dict[str, tuple[TliSolution, ...]]:
-        """Invariant-element solutions by side, one per enumerated character, both sides one stack."""
+        """Invariant-element solutions by side, one per enumerated character: the semisimple solver's,
+        or else ``solve_tli``'s, both sides one stack."""
+        if self.semisimple:
+            return self.semisimple.tli
         sides = ("left", "right")
         return dict(zip(sides, solve_tli(self.algebra, self.characters.functionals, sides, self.tol)))
 

@@ -31,8 +31,8 @@ import numpy as np
 
 from .core import FiniteAlgebra
 from .errors import CharacterRejected
-from .linalg import (SPLITTER_STREAM, column_space, complex_gaussians, joint_eigenvalues, max_abs, nullspace,
-                     nullspace_cuts)
+from .linalg import (SPLITTER_STREAM, SvdCuts, column_space, complex_gaussians, joint_eigenvalues, max_abs,
+                     nullspace, nullspace_cuts)
 from .product import MorphismProduct
 
 
@@ -131,6 +131,13 @@ def _distances(fs: np.ndarray, gs: np.ndarray) -> np.ndarray:
 TRACE_FORM_TOL = 1e3 * np.finfo(float).eps
 
 
+def trace_form(alg: FiniteAlgebra) -> SvdCuts:
+    """The SVD of the trace form's transpose T^T, T[i, j] = tr L_{e_i e_j}, with the floor (max |c|)^2,
+    made on first use and kept on the algebra object: every cut and every solve reads this one."""
+    c = alg.structure
+    return alg.kept("_trace_form", lambda: nullspace_cuts((c @ np.einsum("kjj->k", c)).T, max_abs(c) ** 2))
+
+
 def radical(alg: FiniteAlgebra, tol: float = TRACE_FORM_TOL) -> np.ndarray:
     """Orthonormal basis (columns) of rad A, the null space of the trace form's transpose.
 
@@ -141,10 +148,9 @@ def radical(alg: FiniteAlgebra, tol: float = TRACE_FORM_TOL) -> np.ndarray:
     tr L_x^m = 0 for every m >= 2, so L_x is nilpotent, also without a unit.
     A cut at the run's tol counts as radical every direction under about
     sqrt(tol), so an empty result there is a strict test of rad A = 0.  The
-    form's SVD is kept on the algebra object, and every tol cuts that one.
+    form's SVD is kept on the algebra object (``trace_form``), and every tol cuts that one.
     """
-    c = alg.structure
-    return alg.kept("_trace_form", lambda: nullspace_cuts((c @ np.einsum("kjj->k", c)).T, max_abs(c) ** 2))(tol)
+    return trace_form(alg)(tol)
 
 
 def _is_nilpotent(alg: FiniteAlgebra, basis: np.ndarray, tol: float) -> bool:

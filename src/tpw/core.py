@@ -119,14 +119,12 @@ class FiniteAlgebra:
         return float(np.sum(self.norm_weights * np.abs(self.coerce(x))))
 
     def associativity_residual(self) -> float:
-        """max-norm of (e_i e_j) e_k - e_i (e_j e_k) over all basis triples; each side is one
-        (n^2, n) @ (n, n^2) product, with (e_i e_j) e_k at [(i, j), (k, l)] and e_i (e_j e_k) at [(j, k), (i, l)]."""
+        """max-norm of (e_i e_j) e_k - e_i (e_j e_k) over all basis triples, one first index i at a
+        time, so no array has more than n^3 entries: (e_i e_j) e_k at [j, (k, l)] is c[i] @ c, laid
+        out as n x n^2, and e_i (e_j e_k) at [(j, k), l] is c, laid out as n^2 x n, @ c[i]."""
         n, c = self.dim, self.structure
-        flat = c.reshape(n * n, n)
-        left = (flat @ c.reshape(n, n * n)).reshape(n, n, n, n)
-        right = (flat @ c.transpose(1, 0, 2).reshape(n, n * n)).reshape(n, n, n, n)
-        right -= left.transpose(1, 2, 0, 3)
-        return max_abs(right)
+        flat, wide = c.reshape(n * n, n), c.reshape(n, n * n)
+        return max(max_abs((c[i] @ wide).reshape(n * n, n) - flat @ c[i]) for i in range(n))
 
     def __repr__(self):
         return f"FiniteAlgebra({self.name!r}, dim={self.dim})"

@@ -10,7 +10,9 @@ invariant-element systems of every character of an algebra, by one stacked
 SVD, after reducing each tall system to its triangular QR factor R, so no
 rows x rows factor is ever formed; the cutoff still uses the original
 matrix's shape.  ``nullspace`` is its one-matrix case, as ``column_space``
-is of ``column_spaces``.  A system too large to form, such as the
+is of ``column_spaces``.  ``nullspace_cuts`` keeps one SVD of a square
+matrix with its U, which every later cut and every solve on the singular
+values above the cut reads (``SvdCuts``).  A system too large to form, such as the
 n^3 x n^2 Leibniz system of ``amenability.derivation_space`` for an algebra
 of dim n, goes to ``sketched_nullspace`` as a sketch and an operator: the
 kernel V of a few random combinations of its row blocks contains its kernel
@@ -26,6 +28,8 @@ a seed and a stream, so ``numpy.random`` is never imported.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -192,13 +196,42 @@ def complex_gaussians(seed: int, stream: int, shape) -> np.ndarray:
 
 def nullspace(a, tol: float, scale: float = 0.0) -> np.ndarray:
     """Orthonormal basis (columns) of {x : a @ x = 0}: the one-matrix case of ``nullspaces``."""
-    return nullspace_cuts(a, scale)(tol)
-
-
-def nullspace_cuts(a, scale: float = 0.0):
-    """The function tol -> ``nullspace(a, tol, scale)``, every cut taken from one SVD of a."""
     s, vh = _right_singular(as_complex(a))
-    return lambda tol: vh[_rank(s, np.shape(a), tol, scale) :].conj().T
+    return vh[_rank(s, np.shape(a), tol, scale) :].conj().T
+
+
+@dataclass(frozen=True)
+class SvdCuts:
+    """One SVD a = u diag(s) vh, kept and cut at any tol by ``_rank`` with the floor ``scale``.
+
+    ``cuts(tol)`` is ``nullspace(a, tol, scale)``.  ``cuts.solve(b, tol)`` is
+    the minimal-norm least-squares solution of a x = b for each column of b
+    on the singular values above the cut, vh_r^H diag(1 / s_r) u_r^H b: the
+    inverse of a applied to b where a has full rank at tol, and no division
+    by a singular value under the cut where it has not.
+    """
+
+    shape: tuple[int, int]
+    u: np.ndarray
+    s: np.ndarray
+    vh: np.ndarray
+    scale: float
+
+    def rank(self, tol: float) -> int:
+        return int(_rank(self.s, self.shape, tol, self.scale))
+
+    def __call__(self, tol: float) -> np.ndarray:
+        return self.vh[self.rank(tol) :].conj().T
+
+    def solve(self, b, tol: float) -> np.ndarray:
+        r = self.rank(tol)
+        return self.vh[:r].conj().T @ ((self.u[:, :r].conj().T @ as_complex(b)) / self.s[:r, None])
+
+
+def nullspace_cuts(a, scale: float = 0.0) -> SvdCuts:
+    """``SvdCuts`` of a square matrix a: every cut, and every solve, from one SVD with its whole U."""
+    a = as_complex(a)
+    return SvdCuts(a.shape, *np.linalg.svd(a, full_matrices=True), scale)
 
 
 def nullspaces(stack, tol: float, scales) -> tuple[np.ndarray, np.ndarray]:

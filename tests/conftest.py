@@ -106,11 +106,11 @@ def random_unitary(rng, n):
 
 
 def rebased(alg, u, name=None):
-    """The algebra in the basis f_p = sum_i u[i, p] e_i (u unitary), by one plain contraction.
+    """The algebra in the basis f_p = sum_i u[i, p] e_i (u unitary), by one contraction, taken pairwise.
 
     A commutative tensor comes out commutative only up to rounding.
     """
-    c = np.einsum("ip,jq,ijk,kr->pqr", u, u, alg.structure, u.conj())
+    c = np.einsum("ip,jq,ijk,kr->pqr", u, u, alg.structure, u.conj(), optimize=True)
     return FiniteAlgebra(
         name=name or f"{alg.name}r", basis_labels=tuple(f"f{i}" for i in range(alg.dim)), structure=c
     )

@@ -22,12 +22,13 @@ from tpw.amenability import (
     leibniz_residual,
     lift_derivation,
     product_analyses,
+    semisimple_solutions,
     solve_inner_mean,
     solve_tli,
     tli_product_characterization,
 )
 from tpw.characters import enumerate_characters, radical
-from tpw.core import center
+from tpw.core import center, find_left_identity, find_right_identity
 from tpw.corpus import (algebra_group_z2, algebra_null1, algebra_row2, algebra_ut2, hom_identity, hom_scaled_character,
                         hom_zero)
 from tpw.errors import NotADerivation
@@ -330,6 +331,86 @@ def test_near_radical_factors_keep_the_weak_amenability_equivalence_at_a_loose_t
         assert equivalence.status == "pass", (tol, equivalence.detail)
 
 
+def trace_form_path(alg, tol):
+    """Which path ``Analysis`` takes for the invariant elements and the unit of ``alg``: "radical"
+    when rad A != 0 at tol, "fallback" when rad A = 0 but ``semisimple_solutions`` fails confirmation
+    (both then solved by ``solve_tli`` and ``find_*_identity``), else "shortcut"."""
+    if radical(alg, tol).shape[1]:
+        return "radical"
+    return "shortcut" if semisimple_solutions(alg, Analysis(alg, tol).characters.functionals, tol) else "fallback"
+
+
+def assert_matches_the_solves(alg, tol):
+    """``Analysis``'s invariant elements and one-sided identities on ``alg`` against ``solve_tli`` and
+    ``find_*_identity``: dims and flags equal, spans equal at 1e-10, and the identities within 1e-10
+    of the larger of 1 and their size (the unit of C2_eps has size 1 / eps)."""
+    an = Analysis(alg, tol)
+    phis = an.characters.functionals
+    for side, want in zip(("left", "right"), solve_tli(alg, phis, ("left", "right"), tol)):
+        got = an.tli[side]
+        assert [(sol.dim, sol.exists_nonvanishing) for sol in got] == [
+            (sol.dim, sol.exists_nonvanishing) for sol in want], (alg.name, side)
+        for one, other in zip(got, want):
+            equal, residual = subspaces_equal(one.basis, other.basis, 1e-10)
+            assert equal, (alg.name, side, residual)
+    for got, want in ((an.left_identity, find_left_identity(alg, tol)), (an.right_identity, find_right_identity(alg, tol))):
+        assert (got is None) == (want is None), alg.name
+        assert want is None or max_abs(got - want) <= 1e-10 * max(1.0, max_abs(want)), (alg.name, max_abs(got - want))
+
+
+def oracle_algebras(corpus):
+    """(label, algebra) for the trace-form oracle: every factor and product object of the built-in
+    corpus, of its rebased copy and of ``stacking_triples`` (which holds both), C_k and M_k for
+    k = 1..4, C[Z2], and C_k and the ladder product C_k x C_k (identity hom) for k = 2..8, plain and
+    rebased."""
+    rng = np.random.default_rng(30)
+    out = [(f"{family}{k}", matrix_unit_algebra(family, k)) for family in "CM" for k in range(1, 5)]
+    out.append(("C[Z2]", algebra_group_z2()))
+    triples = [(label, a, b, hom) for label, a, b, hom in stacking_triples(corpus)]
+    for k in range(2, 9):
+        c = matrix_unit_algebra("C", k)
+        triples.append((f"C{k}xC{k}", c, c, hom_identity(c)))
+        r = rebased(c, random_unitary(rng, k), f"C{k}r")
+        triples.append((f"C{k}xC{k}-rebased", r, r, hom_identity(r)))
+    for label, a, b, hom in triples:
+        product = build_product(a, b, hom, TOL)
+        out += [(f"{label}/{role}", alg) for role, alg in (("a", a), ("b", b), ("product", product.algebra))]
+    return out
+
+
+def test_semisimple_solutions_match_solve_tli_and_the_identity_solves(corpus):
+    """Every algebra with rad A = 0 of ``oracle_algebras`` takes the trace-form solve and agrees
+    with ``solve_tli`` and ``find_*_identity``; every algebra with a radical (T_k, N_k, UT2,
+    row2, null1, Z_k and the products they make) takes ``solve_tli``."""
+    paths = Counter()
+    for label, alg in oracle_algebras(corpus):
+        path = trace_form_path(alg, TOL)
+        paths[path] += 1
+        assert path != "fallback", label
+        assert (path == "radical") == (Analysis(alg, TOL).semisimple is None), label
+        assert_matches_the_solves(alg, TOL)
+    assert (paths["shortcut"], paths["radical"]) == (93, 36), paths
+
+
+@pytest.mark.parametrize("tol", [TOL, 1e-5])
+def test_rebased_c2_eps_takes_the_shortcut_the_fallback_or_the_radical_path_and_each_matches(tol):
+    """Rebased C2_eps from eps = 1 down to 1e-6: at every eps, whatever the path, the invariant
+    elements and the identities equal those of ``solve_tli`` and ``find_*_identity``.  The form's
+    smallest singular value is eps^2, so the shortcut holds from eps = sqrt(2 tol) up, and just
+    above it, where the solve from a form of condition 1 / eps^2 is too far off, confirmation fails
+    and the solves are taken: the sweep takes each path at tol 1e-9.  At tol 1e-5 the gate
+    passes only for eps over about 4e-3, where confirmation holds."""
+    rng = np.random.default_rng(31)
+    paths = []
+    for eps in np.logspace(0, -6, 49):
+        alg = rebased(c2_eps(eps), random_unitary(rng, 2))
+        paths.append(trace_form_path(alg, tol))
+        assert_matches_the_solves(alg, tol)
+    first_radical = paths.index("radical")
+    assert set(paths[first_radical:]) == {"radical"}
+    assert "shortcut" in paths and ("fallback" in paths) == (tol == TOL), paths
+
+
 def test_every_ad_is_a_derivation(corpus, rng):
     for entry in corpus:
         alg = entry.algebra_a
@@ -625,11 +706,11 @@ def test_run_solves_each_fact_once_per_algebra(monkeypatch, capsys, corpus):
     one analysis), and ``corpus run`` builds each product once.  Derivation
     spaces are solved for the distinct factor objects only: every product
     passes its shear claim, so its space is carried from its factors'.  A
-    ladder-shaped rung (C5 x C5, one object, identity hom) solves the
-    invariant-element systems in 2 ``solve_tli`` calls, each of both sides:
-    one for the factor, and one for the product's own characters, whose
-    solutions the lifted and the pure family read through the
-    decomposition's matching.
+    ladder-shaped rung (C5 x C5, one object, identity hom) reads its
+    invariant elements and its unit off the trace form, one
+    ``semisimple_solutions`` call for the factor and one for the product's
+    own characters, whose solutions the lifted and the pure family read
+    through the decomposition's matching, and makes no ``solve_tli`` call.
     """
     import sys
 
@@ -647,6 +728,7 @@ def test_run_solves_each_fact_once_per_algebra(monkeypatch, capsys, corpus):
         "center": tpw.core.center,
         "derivation_space": tpw.amenability.derivation_space,
         "solve_tli": tpw.amenability.solve_tli,
+        "semisimple_solutions": tpw.amenability.semisimple_solutions,
         "build_product": tpw.product.build_product,
     }
     calls, center_args = Counter(), []
@@ -678,7 +760,7 @@ def test_run_solves_each_fact_once_per_algebra(monkeypatch, capsys, corpus):
     calls.clear()
     verify_theorems(c5, c5, AlgebraHom(source=c5, target=c5, matrix=np.eye(5)), RunConfig())
     assert (calls["enumerate_characters"], calls["center"], calls["derivation_space"]) == (2, 2, 1)
-    assert calls["solve_tli"] == 2
+    assert (calls["semisimple_solutions"], calls["solve_tli"]) == (2, 0)
 
     monkeypatch.delenv("TPW_CORPUS_DIR", raising=False)
     calls.clear()
@@ -718,8 +800,9 @@ def ladder_triples(ks):
 
 def test_product_solves_one_system_per_character_and_its_families_share_them(monkeypatch, corpus):
     """The product's invariant-element stack has one row per enumerated product character, both
-    sides solved in one call, every family member matches a character there, and its solution is
-    that character's own solution object."""
+    sides solved in one call, unless the product reads them off its trace form, and then it makes
+    no call; every family member matches a character there, and its solution is that character's
+    own solution object."""
     calls = spy_solve_tli(monkeypatch)
     for label, a, b, hom in [*stacking_triples(corpus), *ladder_triples(range(2, 6))]:
         product = build_product(a, b, hom, TOL)
@@ -728,7 +811,7 @@ def test_product_solves_one_system_per_character_and_its_families_share_them(mon
         verify_product(product, analyses, RunConfig())
         an_a, an_b, an_p = analyses
         own = [(len(phis), side) for alg, phis, side in calls if alg is product.algebra]
-        assert own == [(len(an_p.characters), ("left", "right"))], label
+        assert own == ([] if an_p.semisimple else [(len(an_p.characters), ("left", "right"))]), label
         match = an_p.decomposition.match
         assert len(match) == len(an_a.characters) + len(an_b.characters) and np.all(match >= 0), label
         for side in ("left", "right"):
@@ -801,7 +884,7 @@ def test_group_07_matches_per_character_loop(corpus):
 
 def test_stacked_tli_and_group_07_match_the_per_side_and_per_kind_calls(corpus):
     """Each analysis's two-sided solve gives, per side, what ``solve_tli`` on that side alone
-    gives, and group 07's one pass over both kinds and both sides gives the statuses, witnesses
+    gives (the same bases, or the same spans at 1e-10 where the trace form gave them), and group 07's one pass over both kinds and both sides gives the statuses, witnesses
     and residuals (to 1e-12) of one ``tli_product_characterization`` per kind and side, which
     solves its own systems: on every ``stacking_triples`` triple, plain and rebased, and on the
     ladder shapes C4 x C4 and C5 x C5, whose products fall on either side of ``TLI_STACK_ENTRIES``."""
@@ -813,7 +896,9 @@ def test_stacked_tli_and_group_07_match_the_per_side_and_per_kind_calls(corpus):
                 alone = solve_tli(an.algebra, an.characters.functionals, side, TOL)
                 assert [(sol.dim, sol.exists_nonvanishing) for sol in an.tli[side]] == [
                     (sol.dim, sol.exists_nonvanishing) for sol in alone], (label, side)
-                assert all(np.array_equal(got.basis, want.basis) for got, want in zip(an.tli[side], alone)), label
+                for got, want in zip(an.tli[side], alone):
+                    assert (subspaces_equal(got.basis, want.basis, 1e-10)[0] if an.semisimple
+                            else np.array_equal(got.basis, want.basis)), label
         got = {v.claim: v for v in verify_product(product, analyses, RunConfig()).verdicts
                if v.claim.startswith("07-invariant-elements/") and not v.claim.endswith("character-coverage")}
         want = {}
@@ -832,7 +917,8 @@ def test_stacked_tli_and_group_07_match_the_per_side_and_per_kind_calls(corpus):
 def test_two_sided_tli_is_one_stack_up_to_the_entry_limit_and_one_per_side_past_it(monkeypatch):
     """Counted guard: an algebra's left and right invariant-element systems are one ``nullspaces``
     stack while they hold at most ``TLI_STACK_ENTRIES`` entries (2 k n^3), and one stack per side
-    past it: the ladder products of dim 8 (8192 entries) and dim 10 (20000)."""
+    past it: ``solve_tli`` of both sides on the ladder products of dim 8 (8192 entries) and dim 10
+    (20000), which a run reads off their trace forms instead."""
     import tpw.amenability
 
     stacks, real = [], tpw.amenability.nullspaces
@@ -844,8 +930,10 @@ def test_two_sided_tli_is_one_stack_up_to_the_entry_limit_and_one_per_side_past_
     monkeypatch.setattr(tpw.amenability, "nullspaces", spy)
     for (_, a, b, hom), want in zip(ladder_triples((4, 5)), ([(16, 64, 8)], [(10, 100, 10)] * 2)):
         analysis = product_analyses(build_product(a, b, hom, TOL), TOL)[2]
+        phis = analysis.characters.functionals
         stacks.clear()
-        assert len(analysis.tli["left"]) == len(analysis.tli["right"]) == analysis.algebra.dim
+        left, right = solve_tli(analysis.algebra, phis, ("left", "right"), TOL)
+        assert len(left) == len(right) == analysis.algebra.dim
         assert stacks == want
     assert 2 * 8 * 8**3 <= TLI_STACK_ENTRIES < 2 * 10 * 10**3
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import tpw.arens
-from tpw.amenability import TliSolution, _tli_system, product_analyses, solve_tli
+from tpw.amenability import TliSolution, _tli_system, product_analyses, semisimple_solutions, solve_tli
 from tpw.arens import (
     ArensTables,
     _center_system,
@@ -255,7 +255,7 @@ def test_suite_run_counts_chain_and_operator_calls(monkeypatch):
     for fn in (arens_first, arens_second):
         _rebind(monkeypatch, fn, counted("chain", fn))
     monkeypatch.setattr(tpw.arens, "_chain_tables", counted("tables", tpw.arens._chain_tables))
-    for name, fn in (("solve_tli", solve_tli), ("topological_center", topological_center),
+    for name, fn in (("semisimple_solutions", semisimple_solutions), ("topological_center", topological_center),
                      ("hom_adjoints", hom_adjoints)):
         _rebind(monkeypatch, fn, scoped(name, fn))
     left_mult = FiniteAlgebra.left_mult_operator
@@ -272,7 +272,7 @@ def test_suite_run_counts_chain_and_operator_calls(monkeypatch):
     assert calls["chain"] == 0
     assert calls["tables"] == 2
     assert calls["left_mult_in_consumers"] == 0
-    assert min(calls["solve_tli"], calls["hom_adjoints"]) > 0
+    assert min(calls["semisimple_solutions"], calls["hom_adjoints"]) > 0
     # group 04: the product's center, once per side
     assert calls["topological_center"] == 2
     # character enumeration contracts the structure tensor too

@@ -483,8 +483,8 @@ def test_decomposition_matches_per_pair_loop(corpus):
 def test_trace_form_is_decomposed_once_per_algebra(monkeypatch, capsys):
     """Counted guard: the trace form and its SVD are made once per algebra object and cut at every
     tol asked of it.  One ladder-shaped run (C5 x C5, one object, identity hom) takes two, C5's and
-    the product's, though C5's enumeration cuts it at ``TRACE_FORM_TOL`` and its derivation space
-    at the run's tol; a built-in ``corpus run`` takes one per algebra object that ``radical`` is
+    the product's, though C5's enumeration cuts it at ``TRACE_FORM_TOL``, its derivation space at
+    the run's tol, and ``semisimple_solutions`` cuts both forms at the run's tol; a built-in ``corpus run`` takes one per algebra object that ``radical`` is
     asked about, fewer than the cuts.  Each cut equals a fresh ``nullspace`` of the form."""
     import sys
 
@@ -507,7 +507,7 @@ def test_trace_form_is_decomposed_once_per_algebra(monkeypatch, capsys):
             monkeypatch.setattr(module, "radical", counted_cut)
     c5 = rebased(matrix_unit_algebra("C", 5), random_unitary(np.random.default_rng(3), 5), "C5")
     verify_theorems(c5, c5, hom_identity(c5), RunConfig())
-    assert (len(made), len(asked)) == (2, 3)
+    assert (len(made), len(asked)) == (2, 5)
     monkeypatch.delenv("TPW_CORPUS_DIR", raising=False)
     made.clear(), asked.clear()
     assert main(["corpus", "run", "--format", "json"]) == 0

@@ -11,9 +11,11 @@ on a small fixed triple in one of three ways, and no other:
   Arens tables, a factor's Arens table, the hom or the hom's report;
 * one named solver returning a wrong but well-formed result:
   ``enumerate_characters``, ``center``, ``derivation_space``,
-  ``square_annihilator``, ``solve_tli`` or ``find_*_identity``, patched
-  where ``amenability.Analysis`` reads it, or ``radical``, patched where
-  ``amenability.derivation_space`` reads it, each wrong on one algebra only.
+  ``square_annihilator``, ``solve_tli``, ``semisimple_solutions`` (which a
+  semisimple algebra takes instead of ``solve_tli`` and ``find_*_identity``)
+  or ``find_*_identity``, patched where ``amenability.Analysis`` reads it,
+  or ``radical``, patched where ``amenability.derivation_space`` and
+  ``amenability.semisimple_solutions`` read it, each wrong on one algebra only.
 
 No mutation touches a claim's own check (``character_defect``,
 ``leibniz_residual``, ``subspace_contains``, ``CheckReport``).  Each entry
@@ -183,6 +185,20 @@ def tli_rows(side: str, rows, change):
     return alter
 
 
+def semisimple_rows(side: str, rows, change):
+    """``semisimple_solutions`` with ``change`` applied to the solutions on ``side`` that ``rows(solutions)`` picks."""
+    def alter(result, phis, tol):
+        picked = rows(result.tli[side])
+        changed = tuple(change(sol) if i in picked else sol for i, sol in enumerate(result.tli[side]))
+        return replace(result, tli={**result.tli, side: changed})
+    return alter
+
+
+def without_identity(side: str):
+    """``semisimple_solutions`` with no identity on ``side``."""
+    return lambda result, phis, tol: replace(result, **{f"{side}_identity": None})
+
+
 def family_row(which: str, side: str, member: int):
     """The product's own solution on ``side`` for the character that member ``member`` of the lifted
     (``which`` "first") or the pure family matches, found through the decomposition's ``match``,
@@ -310,12 +326,15 @@ MUTATIONS = (
                failing(*tli(which, (side,), ("nonvanishing-agreement",))))
       for which, side, member in (("first", "left", 0), ("first", "right", 1), ("second", "left", 0),
                                   ("second", "right", 0))),
+    # UT2 solves its invariant-element systems; C2 and M2 read theirs, and their units, off the trace form
     *(Mutation(f"{factor}-factor-{side}-solution-column-dropped", "ut2-c2-diag",
-               solver("solve_tli", on, tli_rows(side, first_nonvanishing, without_first_column)),
+               solver(name, on, rows(side, first_nonvanishing, without_first_column)),
                failing(*tli(factor, (side,), ("solution-space-equality",))))
-      for on, factor in (("a", "first"), ("b", "second")) for side in ("left", "right")),
+      for on, factor, name, rows in (("a", "first", "solve_tli", tli_rows),
+                                     ("b", "second", "semisimple_solutions", semisimple_rows))
+      for side in ("left", "right")),
     *(Mutation(f"first-factor-no-{side}-identity", "m2-cz2-zero",
-               solver(f"find_{side}_identity", "a", lambda e, *args: None), failing(CHAR_AMENABLE.format(side)))
+               solver("semisimple_solutions", "a", without_identity(side)), failing(CHAR_AMENABLE.format(side)))
       for side in ("left", "right")),
     Mutation("first-factor-centre-empty", "c-row2-zero", solver("center", "a", lambda z, tol: z[:, :0]),
              failing(FIRST + "equivalence")),

@@ -3,6 +3,7 @@ byte for byte on the reports that runs write and on generated payloads of every 
 can hold, and JSON that parses wherever a float is not finite."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -101,16 +102,25 @@ def test_a_failed_group_07_equality_writes_json_that_parses(tmp_path, monkeypatc
     (tmp_path / "0.json").write_text(dump_json({
         "id": "c2-c-lau-short", "algebra_a": algebra_to_dict(entry.algebra_a),
         "algebra_b": algebra_to_dict(entry.algebra_b), "hom": hom_to_dict(entry.hom), "tags": list(entry.tags)}))
-    solve = tpw.amenability.solve_tli
+    solve, semisimple = tpw.amenability.solve_tli, tpw.amenability.semisimple_solutions
+    on_product = lambda alg: alg.dim == entry.algebra_a.dim + entry.algebra_b.dim  # noqa: E731
+
+    def shortened(solutions):
+        return tuple(TliSolution(sol.basis[:, 1:], sol.exists_nonvanishing) if sol.exists_nonvanishing else sol
+                     for sol in solutions)
 
     def short(alg, phi, sides, tol):
         per_side = solve(alg, phi, sides, tol)
-        if alg.dim != entry.algebra_a.dim + entry.algebra_b.dim:
-            return per_side
-        return tuple(tuple(TliSolution(sol.basis[:, 1:], sol.exists_nonvanishing) if sol.exists_nonvanishing else sol
-                           for sol in solutions) for solutions in per_side)
+        return tuple(map(shortened, per_side)) if on_product(alg) else per_side
+
+    def short_semisimple(alg, phis, tol):
+        result = semisimple(alg, phis, tol)
+        if result is None or not on_product(alg):
+            return result
+        return replace(result, tli={side: shortened(solutions) for side, solutions in result.tli.items()})
 
     monkeypatch.setattr(tpw.amenability, "solve_tli", short)
+    monkeypatch.setattr(tpw.amenability, "semisimple_solutions", short_semisimple)
     monkeypatch.setenv("TPW_CORPUS_DIR", str(tmp_path))
     assert main(["corpus", "run", "--format", "json"]) == 1
     (report,) = [e["report"] for e in json.loads(capsys.readouterr().out)["entries"] if e["id"] == "c2-c-lau-short"]

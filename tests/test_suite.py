@@ -1,6 +1,7 @@
 """The assembled theorem suite across the corpus."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,9 @@ from tpw.product import AlgebraHom, build_product
 from tpw.suite import RunConfig, verify_product, verify_theorems
 from tpw.errors import ValidationError
 
-from conftest import cross_term_triple, random_unitary, rebased
+from tpw.corpus import hom_identity
+
+from conftest import cross_term_triple, matrix_unit_algebra, random_unitary, rebased
 
 @pytest.fixture(scope="module")
 def reports(corpus):
@@ -382,3 +385,31 @@ def test_benchmark_harness_self_test_and_traced_corpus_run(tmp_path):
     assert len(json.loads(traced.stdout)["entries"]) == 16
     calls = Counter(span["name"] for span in modules["tracer"].read(str(spans))[0])
     assert calls["suite.g09"] >= 1 and calls["amenability.solve_tli"] >= 1
+
+
+def rebased_ladder_rung(k, seed):
+    """Rebased C_k x C_k with the identity hom, one algebra object as both factors."""
+    c = rebased(matrix_unit_algebra("C", k), random_unitary(np.random.default_rng(seed), k), f"C{k}")
+    return c, c, hom_identity(c)
+
+
+def test_a_semisimple_rung_holds_no_n4_array():
+    """Traced-memory guard: ``verify_theorems`` on rebased C12 x C12 (product dim n = 24) peaks
+    under 8.5 n^3 * 16 B (7.86 measured).  The product reads its invariant elements and its unit
+    off its trace form, and each step holds a few arrays of n^3 entries, where one stack of the
+    invariant-element systems of all n characters on one side has n^4 (53.6 n^3 with that stack)."""
+    n, triple = 24, rebased_ladder_rung(12, 12)
+    tracemalloc.start()
+    try:
+        report = verify_theorems(*triple, RunConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert {v.status for v in report.verdicts} == {"pass"}
+    assert peak < 8.5 * n**3 * 16, peak / (n**3 * 16)
+
+
+def test_the_dim_64_rung_passes_every_verdict():
+    """Rebased C32 x C32, product dim 64: all 528 verdicts pass."""
+    report = verify_theorems(*rebased_ladder_rung(32, 32), RunConfig())
+    assert [v.status for v in report.verdicts] == ["pass"] * 528
